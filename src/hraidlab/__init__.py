@@ -59,7 +59,6 @@ from .oracle import (
     UnreliabilityPolynomial,
     exact_reliability_enum,
     markov_mttdl,
-    min_fatal_size,
 )
 from .simulator import (
     DataLossEvent,
@@ -124,7 +123,6 @@ __all__ = [
     "hraid_unreliability",
     "leading_term",
     "markov_mttdl",
-    "min_fatal_size",
     "node_cells",
     "raid_series_approx",
     "random_payloads",

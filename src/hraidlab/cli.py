@@ -41,16 +41,13 @@ from .oracle import exact_reliability_enum, markov_mttdl
 from .simulator import (
     MttdlEstimate,
     estimate_mttdl,
+    format_csv,
+    result_row,
     simulate_trial,
     sweep,
     trace_jsonl_line,
 )
 from .stream import TrialStream
-
-_CSV_HEADER = (
-    "n,m,k,ell,delta_per_hour,gamma_per_hour,trials,seed,"
-    "mttdl_hours,std_hours,ci95_low,ci95_high"
-)
 
 #: Config-file keys accepted by simulate and sweep, mapped to flag dests.
 _CONFIG_KEYS = {
@@ -157,10 +154,12 @@ def build_parser() -> _Parser:
         help="also dump per-trial event traces as JSON lines to this file "
         "(runs the scalar traced engine)",
     )
+    p_sim.set_defaults(func=_cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="MTTDL grid over k = 0..3, l = 0..3")
     _add_geometry_flags(p_sweep, with_kl=False)
     _add_run_flags(p_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_an = sub.add_parser("analytic", help="closed-form reliability quantities")
     an_sub = p_an.add_subparsers(dest="analytic_command", required=True)
@@ -168,9 +167,11 @@ def build_parser() -> _Parser:
     _add_geometry_flags(p_rep)
     p_rep.add_argument("--eps", type=float, help="disk unreliability for evaluations")
     p_rep.add_argument("--out", help="output file; default stdout")
+    p_rep.set_defaults(func=_cmd_analytic_report)
     p_cmp = an_sub.add_parser("compare", help="HRAID1/2 vs HRAID2/1 apportionment")
     _add_geometry_flags(p_cmp, with_kl=False)
     p_cmp.add_argument("--out", help="output file; default stdout")
+    p_cmp.set_defaults(func=_cmd_analytic_compare)
 
     p_or = sub.add_parser("oracle", help="exact enumeration and Markov oracles")
     or_sub = p_or.add_subparsers(dest="oracle_command", required=True)
@@ -178,17 +179,20 @@ def build_parser() -> _Parser:
     _add_geometry_flags(p_enum)
     p_enum.add_argument("--eps", type=float, help="also evaluate unreliability at eps")
     p_enum.add_argument("--out", help="output file; default stdout")
+    p_enum.set_defaults(func=_cmd_oracle_enum)
     p_mark = or_sub.add_parser("markov", help="exact MTTDL of the lumped failure chain")
     _add_geometry_flags(p_mark)
     p_mark.add_argument("--delta", type=float, help="disk failure rate per hour")
     p_mark.add_argument("--gamma", type=float, help="controller failure rate per hour")
     p_mark.add_argument("--out", help="output file; default stdout")
+    p_mark.set_defaults(func=_cmd_oracle_markov)
 
     p_lay = sub.add_parser("layout", help="emit or verify a strip layout")
     _add_geometry_flags(p_lay)
     p_lay.add_argument("--format", choices=["text", "json"], help="output format")
     p_lay.add_argument("--out", help="output file; default stdout")
     p_lay.add_argument("--verify", help="verify a JSON grid file instead of emitting")
+    p_lay.set_defaults(func=_cmd_layout)
 
     p_cod = sub.add_parser(
         "codec-demo", help="XOR encode, erase, and recover walkthrough (k, l <= 1)"
@@ -206,6 +210,7 @@ def build_parser() -> _Parser:
     p_cod.add_argument(
         "--erase-node", action="append", type=int, help="erase one whole node (repeatable)"
     )
+    p_cod.set_defaults(func=_cmd_codec_demo)
     return parser
 
 
@@ -222,6 +227,12 @@ def _geometry(merged: dict) -> HraidConfig:
         inter_tolerance=merged["k"],
         intra_tolerance=merged["ell"],
     )
+
+
+def _flag_geometry(args: argparse.Namespace) -> HraidConfig:
+    """Geometry from --n/--m (required) and --k/--l (default 0)."""
+    _require(vars(args), "n", "m")
+    return HraidConfig(args.n, args.m, args.k or 0, args.ell or 0)
 
 
 def _rates(merged: dict) -> FailureModel:
@@ -264,29 +275,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     fmt = merged["format"]
     if fmt == "csv":
-        text = _CSV_HEADER + "\n" + (
-            f"{config.n},{config.m},{config.k},{config.ell},{rates.disk_rate!r},"
-            f"{rates.controller_rate!r},{est.trials},{est.seed},"
-            f"{est.mean_hours!r},{est.std_dev_hours!r},{est.ci95_low!r},{est.ci95_high!r}\n"
-        )
+        text = format_csv([result_row(config, rates, est.seed, est)])
     elif fmt == "json":
-        text = json.dumps(
-            {
-                "n": config.n,
-                "m": config.m,
-                "k": config.k,
-                "ell": config.ell,
-                "delta_per_hour": rates.disk_rate,
-                "gamma_per_hour": rates.controller_rate,
-                "trials": est.trials,
-                "seed": est.seed,
-                "mttdl_hours": est.mean_hours,
-                "std_hours": est.std_dev_hours,
-                "ci95_low": est.ci95_low,
-                "ci95_high": est.ci95_high,
-            },
-            indent=2,
-        )
+        text = json.dumps(result_row(config, rates, est.seed, est), indent=2)
     else:
         text = (
             f"MTTDL estimate for HRAID {config.k}/{config.ell}: N={config.n}, "
@@ -322,25 +313,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analytic(args: argparse.Namespace) -> int:
-    if args.analytic_command == "compare":
-        if args.n is None or args.m is None:
-            raise UsageError("missing required value(s): --n, --m")
-        cmp_result = compare_apportionments(args.n, args.m)
-        text = (
-            f"HRAID1/2 vs HRAID2/1 on N={args.n} nodes x M={args.m} disks\n"
-            f"  minimal fatal sets (6 failures): "
-            f"1/2 -> {cmp_result.coeff_12}, 2/1 -> {cmp_result.coeff_21}\n"
-            f"  verdict: {cmp_result.ordering.name}\n"
-            f"  threshold form: N > 2 + (M-2)^2/(3M(M-1)) = "
-            f"{cmp_result.threshold_n} ~= {float(cmp_result.threshold_n):.6g}"
-        )
-        _write_output(text, args.out)
-        return 0
+def _cmd_analytic_compare(args: argparse.Namespace) -> int:
+    _require(vars(args), "n", "m")
+    cmp_result = compare_apportionments(args.n, args.m)
+    text = (
+        f"HRAID1/2 vs HRAID2/1 on N={args.n} nodes x M={args.m} disks\n"
+        f"  minimal fatal sets (6 failures): "
+        f"1/2 -> {cmp_result.coeff_12}, 2/1 -> {cmp_result.coeff_21}\n"
+        f"  verdict: {cmp_result.ordering.name}\n"
+        f"  threshold form: N > 2 + (M-2)^2/(3M(M-1)) = "
+        f"{cmp_result.threshold_n} ~= {float(cmp_result.threshold_n):.6g}"
+    )
+    _write_output(text, args.out)
+    return 0
 
-    if args.n is None or args.m is None:
-        raise UsageError("missing required value(s): --n, --m")
-    config = HraidConfig(args.n, args.m, args.k or 0, args.ell or 0)
+
+def _cmd_analytic_report(args: argparse.Namespace) -> int:
+    config = _flag_geometry(args)
     report = analytic_report(config)
     lines = [
         f"HRAID {config.k}/{config.ell} on N={config.n} nodes x M={config.m} disks",
@@ -374,20 +363,20 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.n is None or args.m is None:
-        raise UsageError("missing required value(s): --n, --m")
-    config = HraidConfig(args.n, args.m, args.k or 0, args.ell or 0)
-    if args.oracle_command == "enum":
-        poly = exact_reliability_enum(config)
-        text = poly.to_csv()
-        if args.eps is not None:
-            text += (
-                f"# unreliability at eps={args.eps:g}: "
-                f"{poly.unreliability(args.eps):.15g}\n"
-            )
-        _write_output(text, args.out)
-        return 0
+def _cmd_oracle_enum(args: argparse.Namespace) -> int:
+    poly = exact_reliability_enum(_flag_geometry(args))
+    text = poly.to_csv()
+    if args.eps is not None:
+        text += (
+            f"# unreliability at eps={args.eps:g}: "
+            f"{poly.unreliability(args.eps):.15g}\n"
+        )
+    _write_output(text, args.out)
+    return 0
+
+
+def _cmd_oracle_markov(args: argparse.Namespace) -> int:
+    config = _flag_geometry(args)
     rates = FailureModel(
         disk_rate=args.delta if args.delta is not None else 1e-6,
         controller_rate=args.gamma if args.gamma is not None else 0.0,
@@ -417,10 +406,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
             return 2
         _write_output("layout valid: all balance invariants hold", args.out)
         return 0
-    if args.n is None or args.m is None:
-        raise UsageError("missing required value(s): --n, --m")
-    config = HraidConfig(args.n, args.m, args.k or 0, args.ell or 0)
-    grid = generate_layout(config)
+    grid = generate_layout(_flag_geometry(args))
     text = grid.to_json() if args.format == "json" else grid.as_text()
     _write_output(text, args.out)
     return 0
@@ -498,19 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "analytic":
-            return _cmd_analytic(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "layout":
-            return _cmd_layout(args)
-        if args.command == "codec-demo":
-            return _cmd_codec_demo(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

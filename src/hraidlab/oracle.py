@@ -108,15 +108,6 @@ def exact_reliability_enum(config: HraidConfig) -> UnreliabilityPolynomial:
     return UnreliabilityPolynomial(config=config, total_disks=nm, fatal_counts=fatal)
 
 
-def min_fatal_size(config: HraidConfig) -> int:
-    """Smallest d with a fatal d-subset; equals (k+1)(l+1)."""
-    poly = exact_reliability_enum(config)
-    for d, count in enumerate(poly.fatal_counts):
-        if count:
-            return d
-    raise AssertionError("a fatal set always exists since k < N")
-
-
 def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
     """Exact expected hours to data loss under instantaneous restriping.
 

@@ -1,11 +1,14 @@
 """Event-driven Monte Carlo estimation of mean time to data loss.
 
-Each trial plays the failure process forward with competing exponentials:
-the total rate of the surviving components sets the inter-event time, and
-the failing component is chosen with probability proportional to its rate.
-Restriping is instantaneous, so a trial's state is just the failed-disk
-count per alive node and the dead-node count; the trial ends when more
-than k nodes have died.
+Each trial plays the failure process forward with competing exponentials
+(Gillespie's direct method): the total rate of the surviving components
+sets the inter-event time, and the failing component is chosen with
+probability proportional to its rate.  Restriping is instantaneous and
+nodes are exchangeable, so a trial's state is the lumped state of
+``oracle.markov_mttdl``: the counts c_0..c_l of alive nodes with 0..l
+failed disks, plus the dead-node count.  Class f fails a disk at rate
+c_f (M-f) delta and a controller at rate c_f gamma; the trial ends when
+more than k nodes have died.
 
 Internally time advances in units of the inverse disk rate (rates divide
 out), and hours emerge from one final division by delta.  Every trial
@@ -18,13 +21,13 @@ library's).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -100,6 +103,38 @@ class MttdlEstimate:
         half = 1.96 * std / math.sqrt(trials)
         return cls(trials, mean, std, mean - half, mean + half, seed)
 
+    def fields(self) -> dict[str, float]:
+        """The estimate's output fields, in CSV column order."""
+        return {
+            "mttdl_hours": self.mean_hours,
+            "std_hours": self.std_dev_hours,
+            "ci95_low": self.ci95_low,
+            "ci95_high": self.ci95_high,
+        }
+
+
+def result_row(
+    config: HraidConfig, rates: FailureModel, seed: int, estimate: MttdlEstimate
+) -> dict:
+    """One result keyed by CSV column: a CSV row, or a flat JSON object."""
+    return {
+        "n": config.n,
+        "m": config.m,
+        "k": config.k,
+        "ell": config.ell,
+        "delta_per_hour": rates.disk_rate,
+        "gamma_per_hour": rates.controller_rate,
+        "trials": estimate.trials,
+        "seed": seed,
+        **estimate.fields(),
+    }
+
+
+def format_csv(rows: list[dict]) -> str:
+    """Header plus one repr-exact line per ``result_row``."""
+    lines = [_CSV_HEADER] + [",".join(map(repr, row.values())) for row in rows]
+    return "\n".join(lines) + "\n"
+
 
 @dataclass(frozen=True)
 class TrialResults:
@@ -139,67 +174,42 @@ def simulate_trial(
     """Play one lifetime to data loss, recording the full event trace.
 
     This scalar engine is the readable reference; ``run_trials`` produces
-    bit-identical times without traces.
+    bit-identical times without traces.  The event is drawn over the same
+    2(l+1) bins in the same order: disk failures in classes 0..l, then
+    controller failures in classes 0..l.  Trace node ids go to the
+    lowest-index alive node of the chosen class.
     """
     n, m, k, ell = config.n, config.m, config.k, config.ell
     delta = rates.disk_rate
     rho = rates.controller_rate / delta
-    f = [0] * n
-    alive = [True] * n
-    alive_n = n
+    counts = [n] + [0] * ell  # c_f: alive nodes with f failed disks
     dead = 0
+    node_class = [0] * n  # per-node class, -1 once dead; labels the trace only
     t_unit = 0.0
     trace: list[TraceEvent] = []
     while True:
-        wtot = 0
-        for i in range(n):
-            if alive[i]:
-                wtot += m - f[i]
-        w = float(wtot) + rho * float(alive_n)
+        cum_w = list(accumulate(c * (m - f) for f, c in enumerate(counts)))
+        cum_c = list(accumulate(counts))
+        wtot = float(cum_w[-1])
+        total = wtot + rho * float(cum_c[-1])
+        thresholds = [float(w) for w in cum_w] + [wtot + rho * float(c) for c in cum_c]
         u1 = stream.next_uniform()
         u2 = stream.next_uniform()
-        t_unit += float(-np.log1p(_F64(-u1))) / w
-        x = u2 * w
+        t_unit += float(-np.log1p(_F64(-u1))) / total
+        x = u2 * total
+        b = next(i for i, thr in enumerate(thresholds) if x < thr)
+        kind = EventKind.DISK if b <= ell else EventKind.CONTROLLER
+        f = b % (ell + 1)
 
-        target = -1
-        kind = EventKind.DISK
-        acc = 0
-        for i in range(n):
-            if alive[i]:
-                acc += m - f[i]
-                if x < float(acc):
-                    target = i
-                    break
-        if target < 0:
-            kind = EventKind.CONTROLLER
-            passed = 0
-            for i in range(n):
-                if alive[i]:
-                    passed += 1
-                    if x < float(wtot) + rho * float(passed):
-                        target = i
-                        break
-        if target < 0:
-            # u2 so close to 1 that rounding pushed x to the total weight;
-            # charge the last alive component
-            for i in range(n - 1, -1, -1):
-                if alive[i]:
-                    target = i
-                    kind = EventKind.DISK if rho == 0.0 else EventKind.CONTROLLER
-                    break
-
-        if kind is EventKind.DISK:
-            if f[target] == ell:
-                alive[target] = False
-                alive_n -= 1
-                dead += 1
-            else:
-                f[target] += 1
+        node = node_class.index(f)
+        counts[f] -= 1
+        if kind is EventKind.DISK and f < ell:
+            counts[f + 1] += 1
+            node_class[node] += 1
         else:
-            alive[target] = False
-            alive_n -= 1
+            node_class[node] = -1
             dead += 1
-        trace.append(TraceEvent(t_unit / delta, target + 1, kind))
+        trace.append(TraceEvent(t_unit / delta, node + 1, kind))
         if dead > k:
             cause = (
                 LossCause.DISK_CASCADE if kind is EventKind.DISK else LossCause.CONTROLLER
@@ -218,9 +228,10 @@ def _simulate_chunk(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized engine: unit-time losses, disk-event counts, causes."""
     n, m, k, ell = config.n, config.m, config.k, config.ell
+    disk_weights = m - np.arange(ell + 1)
     keys = trial_keys(seed, start, count)
-    f = np.zeros((count, n), dtype=np.int64)
-    alive = np.ones((count, n), dtype=bool)
+    c = np.zeros((count, ell + 1), dtype=np.int64)  # c_f per trial
+    c[:, 0] = n
     dead = np.zeros(count, dtype=np.int64)
     t_unit = np.zeros(count, dtype=np.float64)
     disk_events = np.zeros(count, dtype=np.int64)
@@ -232,50 +243,31 @@ def _simulate_chunk(
         ka = keys[act]
         u1 = uniforms_at(ka, 2 * it - 1)
         u2 = uniforms_at(ka, 2 * it)
-        fa = f[act]
-        ala = alive[act]
-        w = np.where(ala, m - fa, 0)
-        cumw = np.cumsum(w, axis=1)
-        wtot = cumw[:, -1]
-        cumal = np.cumsum(ala, axis=1)
-        total = wtot.astype(np.float64) + rho * cumal[:, -1].astype(np.float64)
+        ca = c[act]
+        cum_w = np.cumsum(ca * disk_weights, axis=1)
+        cum_c = np.cumsum(ca, axis=1)
+        wtot = cum_w[:, -1].astype(np.float64)
+        total = wtot + rho * cum_c[:, -1].astype(np.float64)
         t_unit[act] += -np.log1p(-u1) / total
         x = u2 * total
-
-        hit = x[:, None] < cumw.astype(np.float64)
-        sel_disk = hit.any(axis=1)
-        disk_idx = hit.argmax(axis=1)
-        thr = wtot[:, None].astype(np.float64) + rho * cumal.astype(np.float64)
-        hit2 = x[:, None] < thr
-        sel_ctrl = hit2.any(axis=1) & ~sel_disk
-        ctrl_idx = hit2.argmax(axis=1)
-        fallback = ~sel_disk & ~sel_ctrl
-        if fallback.any():
-            last_alive = (n - 1) - np.argmax(ala[:, ::-1], axis=1)
-            if rho == 0.0:
-                sel_disk = sel_disk | fallback
-                disk_idx = np.where(fallback, last_alive, disk_idx)
-            else:
-                sel_ctrl = sel_ctrl | fallback
-                ctrl_idx = np.where(fallback, last_alive, ctrl_idx)
-
-        rows_d = act[sel_disk]
-        cols_d = disk_idx[sel_disk]
-        disk_events[rows_d] += 1
-        kills = f[rows_d, cols_d] == ell
-        f[rows_d[~kills], cols_d[~kills]] += 1
-        alive[rows_d[kills], cols_d[kills]] = False
-        dead[rows_d[kills]] += 1
-
-        rows_c = act[sel_ctrl]
-        cols_c = ctrl_idx[sel_ctrl]
-        alive[rows_c, cols_c] = False
-        dead[rows_c] += 1
+        # Some bin always holds x: u2 <= 1 - 2**-53, so under round-to-nearest
+        # u2 * total < total, and the last threshold is computed by the same
+        # float expression as total, so it is bitwise equal to it.
+        thresholds = np.hstack(
+            (cum_w.astype(np.float64), wtot[:, None] + rho * cum_c.astype(np.float64))
+        )
+        b = (x[:, None] < thresholds).argmax(axis=1)
+        disk = b <= ell
+        f = np.where(disk, b, b - (ell + 1))
+        c[act, f] -= 1
+        moved = disk & (f < ell)
+        c[act[moved], f[moved] + 1] += 1
+        dead[act] += ~moved
+        disk_events[act] += disk
 
         absorbed = dead[act] > k
-        if absorbed.any():
-            causes[act[absorbed]] = np.where(sel_ctrl[absorbed], 1, 0).astype(np.uint8)
-            act = act[~absorbed]
+        causes[act[absorbed]] = ~disk[absorbed]
+        act = act[~absorbed]
     return t_unit, disk_events, causes
 
 
@@ -361,16 +353,14 @@ class SweepResult:
         raise KeyError(f"no cell (k={k}, l={ell}) in this sweep")
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(_CSV_HEADER + "\n")
-        for c in self.cells:
-            e = c.estimate
-            out.write(
-                f"{self.n},{self.m},{c.k},{c.ell},{self.rates.disk_rate!r},"
-                f"{self.rates.controller_rate!r},{e.trials},{self.seed},"
-                f"{e.mean_hours!r},{e.std_dev_hours!r},{e.ci95_low!r},{e.ci95_high!r}\n"
-            )
-        return out.getvalue()
+        return format_csv(
+            [
+                result_row(
+                    HraidConfig(self.n, self.m, c.k, c.ell), self.rates, self.seed, c.estimate
+                )
+                for c in self.cells
+            ]
+        )
 
     def to_json(self) -> str:
         obj = {
@@ -381,15 +371,7 @@ class SweepResult:
             "trials": self.trials,
             "seed": self.seed,
             "cells": [
-                {
-                    "k": c.k,
-                    "ell": c.ell,
-                    "mttdl_hours": c.estimate.mean_hours,
-                    "std_hours": c.estimate.std_dev_hours,
-                    "ci95_low": c.estimate.ci95_low,
-                    "ci95_high": c.estimate.ci95_high,
-                }
-                for c in self.cells
+                {"k": c.k, "ell": c.ell, **c.estimate.fields()} for c in self.cells
             ],
         }
         return json.dumps(obj, indent=2)

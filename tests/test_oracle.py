@@ -11,7 +11,6 @@ from hraidlab import (
     exact_reliability_enum,
     hraid_unreliability,
     markov_mttdl,
-    min_fatal_size,
 )
 
 
@@ -90,8 +89,10 @@ def test_min_fatal_size_is_product_of_tolerances():
                 for ell in range(0, 3):
                     if k < n and k + ell < m:
                         cfg = HraidConfig(n, m, k, ell)
-                        assert min_fatal_size(cfg) == (k + 1) * (ell + 1)
-                        assert min_fatal_size(cfg) == d_min(cfg)
+                        counts = exact_reliability_enum(cfg).fatal_counts
+                        smallest = next(d for d, count in enumerate(counts) if count)
+                        assert smallest == (k + 1) * (ell + 1)
+                        assert smallest == d_min(cfg)
 
 
 def test_polynomial_agrees_with_closed_form():

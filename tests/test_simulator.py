@@ -20,6 +20,8 @@ from hraidlab import (
     sweep,
     trace_jsonl_line,
 )
+from hraidlab import simulator as simulator_module
+from hraidlab import stream as stream_module
 from hraidlab.simulator import CHUNK_TRIALS, THREADS_ENV_VAR
 
 DISK_ONLY = FailureModel(disk_rate=1e-6)
@@ -34,6 +36,8 @@ WITH_CONTROLLERS = FailureModel(disk_rate=1e-6, controller_rate=2e-7)
         (HraidConfig(3, 5, 2, 1), DISK_ONLY),
         (HraidConfig(4, 4, 1, 1), WITH_CONTROLLERS),
         (HraidConfig(2, 3, 1, 0), WITH_CONTROLLERS),
+        (HraidConfig(9, 6, 2, 2), WITH_CONTROLLERS),
+        (HraidConfig(1, 5, 0, 3), DISK_ONLY),
     ],
 )
 def test_scalar_and_batch_engines_are_bit_identical(cfg, rates):
@@ -65,6 +69,65 @@ def test_repeat_runs_are_identical():
     assert np.array_equal(a.times_hours, b.times_hours)
     c = run_trials(cfg, WITH_CONTROLLERS, 500, seed=12)
     assert not np.array_equal(a.times_hours, c.times_hours)
+
+
+@pytest.mark.parametrize(
+    "cfg", [HraidConfig(4, 4, 1, 1), HraidConfig(6, 6, 2, 3), HraidConfig(5, 4, 3, 0)]
+)
+def test_trace_replays_per_node(cfg):
+    # the lumped state, expanded back to nodes by the trace labels, is a
+    # valid per-node history
+    n, k, ell = cfg.n, cfg.k, cfg.ell
+    for i in range(200):
+        event = simulate_trial(cfg, WITH_CONTROLLERS, TrialStream(13, i))
+        failed = [0] * n
+        alive = [True] * n
+        for e in event.trace:
+            node = e.node - 1
+            assert alive[node], (i, e)
+            if e.kind is EventKind.DISK:
+                failed[node] += 1
+                assert failed[node] <= ell + 1, (i, e)
+                alive[node] = failed[node] <= ell
+            else:
+                alive[node] = False
+        assert alive.count(False) == k + 1, i
+        assert not alive[event.trace[-1].node - 1]
+
+
+@pytest.mark.parametrize("rates", [DISK_ONLY, WITH_CONTROLLERS])
+def test_largest_second_uniform_picks_last_bin(monkeypatch, rates):
+    # every event draws u2 = 1 - 2**-53, the largest uniform a stream can
+    # produce; x = u2 * total must still land in a bin: the last nonempty
+    # one, so disk-only trials fail one node's disks in turn and
+    # controller trials lose k+1 controllers
+    top = 1.0 - 2.0**-53
+    uniform_at, uniforms_at = stream_module.uniform_at, simulator_module.uniforms_at
+    monkeypatch.setattr(
+        stream_module,
+        "uniform_at",
+        lambda key, counter: top if counter % 2 == 0 else uniform_at(key, counter),
+    )
+    monkeypatch.setattr(
+        simulator_module,
+        "uniforms_at",
+        lambda keys, counter: (
+            np.full(keys.shape, top) if counter % 2 == 0 else uniforms_at(keys, counter)
+        ),
+    )
+    for cfg in [HraidConfig(4, 4, 1, 1), HraidConfig(12, 12, 3, 3), HraidConfig(1, 5, 0, 3)]:
+        batch = run_trials(cfg, rates, 20, seed=8)
+        controllers = rates.controller_rate > 0
+        per_node = 1 if controllers else cfg.ell + 1
+        expected_nodes = [node for node in range(1, cfg.k + 2) for _ in range(per_node)]
+        expected_disk = 0 if controllers else len(expected_nodes)
+        assert np.all(batch.disk_failures == expected_disk)
+        assert np.all(batch.causes == int(controllers))
+        for i in range(20):
+            event = simulate_trial(cfg, rates, TrialStream(8, i))
+            assert event.time_hours == batch.times_hours[i]
+            assert event.disk_failures == expected_disk
+            assert [e.node for e in event.trace] == expected_nodes
 
 
 def test_trace_is_ordered_and_consistent():
