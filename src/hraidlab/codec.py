@@ -6,6 +6,12 @@ other strips in their (row, node), inter-node checks included.  Encoding
 therefore runs inter first, then intra.  Higher tolerances need a
 Reed-Solomon style codec and are out of scope; reliability for k, l > 1 is
 modeled combinatorially elsewhere in the package.
+
+Layout limit: for k = 1 and N < M the rotating layout leaves some (row,
+position) columns with no inter-node check, so losing one whole node is
+data loss for at least half of the nodes (``codec-demo --n 3 --m 6 --k 1
+--l 1`` loses node 2).  For N >= M every single-node loss rebuilds.  The
+MTTDL models assume full k-node tolerance.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .config import HraidConfig, UnsupportedCodecError, ValidationError
-from .layout import LayoutGrid, RoleKind, generate_layout
+from .layout import LayoutGrid, generate_layout
 
 Cell = tuple[int, int, int]  # 1-based (row, node, position)
 
@@ -79,14 +85,7 @@ def _require_xor_codec(config: HraidConfig) -> None:
 
 def data_cells(grid: LayoutGrid) -> list[Cell]:
     """All 1-based DATA cells of the grid, row-major."""
-    cells = []
-    cfg = grid.config
-    for i in range(1, cfg.m + 1):
-        for n in range(1, cfg.n + 1):
-            for j in range(1, cfg.m + 1):
-                if grid.codes[i - 1, n - 1, j - 1] == 0:
-                    cells.append((i, n, j))
-    return cells
+    return [tuple(cell) for cell in (np.argwhere(grid.role_masks()[0]) + 1).tolist()]
 
 
 def disk_cells(config: HraidConfig, node: int, disk: int) -> set[Cell]:
@@ -96,17 +95,15 @@ def disk_cells(config: HraidConfig, node: int, disk: int) -> set[Cell]:
 
 def node_cells(config: HraidConfig, node: int) -> set[Cell]:
     """Cells held by one whole node."""
-    return {
-        (i, node, j)
-        for i in range(1, config.m + 1)
-        for j in range(1, config.m + 1)
-    }
+    return set().union(*(disk_cells(config, node, j) for j in range(1, config.m + 1)))
 
 
 def random_payloads(
     grid: LayoutGrid, seed: int, strip_size: int = 4096
 ) -> dict[Cell, bytes]:
     """Seeded random payload bytes for every DATA cell."""
+    if strip_size < 1:
+        raise ValidationError(f"strip_size must be >= 1, got {strip_size}")
     rng = np.random.default_rng(seed)
     return {
         cell: rng.integers(0, 256, strip_size, dtype=np.uint8).tobytes()
@@ -114,25 +111,20 @@ def random_payloads(
     }
 
 
-def _inter_value(strips: np.ndarray, grid: LayoutGrid, cell: Cell) -> np.ndarray:
-    """XOR of the DATA strips at this (row, position) in the other nodes."""
-    i, n, j = cell
-    cfg = grid.config
-    acc = np.zeros(strips.shape[3], dtype=np.uint8)
-    for other in range(1, cfg.n + 1):
-        if other != n and grid.codes[i - 1, other - 1, j - 1] == 0:
-            acc ^= strips[i - 1, other - 1, j - 1]
-    return acc
+# These take 0-based indices and allocate one strip at most: larger
+# temporaries fragment the heap around the payload buffers.
 
 
-def _intra_value(strips: np.ndarray, grid: LayoutGrid, cell: Cell) -> np.ndarray:
-    """XOR of all other strips in this (row, node), inter-checks included."""
-    i, n, j = cell
-    cfg = grid.config
-    acc = np.zeros(strips.shape[3], dtype=np.uint8)
-    for pos in range(1, cfg.m + 1):
-        if pos != j:
-            acc ^= strips[i - 1, n - 1, pos - 1]
+def _row_xor(strips: np.ndarray, i: int, n: int) -> np.ndarray:
+    """XOR of every strip in (row i, node n); zero when intra parity holds."""
+    return np.bitwise_xor.reduce(strips[i, n], axis=0)
+
+
+def _column_data(strips: np.ndarray, data: np.ndarray, i: int, j: int) -> np.ndarray:
+    """XOR of the DATA strips in (row i, position j) across all nodes."""
+    acc = np.bitwise_xor.reduce(strips[i, :, j], axis=0)
+    for n in np.flatnonzero(~data[i, :, j]):
+        acc ^= strips[i, n, j]
     return acc
 
 
@@ -170,43 +162,30 @@ def encode_stripes(
     for (i, n, j), payload in data.items():
         strips[i - 1, n - 1, j - 1] = np.frombuffer(payload, dtype=np.uint8)
 
-    # inter checks first: they depend only on data strips
-    for i in range(1, cfg.m + 1):
-        for n in range(1, cfg.n + 1):
-            for j in range(1, cfg.m + 1):
-                role = grid.role_at(i, n, j)
-                if role.kind is RoleKind.INTER_CHECK:
-                    strips[i - 1, n - 1, j - 1] = _inter_value(strips, grid, (i, n, j))
-    for i in range(1, cfg.m + 1):
-        for n in range(1, cfg.n + 1):
-            for j in range(1, cfg.m + 1):
-                role = grid.role_at(i, n, j)
-                if role.kind is RoleKind.INTRA_CHECK:
-                    strips[i - 1, n - 1, j - 1] = _intra_value(strips, grid, (i, n, j))
+    data_mask, intra, inter = grid.role_masks()
+    for i, n, j in zip(*np.nonzero(inter)):
+        strips[i, n, j] = _column_data(strips, data_mask, i, j)
+    # the intra checks are still zero, so the row XOR is the XOR of the rest
+    for i, n, j in zip(*np.nonzero(intra)):
+        strips[i, n, j] = _row_xor(strips, i, n)
     return StripeContent(grid=grid, strips=strips)
 
 
 def verify_parity(content: StripeContent) -> list[str]:
     """Check every parity equation; return violations (empty when valid)."""
-    grid = content.grid
-    cfg = grid.config
     strips = content.strips
+    data, _, inter = content.grid.role_masks()
     violations = []
-    for i in range(1, cfg.m + 1):
-        for n in range(1, cfg.n + 1):
-            for j in range(1, cfg.m + 1):
-                role = grid.role_at(i, n, j)
-                if role.kind is RoleKind.INTER_CHECK:
-                    want = _inter_value(strips, grid, (i, n, j))
-                elif role.kind is RoleKind.INTRA_CHECK:
-                    want = _intra_value(strips, grid, (i, n, j))
-                else:
-                    continue
-                if not np.array_equal(strips[i - 1, n - 1, j - 1], want):
-                    violations.append(
-                        f"check strip at row {i}, node {n}, position {j} does "
-                        f"not match its parity equation"
-                    )
+    for i, n, j in zip(*np.nonzero(~data)):
+        if inter[i, n, j]:
+            holds = np.array_equal(strips[i, n, j], _column_data(strips, data, i, j))
+        else:
+            holds = not _row_xor(strips, i, n).any()
+        if not holds:
+            violations.append(
+                f"check strip at row {i + 1}, node {n + 1}, position {j + 1} does "
+                f"not match its parity equation"
+            )
     return violations
 
 
@@ -221,103 +200,48 @@ def recover(content: StripeContent, erased: Iterable[Cell]) -> RecoveryResult:
     grid = content.grid
     cfg = grid.config
     _require_xor_codec(cfg)
-    erased_set = set(erased)
-    for cell in erased_set:
+    lost = np.zeros(grid.codes.shape, dtype=bool)
+    for cell in set(erased):
         i, n, j = cell
         if not (1 <= i <= cfg.m and 1 <= n <= cfg.n and 1 <= j <= cfg.m):
             raise ValidationError(f"erased cell {cell} is outside the grid")
+        lost[i - 1, n - 1, j - 1] = True
 
-    failed_nodes = set()
-    for n in range(1, cfg.n + 1):
-        for i in range(1, cfg.m + 1):
-            count = sum(1 for (ri, rn, _) in erased_set if ri == i and rn == n)
-            if count > cfg.ell:
-                failed_nodes.add(n)
-                break
+    failed = (lost.sum(axis=2) > cfg.ell).any(axis=0)
+    failed_nodes = tuple(int(n) + 1 for n in np.flatnonzero(failed))
+    data, intra, inter = grid.role_masks()
+    surviving_inter = inter & ~failed[None, :, None]
+    on_failed = lost & failed[None, :, None]
+    uncovered = np.argwhere(on_failed & data & ~surviving_inter.any(axis=1)[:, None, :]) + 1
+    message = None
     if len(failed_nodes) > cfg.k:
+        message = f"{len(failed_nodes)} failed node(s) exceed the inter-node tolerance k={cfg.k}"
+    elif len(uncovered):
+        i, _, j = uncovered[0]
+        message = f"no surviving inter-node check covers row {i}, position {j}"
+    if message:
         return RecoveryResult(
-            data_loss=True,
-            failed_nodes=tuple(sorted(failed_nodes)),
-            content=None,
-            message=(
-                f"{len(failed_nodes)} failed node(s) exceed the inter-node "
-                f"tolerance k={cfg.k}"
-            ),
+            data_loss=True, failed_nodes=failed_nodes, content=None, message=message
         )
 
     strips = content.strips.copy()
-    for (i, n, j) in erased_set:
-        # drop the stale bytes so every erased strip is genuinely rebuilt
-        strips[i - 1, n - 1, j - 1] = 0
+    # drop the stale bytes so every erased strip is genuinely rebuilt
+    strips[lost] = 0
+    # within-tolerance erasures at healthy nodes: one per row, via intra parity
+    for i, n, j in zip(*np.nonzero(lost & ~on_failed)):
+        strips[i, n, j] = _row_xor(strips, i, n)
+    # failed nodes: data and inter checks from their columns (data through the
+    # first surviving inter check), then intra checks from the rebuilt rows
+    for i, n, j in zip(*np.nonzero(on_failed & ~intra)):
+        acc = _column_data(strips, data, i, j)
+        if data[i, n, j]:
+            acc ^= strips[i, np.argmax(surviving_inter[i, :, j]), j]
+        strips[i, n, j] = acc
+    for i, n, j in zip(*np.nonzero(on_failed & intra)):
+        strips[i, n, j] = _row_xor(strips, i, n)
 
-    # phase 1: within-tolerance erasures at healthy nodes, via intra parity
-    # (the XOR of a full node row is zero, so one missing strip is the XOR
-    # of the rest)
-    for n in range(1, cfg.n + 1):
-        if n in failed_nodes:
-            continue
-        for i in range(1, cfg.m + 1):
-            row_erased = [c for c in erased_set if c[0] == i and c[1] == n]
-            if not row_erased:
-                continue
-            (_, _, j) = row_erased[0]
-            acc = np.zeros(strips.shape[3], dtype=np.uint8)
-            for pos in range(1, cfg.m + 1):
-                if pos != j:
-                    acc ^= strips[i - 1, n - 1, pos - 1]
-            strips[i - 1, n - 1, j - 1] = acc
-
-    # phase 2: failed nodes, via the inter-node check in each column
-    for n in sorted(failed_nodes):
-        pending_intra = []
-        for i in range(1, cfg.m + 1):
-            for j in range(1, cfg.m + 1):
-                if (i, n, j) not in erased_set:
-                    continue
-                role = grid.role_at(i, n, j)
-                if role.kind is RoleKind.INTRA_CHECK:
-                    pending_intra.append((i, n, j))
-                    continue
-                if role.kind is RoleKind.INTER_CHECK:
-                    strips[i - 1, n - 1, j - 1] = _inter_value(strips, grid, (i, n, j))
-                    continue
-                holder = None
-                for other in range(1, cfg.n + 1):
-                    if other == n or other in failed_nodes:
-                        continue
-                    if grid.role_at(i, other, j).kind is RoleKind.INTER_CHECK:
-                        holder = other
-                        break
-                if holder is None:
-                    return RecoveryResult(
-                        data_loss=True,
-                        failed_nodes=tuple(sorted(failed_nodes)),
-                        content=None,
-                        message=(
-                            f"no surviving inter-node check covers row {i}, "
-                            f"position {j}"
-                        ),
-                    )
-                acc = strips[i - 1, holder - 1, j - 1].copy()
-                for other in range(1, cfg.n + 1):
-                    if other in (n, holder):
-                        continue
-                    if grid.codes[i - 1, other - 1, j - 1] == 0:
-                        acc ^= strips[i - 1, other - 1, j - 1]
-                strips[i - 1, n - 1, j - 1] = acc
-        for (i, nn, j) in pending_intra:
-            acc = np.zeros(strips.shape[3], dtype=np.uint8)
-            for pos in range(1, cfg.m + 1):
-                if pos != j:
-                    acc ^= strips[i - 1, nn - 1, pos - 1]
-            strips[i - 1, nn - 1, j - 1] = acc
-
-    return RecoveryResult(
-        data_loss=False,
-        failed_nodes=tuple(sorted(failed_nodes)),
-        content=StripeContent(grid=grid, strips=strips),
-        message="all erased strips rebuilt",
-    )
+    rebuilt = StripeContent(grid=grid, strips=strips)
+    return RecoveryResult(False, failed_nodes, rebuilt, "all erased strips rebuilt")
 
 
 def write_strip_tree(content: StripeContent, root: Path | str) -> None:
@@ -339,26 +263,22 @@ def read_strip_tree(
     root = Path(root)
     grid = generate_layout(config)
     erased: set[Cell] = set()
-    payloads: dict[Cell, bytes] = {}
-    size = None
+    strips = None
     for n in range(1, config.n + 1):
         for j in range(1, config.m + 1):
             for i in range(1, config.m + 1):
                 p = root / f"node{n}" / f"disk{j}" / f"row{i}.bin"
-                if p.exists():
-                    raw = p.read_bytes()
-                    if size is None:
-                        size = len(raw)
-                    elif len(raw) != size:
-                        raise ValidationError(
-                            f"strip file {p} has length {len(raw)}, expected {size}"
-                        )
-                    payloads[(i, n, j)] = raw
-                else:
+                if not p.exists():
                     erased.add((i, n, j))
-    if size is None:
+                    continue
+                raw = np.frombuffer(p.read_bytes(), dtype=np.uint8)
+                if strips is None:
+                    strips = np.zeros((config.m, config.n, config.m, raw.size), dtype=np.uint8)
+                elif raw.size != strips.shape[3]:
+                    raise ValidationError(
+                        f"strip file {p} has length {raw.size}, expected {strips.shape[3]}"
+                    )
+                strips[i - 1, n - 1, j - 1] = raw
+    if strips is None:
         raise ValidationError(f"no strip files found under {root}")
-    strips = np.zeros((config.m, config.n, config.m, size), dtype=np.uint8)
-    for (i, n, j), raw in payloads.items():
-        strips[i - 1, n - 1, j - 1] = np.frombuffer(raw, dtype=np.uint8)
     return StripeContent(grid=grid, strips=strips), erased

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -30,6 +32,10 @@ class HraidConfig:
     intra_tolerance: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_nodes", "disks_per_node", "inter_tolerance", "intra_tolerance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         n, m = self.n_nodes, self.disks_per_node
         k, ell = self.inter_tolerance, self.intra_tolerance
         if n < 1:
@@ -84,6 +90,12 @@ class FailureModel:
     controller_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("disk_rate", "controller_rate"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if not self.disk_rate > 0:
             raise ValidationError(f"disk_rate must be > 0, got {self.disk_rate}")
         if self.controller_rate < 0:

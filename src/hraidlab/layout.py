@@ -77,6 +77,11 @@ class LayoutGrid:
             return StripRole(RoleKind.INTRA_CHECK, code - 1)
         return StripRole(RoleKind.INTER_CHECK, code - 1 - ell)
 
+    def role_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Boolean ``(data, intra, inter)`` masks, each shaped like ``codes``."""
+        codes, ell = self.codes, self.config.ell
+        return codes == 0, (codes >= 1) & (codes <= ell), codes > ell
+
     def letter_at(self, row: int, node: int, pos: int) -> str:
         code = int(self.codes[row - 1, node - 1, pos - 1])
         return "D" if code == 0 else CHECK_LETTERS[code - 1]
@@ -198,9 +203,7 @@ def verify_layout(grid: LayoutGrid, config: HraidConfig | None = None) -> list[s
             f"grid was built for {grid.config}, verification requested for {config}"
         )
     m, n_nodes, k, ell = cfg.m, cfg.n, cfg.k, cfg.ell
-    codes = grid.codes
-    intra = (codes >= 1) & (codes <= ell)
-    inter = codes > ell
+    data, intra, inter = grid.role_masks()
     violations: list[str] = []
 
     for i in range(m):
@@ -213,7 +216,7 @@ def verify_layout(grid: LayoutGrid, config: HraidConfig | None = None) -> list[s
                     f"inter check strips, found {ni} intra and {nq} inter"
                 )
 
-    per_disk = (codes > 0).sum(axis=0)
+    per_disk = (~data).sum(axis=0)
     for n in range(n_nodes):
         for j in range(m):
             cnt = int(per_disk[n, j])

@@ -39,6 +39,32 @@ def test_invalid_geometry_is_validation_error(capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["simulate", "--n", "3", "--m", "3", "--trials", "5", "--gamma", "nan"],
+         "controller_rate must be a finite number"),
+        (["simulate", "--n", "3", "--m", "3", "--trials", "5", "--delta", "inf"],
+         "disk_rate must be a finite number"),
+        (["oracle", "markov", "--n", "3", "--m", "3", "--gamma", "nan"],
+         "controller_rate must be a finite number"),
+        (["codec-demo", "--strip-size", "-1"], "strip_size must be >= 1"),
+    ],
+)
+def test_out_of_bound_flags_are_validation_errors(argv, bound, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and bound in err
+
+
+@pytest.mark.parametrize("n", ["4", 4.5, True])
+def test_non_integer_config_geometry_is_validation_error(n, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": n, "m": 3, "trials": 5}))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "n_nodes must be an integer" in capsys.readouterr().err
+
+
 def test_internal_failure_maps_to_exit_3(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("wedged")

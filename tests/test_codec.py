@@ -3,6 +3,8 @@ import pytest
 
 from hraidlab import (
     HraidConfig,
+    RoleKind,
+    StripeContent,
     UnsupportedCodecError,
     ValidationError,
     data_cells,
@@ -18,6 +20,7 @@ from hraidlab import (
 )
 
 CFG = HraidConfig(4, 4, 1, 1)
+DATA, INTRA, INTER = RoleKind.DATA, RoleKind.INTRA_CHECK, RoleKind.INTER_CHECK
 
 
 def encoded(seed=42, size=64):
@@ -139,3 +142,189 @@ def test_strip_tree_round_trip_and_missing_files(tmp_path):
     result = recover(damaged, erased)
     assert not result.data_loss
     assert np.array_equal(result.content.strips, content.strips)
+
+
+def test_strip_tree_rejects_ragged_or_empty_trees(tmp_path):
+    with pytest.raises(ValidationError, match="no strip files"):
+        read_strip_tree(tmp_path, CFG)
+    write_strip_tree(encoded(size=32), tmp_path)
+    (tmp_path / "node3" / "disk2" / "row4.bin").write_bytes(bytes(31))
+    with pytest.raises(ValidationError, match="has length 31, expected 32"):
+        read_strip_tree(tmp_path, CFG)
+
+
+# --- per-cell reference of the parity definitions ---------------------------
+# Strips are Python ints (XOR of ints is XOR of their bytes) and every
+# equation is a plain loop over the layout's roles, so nothing here shares
+# code with the codec.
+
+
+def _valid_xor_configs():
+    configs = []
+    for n in range(1, 9):
+        for m in range(1, 9):
+            for k in (0, 1):
+                for ell in (0, 1):
+                    try:
+                        configs.append(HraidConfig(n, m, k, ell))
+                    except ValidationError:
+                        pass
+    return configs
+
+
+class Reference:
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.grid = generate_layout(cfg)
+        self.cells = [
+            (i, n, j)
+            for i in range(1, cfg.m + 1)
+            for n in range(1, cfg.n + 1)
+            for j in range(1, cfg.m + 1)
+        ]
+        self.kind = {c: self.grid.role_at(*c).kind for c in self.cells}
+
+    def inter(self, s, i, n, j):
+        """XOR of the DATA strips at (row i, position j) in the other nodes."""
+        acc = 0
+        for other in range(1, self.cfg.n + 1):
+            if other != n and self.kind[(i, other, j)] is DATA:
+                acc ^= s[(i, other, j)]
+        return acc
+
+    def intra(self, s, i, n, j):
+        """XOR of the other strips in (row i, node n), inter checks included."""
+        acc = 0
+        for pos in range(1, self.cfg.m + 1):
+            if pos != j:
+                acc ^= s[(i, n, pos)]
+        return acc
+
+    def encode(self, payloads):
+        s = {c: int.from_bytes(payloads.get(c, b""), "little") for c in self.cells}
+        for c in self.cells:
+            if self.kind[c] is INTER:
+                s[c] = self.inter(s, *c)
+        for c in self.cells:
+            if self.kind[c] is INTRA:
+                s[c] = self.intra(s, *c)
+        return s
+
+    def violations(self, s):
+        return [
+            mismatch(c)
+            for c in self.cells
+            if self.kind[c] is INTER and s[c] != self.inter(s, *c)
+            or self.kind[c] is INTRA and s[c] != self.intra(s, *c)
+        ]
+
+    def checks_reading(self, cell):
+        """Check cells whose equation involves ``cell``, row-major."""
+        i, n, j = cell
+        kind = self.kind[cell]
+        return [
+            c
+            for c in self.cells
+            if c == cell and kind is not DATA
+            or c[:2] == (i, n) and self.kind[c] is INTRA and kind is not INTRA
+            or c[0::2] == (i, j) and c[1] != n and self.kind[c] is INTER and kind is DATA
+        ]
+
+    def loss(self, erased):
+        """(failed nodes, data-loss message or None) for an erasure set."""
+        cfg = self.cfg
+        failed = []
+        for n in range(1, cfg.n + 1):
+            for i in range(1, cfg.m + 1):
+                count = 0
+                for j in range(1, cfg.m + 1):
+                    if (i, n, j) in erased:
+                        count += 1
+                if count > cfg.ell:
+                    failed.append(n)
+                    break
+        if len(failed) > cfg.k:
+            return tuple(failed), (
+                f"{len(failed)} failed node(s) exceed the inter-node tolerance k={cfg.k}"
+            )
+        for n in failed:
+            for i in range(1, cfg.m + 1):
+                for j in range(1, cfg.m + 1):
+                    if (i, n, j) not in erased or self.kind[(i, n, j)] is not DATA:
+                        continue
+                    covered = False
+                    for other in range(1, cfg.n + 1):
+                        if other not in failed and self.kind[(i, other, j)] is INTER:
+                            covered = True
+                    if not covered:
+                        return tuple(failed), (
+                            f"no surviving inter-node check covers row {i}, position {j}"
+                        )
+        return tuple(failed), None
+
+
+def mismatch(cell):
+    i, n, j = cell
+    return f"check strip at row {i}, node {n}, position {j} does not match its parity equation"
+
+
+def as_ints(content, cells):
+    return {c: int.from_bytes(content.strip(c), "little") for c in cells}
+
+
+@pytest.mark.parametrize("cfg", _valid_xor_configs(), ids=lambda c: f"{c.n}x{c.m}-{c.k}{c.ell}")
+def test_codec_matches_per_cell_reference(cfg):
+    ref = Reference(cfg)
+    seed = cfg.n * 1000 + cfg.m * 10 + cfg.k * 2 + cfg.ell
+    payloads = random_payloads(ref.grid, seed, 3)
+    content = encode_stripes(payloads, cfg, ref.grid)
+    want = ref.encode(payloads)
+    assert as_ints(content, ref.cells) == want
+    assert verify_parity(content) == [] == ref.violations(want)
+
+    rng = np.random.default_rng(seed)
+    for kind in (DATA, INTRA, INTER):
+        of_kind = [c for c in ref.cells if ref.kind[c] is kind]
+        if not of_kind:
+            continue
+        cell = of_kind[int(rng.integers(len(of_kind)))]
+        strips = content.strips.copy()
+        strips[cell[0] - 1, cell[1] - 1, cell[2] - 1, int(rng.integers(3))] ^= 0x40
+        flipped = StripeContent(grid=ref.grid, strips=strips)
+        expected = [mismatch(c) for c in ref.checks_reading(cell)]
+        assert verify_parity(flipped) == ref.violations(as_ints(flipped, ref.cells)) == expected
+
+    erasures = [node_cells(cfg, n) for n in range(1, cfg.n + 1)]
+    erasures += [
+        disk_cells(cfg, n, j) for n in range(1, cfg.n + 1) for j in range(1, cfg.m + 1)
+    ]
+    for p in (0.02, 0.1, 0.3):
+        erasures.append({c for c in ref.cells if rng.random() < p})
+    for _ in range(3):
+        n, j = int(rng.integers(1, cfg.n + 1)), int(rng.integers(1, cfg.m + 1))
+        erasures.append(disk_cells(cfg, n, j) | {ref.cells[int(rng.integers(len(ref.cells)))]})
+    for erased in erasures:
+        failed, message = ref.loss(erased)
+        result = recover(content, erased)
+        assert result.failed_nodes == failed
+        assert result.data_loss == (message is not None)
+        if message is None:
+            assert np.array_equal(result.content.strips, content.strips)
+        else:
+            assert result.message == message and result.content is None
+
+
+def test_single_node_loss_follows_the_layout_limit():
+    # k = 1 with N < M leaves (row, position) columns without an inter check
+    for cfg in _valid_xor_configs():
+        if cfg.k != 1:
+            continue
+        grid = generate_layout(cfg)
+        content = encode_stripes(random_payloads(grid, 5, 2), cfg, grid)
+        lost = [n for n in range(1, cfg.n + 1) if recover(content, node_cells(cfg, n)).data_loss]
+        if cfg.n >= cfg.m:
+            assert lost == [], cfg
+        else:
+            assert 2 * len(lost) >= cfg.n, cfg
+        if (cfg.n, cfg.m, cfg.ell) == (3, 6, 1):
+            assert 2 in lost

@@ -26,6 +26,12 @@ def test_defaults_are_no_redundancy():
         (dict(n_nodes=2, disks_per_node=8, inter_tolerance=2), "below n_nodes"),
         (dict(n_nodes=8, disks_per_node=4, inter_tolerance=2, intra_tolerance=2),
          "below disks_per_node"),
+        (dict(n_nodes=4.5, disks_per_node=4), "n_nodes must be an integer"),
+        (dict(n_nodes=True, disks_per_node=4), "n_nodes must be an integer"),
+        (dict(n_nodes="4", disks_per_node=4), "n_nodes must be an integer"),
+        (dict(n_nodes=4, disks_per_node=4.0), "disks_per_node must be an integer"),
+        (dict(n_nodes=4, disks_per_node=4, inter_tolerance=None), "inter_tolerance"),
+        (dict(n_nodes=4, disks_per_node=4, intra_tolerance=False), "intra_tolerance"),
     ],
 )
 def test_invalid_config_names_violated_bound(kwargs, fragment):
@@ -49,7 +55,16 @@ def test_failure_model_defaults():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(disk_rate=0.0), dict(disk_rate=-1e-6), dict(controller_rate=-1e-9)],
+    [
+        dict(disk_rate=0.0),
+        dict(disk_rate=-1e-6),
+        dict(controller_rate=-1e-9),
+        dict(disk_rate=float("nan")),
+        dict(disk_rate=float("inf")),
+        dict(disk_rate="1e-6"),
+        dict(controller_rate=float("nan")),
+        dict(controller_rate=float("inf")),
+    ],
 )
 def test_failure_model_rejects_bad_rates(kwargs):
     with pytest.raises(ValidationError):

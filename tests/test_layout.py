@@ -62,6 +62,18 @@ def test_roles_and_letters():
     assert letters == {"D", "P", "Q", "R"}
 
 
+@pytest.mark.parametrize("k, ell", [(0, 0), (1, 1), (2, 1), (1, 3)])
+def test_role_masks_agree_with_role_at(k, ell):
+    grid = generate_layout(HraidConfig(5, 6, k, ell))
+    data, intra, inter = grid.role_masks()
+    kinds = {RoleKind.DATA: data, RoleKind.INTRA_CHECK: intra, RoleKind.INTER_CHECK: inter}
+    for i, n, j in np.ndindex(grid.codes.shape):
+        kind = grid.role_at(i + 1, n + 1, j + 1).kind
+        assert [mask[i, n, j] for mask in kinds.values()] == [
+            other is kind for other in kinds
+        ]
+
+
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 6, 7, 8])
 def test_generate_verify_round_trip(size):
     for k in range(0, min(3, size - 1) + 1):
