@@ -5,7 +5,7 @@ Mean time to data loss: exact chain vs Monte Carlo
 Failures arrive as competing exponentials (rate delta per live disk, gamma
 per live controller) and rebuilds restripe instantly, so the system state
 is just how many nodes have 0, 1, ..., l failed disks.  That lumped chain
-is acyclic and solves exactly by recursion; the Monte Carlo simulator
+is acyclic and solves exactly in one bottom-up pass; the Monte Carlo simulator
 plays the same process event by event.  This script reproduces the
 16-cell MTTDL grid both ways and shows the estimates landing inside
 their confidence intervals around the exact values.

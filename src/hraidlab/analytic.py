@@ -23,7 +23,8 @@ from .config import HraidConfig, ValidationError
 CANCELLATION_GUARD_EPS = 1e-4
 
 
-def _check_eps(eps: float) -> None:
+def check_eps(eps: float) -> None:
+    """Raise ValidationError unless the disk unreliability eps is in (0, 1)."""
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"disk unreliability must be in (0, 1), got {eps}")
 
@@ -34,7 +35,7 @@ def exact_mds_reliability(m: int, t: int, eps: float) -> float:
     Returns sum_{i=0..t} C(m,i) eps^i (1-eps)^(m-i); t=0 gives r^m and
     t=1 the familiar r^m + m(1-r)r^(m-1).
     """
-    _check_eps(eps)
+    check_eps(eps)
     if not 0 <= t <= m:
         raise ValidationError(f"tolerance must satisfy 0 <= t <= m, got t={t}, m={m}")
     r = 1.0 - eps
@@ -47,7 +48,7 @@ def exact_mds_unreliability(m: int, t: int, eps: float) -> float:
     Summing the fatal terms i = t+1..m directly keeps full relative
     precision when eps is small.
     """
-    _check_eps(eps)
+    check_eps(eps)
     if not 0 <= t <= m:
         raise ValidationError(f"tolerance must satisfy 0 <= t <= m, got t={t}, m={m}")
     r = 1.0 - eps
@@ -61,7 +62,7 @@ def raid_series_approx(m: int, t: int, eps: float) -> float:
     the exact unreliability to its two lowest powers.  Valid for m*eps << 1;
     the truncation error is O(eps^(t+3)) terms of alternating sign.
     """
-    _check_eps(eps)
+    check_eps(eps)
     if t < 0:
         raise ValidationError(f"tolerance must be >= 0, got {t}")
     return comb(m, t + 1) * eps ** (t + 1) - (t + 1) * comb(m, t + 2) * eps ** (t + 2)
@@ -74,7 +75,7 @@ def hraid_unreliability(config: HraidConfig, eps: float) -> float:
     u = per-node unreliability, this is sum_{j=k+1..N} C(N,j) u^j (1-u)^(N-j),
     accumulated as positive terms, smallest first.
     """
-    _check_eps(eps)
+    check_eps(eps)
     n, k, ell, m = config.n, config.k, config.ell, config.m
     u = exact_mds_unreliability(m, ell, eps)
     s = 1.0 - u
@@ -87,7 +88,7 @@ def hraid_reliability(config: HraidConfig, eps: float) -> float:
     Equals sum_{j=0..k} C(N,j) (1-R_l)^j R_l^(N-j) with R_l the node
     reliability; computed via the complement below the cancellation guard.
     """
-    _check_eps(eps)
+    check_eps(eps)
     if eps < CANCELLATION_GUARD_EPS:
         return 1.0 - hraid_unreliability(config, eps)
     n, k, ell, m = config.n, config.k, config.ell, config.m

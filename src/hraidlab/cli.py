@@ -63,6 +63,9 @@ _CONFIG_KEYS = {
     "output_path": "out",
 }
 
+#: Output formats of simulate and sweep, by flag or config file.
+_FORMATS = ("table", "csv", "json")
+
 
 class UsageError(Exception):
     pass
@@ -106,6 +109,21 @@ def _load_config_file(path: str) -> dict:
             f"config file {path} has unknown keys {unknown}; "
             f"accepted: {sorted(_CONFIG_KEYS)}"
         )
+    for key in ("trials", "seed"):
+        value = raw.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValidationError(
+                f"config file {path}: {key} must be an integer, got {value!r}"
+            )
+    if raw.get("output_format", "table") not in _FORMATS:
+        raise ValidationError(
+            f"config file {path}: output_format must be one of {', '.join(_FORMATS)}, "
+            f"got {raw['output_format']!r}"
+        )
+    if not isinstance(raw.get("output_path", ""), str):
+        raise ValidationError(
+            f"config file {path}: output_path must be a string, got {raw['output_path']!r}"
+        )
     return {_CONFIG_KEYS[key]: value for key, value in raw.items()}
 
 
@@ -134,7 +152,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, help="controller failure rate per hour")
     p.add_argument("--trials", type=int, help="Monte Carlo trial count")
     p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--format", choices=["table", "csv", "json"], help="output format")
+    p.add_argument("--format", choices=_FORMATS, help="output format")
     p.add_argument("--out", help="output file (atomic write); default stdout")
     p.add_argument("--config", help="JSON config file; flags take precedence")
 

@@ -8,16 +8,18 @@ failure counts with exact big integers.
 ``markov_mttdl`` computes the exact mean time to data loss of the failure
 process with instantaneous restriping: states count alive nodes by failed
 disks (symmetry lumping), failures only accumulate, so expected absorption
-times evaluate by memoized recursion without a linear solver.
+times evaluate in one bottom-up pass over dead-node levels, without a
+linear solver.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cache
+from itertools import product
 from math import comb
 
+from .analytic import check_eps
 from .config import FailureModel, HraidConfig, ValidationError
 
 #: Enumeration cap: per-node DP keeps cost polynomial, but coefficient
@@ -39,8 +41,7 @@ class UnreliabilityPolynomial:
     fatal_counts: tuple[int, ...]
 
     def unreliability(self, eps: float) -> float:
-        if not 0.0 < eps < 1.0:
-            raise ValidationError(f"disk unreliability must be in (0, 1), got {eps}")
+        check_eps(eps)
         r = 1.0 - eps
         nm = self.total_disks
         # smallest terms first: iterate from d = NM down to d_min
@@ -51,8 +52,7 @@ class UnreliabilityPolynomial:
         )
 
     def reliability(self, eps: float) -> float:
-        if not 0.0 < eps < 1.0:
-            raise ValidationError(f"disk unreliability must be in (0, 1), got {eps}")
+        check_eps(eps)
         r = 1.0 - eps
         nm = self.total_disks
         return sum(
@@ -116,42 +116,40 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
     failures at rate c_f (M-f) delta (moving one node to class f+1, or
     killing it when f = l) and controller failures at rate c_f gamma
     (killing the node).  Data is lost when dead = k+1.  Failures only
-    accumulate, so the chain is acyclic and the expected absorption time
-    from the fresh state evaluates by memoized recursion.
+    accumulate, so the chain is acyclic and expected absorption times evaluate
+    bottom-up, one dead-node level at a time, from dead = k down to 0.
     """
     n, m, k, ell = config.n, config.m, config.k, config.ell
     delta = rates.disk_rate
     gamma = rates.controller_rate
-
-    @cache
-    def expected(counts: tuple[int, ...], dead: int) -> float:
-        if dead > k:
-            return 0.0
-        moves: list[tuple[float, tuple[int, ...], int]] = []
-        total = 0.0
-        for f in range(ell + 1):
-            c = counts[f]
-            if not c:
+    below: dict[tuple[int, ...], float] = {}  # past k every state is lost: 0 h
+    for dead in range(k, -1, -1):
+        alive = n - dead
+        level: dict[tuple[int, ...], float] = {}
+        # (c_l..c_1) falls lexicographically, so a disk move's target is in level
+        for high in product(range(alive, -1, -1), repeat=ell):
+            if sum(high) > alive:
                 continue
-            disk = c * (m - f) * delta  # m > f while the node is alive
-            if f < ell:
-                nxt = counts[:f] + (c - 1, counts[f + 1] + 1) + counts[f + 2 :]
-                moves.append((disk, nxt, dead))
-            else:
-                nxt = counts[:f] + (c - 1,) + counts[f + 1 :]
-                moves.append((disk, nxt, dead + 1))
-            total += disk
-            if gamma > 0.0:
-                ctrl = c * gamma
-                nxt = counts[:f] + (c - 1,) + counts[f + 1 :]
-                moves.append((ctrl, nxt, dead + 1))
-                total += ctrl
-        # at least one alive node with a live disk remains before absorption
-        return 1.0 / total + sum(
-            (rate / total) * expected(nxt, nd) for rate, nxt, nd in moves
-        )
-
-    fresh = (n,) + (0,) * ell
-    result = expected(fresh, 0)
-    expected.cache_clear()
-    return result
+            counts = (alive - sum(high),) + high[::-1]
+            moves: list[tuple[float, float]] = []
+            total = 0.0
+            for f in range(ell + 1):
+                c = counts[f]
+                if not c:
+                    continue
+                disk = c * (m - f) * delta  # m > f while the node is alive
+                killed = below.get(counts[:f] + (c - 1,) + counts[f + 1 :], 0.0)
+                if f < ell:
+                    up = counts[:f] + (c - 1, counts[f + 1] + 1) + counts[f + 2 :]
+                    moves.append((disk, level[up]))
+                else:
+                    moves.append((disk, killed))
+                total += disk
+                if gamma > 0.0:
+                    ctrl = c * gamma
+                    moves.append((ctrl, killed))
+                    total += ctrl
+            # at least one alive node with a live disk remains before absorption
+            level[counts] = 1.0 / total + sum((rate / total) * e for rate, e in moves)
+        below = level
+    return below[(n,) + (0,) * ell]

@@ -57,12 +57,26 @@ def test_out_of_bound_flags_are_validation_errors(argv, bound, capsys):
     assert "validation error" in err and bound in err
 
 
-@pytest.mark.parametrize("n", ["4", 4.5, True])
-def test_non_integer_config_geometry_is_validation_error(n, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "entry, bound",
+    [
+        pytest.param({"n": "4"}, "n_nodes must be an integer", id="4"),
+        pytest.param({"n": 4.5}, "n_nodes must be an integer", id="4.5"),
+        pytest.param({"n": True}, "n_nodes must be an integer", id="True"),
+        pytest.param({"trials": 4.5}, "trials must be an integer", id="trials-4.5"),
+        pytest.param({"trials": True}, "trials must be an integer", id="trials-True"),
+        pytest.param({"seed": "x"}, "seed must be an integer", id="seed-x"),
+        pytest.param({"output_path": 5}, "output_path must be a string", id="output_path-5"),
+        pytest.param(
+            {"output_format": "xml"}, "output_format must be one of", id="output_format-xml"
+        ),
+    ],
+)
+def test_non_integer_config_geometry_is_validation_error(entry, bound, tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"n": n, "m": 3, "trials": 5}))
+    cfg.write_text(json.dumps({"n": 4, "m": 3, "trials": 5, **entry}))
     assert main(["simulate", "--config", str(cfg)]) == 2
-    assert "n_nodes must be an integer" in capsys.readouterr().err
+    assert bound in capsys.readouterr().err
 
 
 def test_internal_failure_maps_to_exit_3(monkeypatch, capsys):
@@ -273,6 +287,8 @@ def test_oracle_markov_output(capsys):
     hours = float(text.splitlines()[1].split()[0])
     expected = markov_mttdl(HraidConfig(2, 2, 0, 1), RATES)
     assert hours == pytest.approx(expected, rel=1e-14)
+    # a chain of a thousand events runs without touching the recursion limit
+    assert main(["oracle", "markov", "--n", "1000", "--m", "12", "--l", "1"]) == 0
 
 
 def test_analytic_report_output(capsys):

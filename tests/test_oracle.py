@@ -145,19 +145,26 @@ def test_markov_zero_intra_tolerance_closed_form():
         assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_markov_single_parity_matches_independent_recurrence():
+@pytest.mark.parametrize("gamma", [0.0, 1e-7])
+@pytest.mark.parametrize("n", [12, 1000])
+def test_markov_single_parity_matches_independent_recurrence(n, gamma):
     # k=0, l=1: the only state variable is j, the number of nodes one
     # failure short of death; E_j = 1/T_j + (N-j) M delta / T_j * E_{j+1}
-    # with T_j = ((N - j) M + j (M - 1)) delta
-    n = m = 12
+    # with T_j = ((N - j) M + j (M - 1)) delta + N gamma, since at k=0
+    # every controller failure loses data.  N=1000 is a chain deeper than
+    # the interpreter's default recursion limit.
+    m = 12
     delta = 1e-6
     e_next = 0.0
     for j in range(n, -1, -1):
-        t_j = ((n - j) * m + j * (m - 1)) * delta
+        t_j = ((n - j) * m + j * (m - 1)) * delta + n * gamma
         e_next = 1.0 / t_j + ((n - j) * m * delta / t_j) * e_next
-    got = markov_mttdl(HraidConfig(n, m, 0, 1), FailureModel(disk_rate=delta))
+    got = markov_mttdl(
+        HraidConfig(n, m, 0, 1), FailureModel(disk_rate=delta, controller_rate=gamma)
+    )
     assert got == pytest.approx(e_next, rel=1e-10)
-    assert got == pytest.approx(36534.3, rel=1e-4)
+    if n == 12 and gamma == 0.0:
+        assert got == pytest.approx(36534.3, rel=1e-4)
 
 
 def test_markov_monotone_in_tolerances():
