@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
+from math import comb, exp, lgamma, log, log1p
 
 from .config import HraidConfig, ValidationError
 
@@ -73,13 +73,21 @@ def hraid_unreliability(config: HraidConfig, eps: float) -> float:
 
     Data is lost when more than k nodes each lose more than l disks.  With
     u = per-node unreliability, this is sum_{j=k+1..N} C(N,j) u^j (1-u)^(N-j),
-    accumulated as positive terms, smallest first.
+    accumulated as positive terms, smallest first.  Each term is evaluated
+    in log space, since C(N,j) alone overflows a float from N ~ 1030.
     """
     check_eps(eps)
     n, k, ell, m = config.n, config.k, config.ell, config.m
     u = exact_mds_unreliability(m, ell, eps)
-    s = 1.0 - u
-    return sum(comb(n, j) * u**j * s ** (n - j) for j in range(n, k, -1))
+    if u == 0.0:  # underflow at tiny eps
+        return 0.0
+    if u >= 1.0:  # rounding can take u just past 1 at large M
+        return 1.0
+    log_u, log_s, log_n = log(u), log1p(-u), lgamma(n + 1)
+    return sum(
+        exp(log_n - lgamma(j + 1) - lgamma(n - j + 1) + j * log_u + (n - j) * log_s)
+        for j in range(n, k, -1)
+    )
 
 
 def hraid_reliability(config: HraidConfig, eps: float) -> float:

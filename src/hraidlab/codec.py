@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import HraidConfig, UnsupportedCodecError, ValidationError
 from .layout import LayoutGrid, generate_layout
+from .stream import check_seed
 
 Cell = tuple[int, int, int]  # 1-based (row, node, position)
 
@@ -104,6 +105,7 @@ def random_payloads(
     """Seeded random payload bytes for every DATA cell."""
     if strip_size < 1:
         raise ValidationError(f"strip_size must be >= 1, got {strip_size}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     return {
         cell: rng.integers(0, 256, strip_size, dtype=np.uint8).tobytes()

@@ -17,6 +17,15 @@ results are bit-identical for any execution order, thread count, chunk
 size, and for the scalar and vectorized engines (the scalar engine calls
 numpy's log1p on purpose: its last-ulp rounding can differ from the C
 library's).
+
+The vectorized engine is table-driven over compacted live trials.  It
+holds the class counts as one float64 (l+1, live) array of exact small
+integers; one matmul against a fixed weight matrix gives the cumulative
+disk weights and the cumulative counts, from which the 2(l+1) event
+thresholds follow; the bin is the count of thresholds at or below the
+draw; and three per-bin tables apply the class-count change, the
+dead-node increment and the event kind.  Absorbed trials are written out
+and dropped from every per-trial array after each step.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import FailureModel, HraidConfig, ValidationError
-from .stream import TrialStream, trial_key, trial_keys, uniforms_at
+from .stream import TrialStream, check_seed, trial_key, trial_keys, uniforms_at
 
 #: Trials per work unit.  Chunking only batches the vectorized engine;
 #: results are independent of it because streams are keyed by absolute
@@ -168,6 +177,20 @@ def resolve_thread_count(threads: int | None = None) -> int:
     return threads
 
 
+def _unit_rho(config: HraidConfig, rates: FailureModel) -> float:
+    """The controller rate in units of the disk rate, rho = gamma / delta.
+
+    Raises ValidationError when the total event rate N M + rho N is not a
+    finite float: no event could then be drawn.
+    """
+    rho = rates.controller_rate / rates.disk_rate
+    if not math.isfinite(config.n * config.m + rho * config.n):
+        raise ValidationError(
+            f"controller_rate / disk_rate must keep the total event rate finite, got {rho}"
+        )
+    return rho
+
+
 def simulate_trial(
     config: HraidConfig, rates: FailureModel, stream: TrialStream
 ) -> DataLossEvent:
@@ -181,7 +204,7 @@ def simulate_trial(
     """
     n, m, k, ell = config.n, config.m, config.k, config.ell
     delta = rates.disk_rate
-    rho = rates.controller_rate / delta
+    rho = _unit_rho(config, rates)
     counts = [n] + [0] * ell  # c_f: alive nodes with f failed disks
     dead = 0
     node_class = [0] * n  # per-node class, -1 once dead; labels the trace only
@@ -219,6 +242,24 @@ def simulate_trial(
             )
 
 
+def _bin_tables(m: int, ell: int) -> tuple[np.ndarray, ...]:
+    """Fixed tables of the 2(l+1) event bins for ``_simulate_chunk``.
+
+    ``weights @ c`` gives the cumulative disk weights, then the cumulative
+    class counts.  Indexed by bin: ``step[:, b]`` is the class-count change,
+    ``kills[b]`` the dead-node increment, ``is_disk[b]`` the event kind.
+    """
+    nb = ell + 1
+    lower = np.tri(nb)
+    weights = np.vstack((lower * (m - np.arange(nb)), lower))
+    step = np.zeros((nb, 2 * nb))
+    step[np.arange(2 * nb) % nb, np.arange(2 * nb)] = -1.0
+    step[np.arange(1, nb), np.arange(ell)] = 1.0
+    kills = (np.arange(2 * nb) >= ell).astype(np.int64)
+    is_disk = (np.arange(2 * nb) < nb).astype(np.int64)
+    return weights, step, kills, is_disk
+
+
 def _simulate_chunk(
     config: HraidConfig,
     rho: float,
@@ -226,49 +267,58 @@ def _simulate_chunk(
     start: int,
     count: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized engine: unit-time losses, disk-event counts, causes."""
-    n, m, k, ell = config.n, config.m, config.k, config.ell
-    disk_weights = m - np.arange(ell + 1)
-    keys = trial_keys(seed, start, count)
-    c = np.zeros((count, ell + 1), dtype=np.int64)  # c_f per trial
-    c[:, 0] = n
-    dead = np.zeros(count, dtype=np.int64)
-    t_unit = np.zeros(count, dtype=np.float64)
-    disk_events = np.zeros(count, dtype=np.int64)
-    causes = np.zeros(count, dtype=np.uint8)
-    act = np.arange(count)
-    it = 0
-    while act.size:
-        it += 1
-        ka = keys[act]
-        u1 = uniforms_at(ka, 2 * it - 1)
-        u2 = uniforms_at(ka, 2 * it)
-        ca = c[act]
-        cum_w = np.cumsum(ca * disk_weights, axis=1)
-        cum_c = np.cumsum(ca, axis=1)
-        wtot = cum_w[:, -1].astype(np.float64)
-        total = wtot + rho * cum_c[:, -1].astype(np.float64)
-        t_unit[act] += -np.log1p(-u1) / total
-        x = u2 * total
-        # Some bin always holds x: u2 <= 1 - 2**-53, so under round-to-nearest
-        # u2 * total < total, and the last threshold is computed by the same
-        # float expression as total, so it is bitwise equal to it.
-        thresholds = np.hstack(
-            (cum_w.astype(np.float64), wtot[:, None] + rho * cum_c.astype(np.float64))
-        )
-        b = (x[:, None] < thresholds).argmax(axis=1)
-        disk = b <= ell
-        f = np.where(disk, b, b - (ell + 1))
-        c[act, f] -= 1
-        moved = disk & (f < ell)
-        c[act[moved], f[moved] + 1] += 1
-        dead[act] += ~moved
-        disk_events[act] += disk
+    """Vectorized engine: unit-time losses, disk-event counts, causes.
 
-        absorbed = dead[act] > k
-        causes[act[absorbed]] = ~disk[absorbed]
-        act = act[~absorbed]
-    return t_unit, disk_events, causes
+    Every per-trial array holds only the live trials; absorbed trials are
+    written out and dropped after each step.
+    """
+    n, k, ell = config.n, config.k, config.ell
+    nb = ell + 1
+    weights, step, kills, is_disk = _bin_tables(config.m, ell)
+    keys = trial_keys(seed, start, count)
+    trial = np.arange(count)
+    c = np.zeros((nb, count))  # c_f per live trial; exact small integers
+    c[0] = n
+    dead = np.zeros(count, dtype=np.int64)
+    t_unit = np.zeros(count)
+    disk_events = np.zeros(count, dtype=np.int64)
+    out_t = np.empty(count)
+    out_disk = np.empty(count, dtype=np.int64)
+    out_cause = np.empty(count, dtype=np.uint8)
+    it = 0
+    while trial.size:
+        it += 1
+        u1 = uniforms_at(keys, 2 * it - 1)
+        u2 = uniforms_at(keys, 2 * it)
+        # integer partial sums below 2**53, so the matmul is exact
+        thr = weights @ c
+        ctrl = thr[nb:]
+        ctrl *= rho
+        ctrl += thr[ell]  # wtot + rho * cum_c, the float order of total
+        total = thr[-1]
+        t_unit += -np.log1p(-u1) / total
+        # Some bin always holds x = u2 * total: u2 <= 1 - 2**-53, so under
+        # round-to-nearest x < total, and the last threshold is total itself.
+        # The thresholds never decrease, so counting those <= x finds the bin.
+        b = (u2 * total >= thr).sum(axis=0)
+        c += step.take(b, axis=1)
+        dead += kills.take(b)
+        disk_events += is_disk.take(b)
+
+        absorbed = dead > k
+        if not absorbed.any():
+            continue
+        done = np.flatnonzero(absorbed)
+        out = trial.take(done)
+        out_t[out] = t_unit.take(done)
+        out_disk[out] = disk_events.take(done)
+        out_cause[out] = 1 - is_disk.take(b.take(done))
+        # take keeps c C-contiguous: a boolean column index would return an
+        # F-ordered array, which makes the next matmul far slower
+        live = np.flatnonzero(~absorbed)
+        trial, keys, c = trial.take(live), keys.take(live), c.take(live, axis=1)
+        dead, t_unit, disk_events = dead.take(live), t_unit.take(live), disk_events.take(live)
+    return out_t, out_disk, out_cause
 
 
 def run_trials(
@@ -282,8 +332,9 @@ def run_trials(
     trials, seed) regardless of thread count."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    check_seed(seed)
     delta = rates.disk_rate
-    rho = rates.controller_rate / delta
+    rho = _unit_rho(config, rates)
     times = np.empty(trials, dtype=np.float64)
     dcounts = np.empty(trials, dtype=np.int64)
     causes = np.empty(trials, dtype=np.uint8)
@@ -416,6 +467,7 @@ def sweep(
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    check_seed(seed)
     cells = []
     for k in k_range:
         for ell in l_range:

@@ -4,18 +4,27 @@ Every Monte Carlo trial draws from its own stream, keyed by (seed, trial
 index) through the SplitMix64 finalizer.  A draw is addressed purely by
 (key, counter), so trials can run in any order, on any number of threads,
 and in either the scalar or the vectorized engine with bit-identical
-results.
+results.  Seeds are 64-bit words: ``check_seed`` rejects any other value
+rather than let it alias a seed in [0, 2**64).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .config import ValidationError
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 _U64 = np.uint64
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValidationError unless ``seed`` is in [0, 2**64)."""
+    if not 0 <= seed <= _MASK64:
+        raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def mix64(z: int) -> int:
@@ -69,6 +78,7 @@ class TrialStream:
     __slots__ = ("key", "counter")
 
     def __init__(self, seed: int, index: int = 0) -> None:
+        check_seed(seed)
         self.key = trial_key(seed, index)
         self.counter = 0
 

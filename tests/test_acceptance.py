@@ -13,7 +13,7 @@ to reproduce.  Its (k=0, l=2) entry once read 118.9; it is now the exact
 
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, sqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +26,7 @@ from hraidlab import (
     compare_apportionments,
     disk_cells,
     encode_stripes,
+    estimate_mttdl,
     exact_reliability_enum,
     generate_layout,
     hraid_reliability,
@@ -141,6 +142,17 @@ def test_criterion_1_zero_intra_row_and_runtime(table_sweep):
         f"criterion 1 PASS: l=0 row {'; '.join(lines)}; "
         f"runtime {table_sweep.elapsed:.1f} s"
     )
+
+
+def test_std_dev_of_exponential_loss_time():
+    # at k = l = 0 and gamma = 0 the loss time is exponential with rate
+    # N M delta, so sigma = mu = 1/(N M delta); the sample sigma has
+    # standard error ~ sigma sqrt(2/n)
+    est = estimate_mttdl(HraidConfig(12, 12, 0, 0), RATES, TRIALS, PINNED_SEED)
+    sigma = 1.0 / (12 * 12 * RATES.disk_rate)
+    se = sigma * sqrt(2.0 / TRIALS)
+    z = (est.std_dev_hours - sigma) / se
+    assert abs(z) < 5.0, f"std {est.std_dev_hours:.1f} h vs exact {sigma:.1f} h, z = {z:.2f}"
 
 
 def test_criterion_2a_intervals_contain_exact_chain(table_sweep):

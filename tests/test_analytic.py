@@ -239,3 +239,16 @@ def test_analytic_report_fields():
     assert rep.p_12 == Fraction(10, 130)
     small = analytic_report(HraidConfig(2, 2, 1, 0))
     assert small.p_12 is None and small.threshold_n is None
+
+
+@pytest.mark.parametrize("eps", [1e-3, 0.05, 0.5])
+def test_hraid_unreliability_matches_exact_rational_at_two_hundred_nodes(eps):
+    n, m, k, ell = 200, 12, 3, 2
+    e = Fraction(eps)
+    u = sum(math.comb(m, i) * e**i * (1 - e) ** (m - i) for i in range(ell + 1, m + 1))
+    a, b = u.numerator, u.denominator  # integer sums: Fraction powers are slow
+    exact = Fraction(
+        sum(math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(k + 1, n + 1)), b**n
+    )
+    got = hraid_unreliability(HraidConfig(n, m, k, ell), eps)
+    assert got == pytest.approx(float(exact), rel=1e-10)

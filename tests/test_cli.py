@@ -49,6 +49,13 @@ def test_invalid_geometry_is_validation_error(capsys):
         (["oracle", "markov", "--n", "3", "--m", "3", "--gamma", "nan"],
          "controller_rate must be a finite number"),
         (["codec-demo", "--strip-size", "-1"], "strip_size must be >= 1"),
+        (["simulate", "--n", "3", "--m", "3", "--trials", "5", "--seed", str(2**70)],
+         "seed must be in [0, 2**64)"),
+        (["sweep", "--n", "3", "--m", "3", "--trials", "5", "--seed", "-3"],
+         "seed must be in [0, 2**64)"),
+        (["codec-demo", "--seed", "-1"], "seed must be in [0, 2**64)"),
+        (["simulate", "--n", "3", "--m", "3", "--trials", "5", "--delta", "1e-10",
+          "--gamma", "1e300"], "must keep the total event rate finite"),
     ],
 )
 def test_out_of_bound_flags_are_validation_errors(argv, bound, capsys):
@@ -66,6 +73,7 @@ def test_out_of_bound_flags_are_validation_errors(argv, bound, capsys):
         pytest.param({"trials": 4.5}, "trials must be an integer", id="trials-4.5"),
         pytest.param({"trials": True}, "trials must be an integer", id="trials-True"),
         pytest.param({"seed": "x"}, "seed must be an integer", id="seed-x"),
+        pytest.param({"seed": 2**64}, "seed must be in [0, 2**64)", id="seed-2**64"),
         pytest.param({"output_path": 5}, "output_path must be a string", id="output_path-5"),
         pytest.param(
             {"output_format": "xml"}, "output_format must be one of", id="output_format-xml"
@@ -302,6 +310,15 @@ def test_analytic_report_output(capsys):
     assert "3194400 * eps^6" in text
     assert "p_1/2 = (M-2)/D_S = 1/13" in text
     assert "at eps = 0.001" in text
+
+
+def test_analytic_report_at_two_thousand_nodes(capsys):
+    # C(2000, j) alone overflows a float; the report still answers
+    argv = ["analytic", "report", "--n", "2000", "--m", "12", "--k", "3", "--l", "3"]
+    assert main(argv + ["--eps", "0.5"]) == 0
+    text = capsys.readouterr().out
+    line = next(s for s in text.splitlines() if "array unreliability" in s)
+    assert float(line.split(":")[1]) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_analytic_compare_output(capsys):

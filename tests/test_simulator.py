@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -14,6 +15,8 @@ from hraidlab import (
     d_max,
     d_min,
     estimate_mttdl,
+    generate_layout,
+    random_payloads,
     resolve_thread_count,
     run_trials,
     simulate_trial,
@@ -49,6 +52,24 @@ def test_scalar_and_batch_engines_are_bit_identical(cfg, rates):
         assert event.disk_failures == batch.disk_failures[i], i
         expected_cause = 1 if event.cause.value == "controller" else 0
         assert batch.causes[i] == expected_cause, i
+
+
+#: sha256 of the times_hours, disk_failures and causes bytes of 2,000
+#: trials at seed 2 for each case of the test below, as the per-step argmax
+#: engine produced them before the batch engine became table-driven.
+#: Unlike the scalar-vs-batch check, it catches both engines drifting together.
+GOLDEN_DIGEST = "8aa970b190dcf27742987622e2bb7055a3a1921619714017e60bfdf67aa9e785"
+
+
+def test_batch_engine_matches_golden_digest():
+    cases = [(HraidConfig(12, 12, k, ell), DISK_ONLY) for k in range(4) for ell in range(4)]
+    cases.append((HraidConfig(48, 12, 3, 3), FailureModel(1e-6, 1e-7)))
+    digest = hashlib.sha256()
+    for cfg, rates in cases:
+        res = run_trials(cfg, rates, 2000, seed=2)
+        for values in (res.times_hours, res.disk_failures, res.causes):
+            digest.update(values.tobytes())
+    assert digest.hexdigest() == GOLDEN_DIGEST
 
 
 def test_results_do_not_depend_on_thread_count():
@@ -209,6 +230,33 @@ def test_run_rejects_bad_trials():
         run_trials(HraidConfig(2, 2, 0, 0), DISK_ONLY, 0, seed=0)
     with pytest.raises(ValidationError):
         MttdlEstimate.from_times(np.empty(0), seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    cfg = HraidConfig(3, 3, 1, 1)
+    calls = [
+        lambda: run_trials(cfg, DISK_ONLY, 4, seed),
+        lambda: sweep(3, 3, DISK_ONLY, 4, seed),
+        lambda: TrialStream(seed),
+        lambda: random_payloads(generate_layout(cfg), seed, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\*\*64\)"):
+            call()
+
+
+def test_largest_seed_is_accepted():
+    assert run_trials(HraidConfig(2, 2, 0, 0), DISK_ONLY, 4, 2**64 - 1).trials == 4
+
+
+def test_overflowing_total_rate_is_rejected():
+    cfg = HraidConfig(4, 4, 1, 1)
+    rates = FailureModel(disk_rate=1e-10, controller_rate=1e300)
+    with pytest.raises(ValidationError, match="total event rate finite"):
+        run_trials(cfg, rates, 4, seed=0)
+    with pytest.raises(ValidationError, match="total event rate finite"):
+        simulate_trial(cfg, rates, TrialStream(0, 0))
 
 
 def test_resolve_thread_count(monkeypatch):
