@@ -65,6 +65,7 @@ from .simulator import (
     EventKind,
     LossCause,
     MttdlEstimate,
+    RunResult,
     SweepCell,
     SweepResult,
     TrialResults,
@@ -94,6 +95,7 @@ __all__ = [
     "Ordering",
     "RecoveryResult",
     "RoleKind",
+    "RunResult",
     "StripRole",
     "StripeContent",
     "SweepCell",

@@ -2,9 +2,14 @@
 layout emission, and an XOR codec walkthrough.
 
 Exit codes: 0 success, 1 usage error, 2 validation error (a named model
-bound was violated), 3 internal failure.  Values given as flags override
-values from ``--config`` (a flat JSON object), which override defaults.
-Output lands on stdout or, with ``--out``, in a file written atomically.
+bound was violated, or an output file is unwritable), 3 internal failure.
+Values given as flags override values from ``--config`` (a flat JSON
+object), which override defaults.  Rates per hour must satisfy
+1e-30 <= delta <= 1e30 and 0 <= gamma <= 1e30.  ``simulate`` and ``sweep``
+print a table, CSV or JSON view of one result record; ``simulate --trace``
+then replays every trial in the scalar engine to dump its events.  Output
+lands on stdout, or in the ``--out`` file; ``--out`` and ``--trace`` files
+are written atomically (temp + rename).
 """
 
 from __future__ import annotations
@@ -14,9 +19,8 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
-
-import numpy as np
 
 from .analytic import (
     analytic_report,
@@ -39,10 +43,8 @@ from .config import FailureModel, HraidConfig, ValidationError
 from .layout import LayoutGrid, generate_layout, verify_layout
 from .oracle import exact_reliability_enum, markov_mttdl
 from .simulator import (
-    MttdlEstimate,
+    RunResult,
     estimate_mttdl,
-    format_csv,
-    result_row,
     simulate_trial,
     sweep,
     trace_jsonl_line,
@@ -63,8 +65,8 @@ _CONFIG_KEYS = {
     "output_path": "out",
 }
 
-#: Output formats of simulate and sweep, by flag or config file.
-_FORMATS = ("table", "csv", "json")
+#: Output formats of simulate and sweep, each mapped to the result view that renders it.
+_VIEWS = {"table": "format_table", "csv": "to_csv", "json": "to_json"}
 
 
 class UsageError(Exception):
@@ -76,24 +78,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_output(text: str, out: str | None) -> None:
-    """Print to stdout, or write the file atomically (temp + rename)."""
+def _write_output(pieces: Iterable[str], out: str | None) -> None:
+    """Print the pieces to stdout, ending in a newline, or stream them into
+    the file ``out`` atomically (temp + rename, parent directories created).
+    """
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for last in pieces:
+            sys.stdout.write(last)
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
         return
     path = Path(out)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = None
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.NamedTemporaryFile(
+            "w", dir=path.parent, prefix=path.name + ".", delete=False
+        ) as fh:
+            tmp = fh.name
+            fh.writelines(pieces)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {out}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _load_config_file(path: str) -> dict:
@@ -115,9 +125,9 @@ def _load_config_file(path: str) -> dict:
             raise ValidationError(
                 f"config file {path}: {key} must be an integer, got {value!r}"
             )
-    if raw.get("output_format", "table") not in _FORMATS:
+    if raw.get("output_format", "table") not in _VIEWS:
         raise ValidationError(
-            f"config file {path}: output_format must be one of {', '.join(_FORMATS)}, "
+            f"config file {path}: output_format must be one of {', '.join(_VIEWS)}, "
             f"got {raw['output_format']!r}"
         )
     if not isinstance(raw.get("output_path", ""), str):
@@ -147,13 +157,16 @@ def _add_geometry_flags(p: argparse.ArgumentParser, with_kl: bool = True) -> Non
         p.add_argument("--l", dest="ell", type=int, help="intra-node tolerance (disk failures per node)")
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
+def _add_rate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, help="disk failure rate per hour")
     p.add_argument("--gamma", type=float, help="controller failure rate per hour")
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    _add_rate_flags(p)
     p.add_argument("--trials", type=int, help="Monte Carlo trial count")
     p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--format", choices=_FORMATS, help="output format")
-    p.add_argument("--out", help="output file (atomic write); default stdout")
+    p.add_argument("--format", choices=_VIEWS, help="output format")
     p.add_argument("--config", help="JSON config file; flags take precedence")
 
 
@@ -163,52 +176,55 @@ def build_parser() -> _Parser:
         description="Reliability laboratory for hierarchical RAID arrays.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    to_file = argparse.ArgumentParser(add_help=False)
+    to_file.add_argument("--out", help="output file (atomic write); default stdout")
+    out = [to_file]
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo MTTDL for one configuration")
+    p_sim = sub.add_parser("simulate", parents=out, help="Monte Carlo MTTDL for one configuration")
     _add_geometry_flags(p_sim)
     _add_run_flags(p_sim)
     p_sim.add_argument(
         "--trace",
         help="also dump per-trial event traces as JSON lines to this file "
-        "(runs the scalar traced engine)",
+        "(replays every trial in the scalar engine; atomic write)",
     )
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_sweep = sub.add_parser("sweep", help="MTTDL grid over k = 0..3, l = 0..3")
+    p_sweep = sub.add_parser("sweep", parents=out, help="MTTDL grid over k = 0..3, l = 0..3")
     _add_geometry_flags(p_sweep, with_kl=False)
     _add_run_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_an = sub.add_parser("analytic", help="closed-form reliability quantities")
     an_sub = p_an.add_subparsers(dest="analytic_command", required=True)
-    p_rep = an_sub.add_parser("report", help="reliability summary for one configuration")
+    p_rep = an_sub.add_parser(
+        "report", parents=out, help="reliability summary for one configuration"
+    )
     _add_geometry_flags(p_rep)
     p_rep.add_argument("--eps", type=float, help="disk unreliability for evaluations")
-    p_rep.add_argument("--out", help="output file; default stdout")
     p_rep.set_defaults(func=_cmd_analytic_report)
-    p_cmp = an_sub.add_parser("compare", help="HRAID1/2 vs HRAID2/1 apportionment")
+    p_cmp = an_sub.add_parser("compare", parents=out, help="HRAID1/2 vs HRAID2/1 apportionment")
     _add_geometry_flags(p_cmp, with_kl=False)
-    p_cmp.add_argument("--out", help="output file; default stdout")
     p_cmp.set_defaults(func=_cmd_analytic_compare)
 
     p_or = sub.add_parser("oracle", help="exact enumeration and Markov oracles")
     or_sub = p_or.add_subparsers(dest="oracle_command", required=True)
-    p_enum = or_sub.add_parser("enum", help="fatal-set counts by failure cardinality")
+    p_enum = or_sub.add_parser(
+        "enum", parents=out, help="fatal-set counts by failure cardinality"
+    )
     _add_geometry_flags(p_enum)
     p_enum.add_argument("--eps", type=float, help="also evaluate unreliability at eps")
-    p_enum.add_argument("--out", help="output file; default stdout")
     p_enum.set_defaults(func=_cmd_oracle_enum)
-    p_mark = or_sub.add_parser("markov", help="exact MTTDL of the lumped failure chain")
+    p_mark = or_sub.add_parser(
+        "markov", parents=out, help="exact MTTDL of the lumped failure chain"
+    )
     _add_geometry_flags(p_mark)
-    p_mark.add_argument("--delta", type=float, help="disk failure rate per hour")
-    p_mark.add_argument("--gamma", type=float, help="controller failure rate per hour")
-    p_mark.add_argument("--out", help="output file; default stdout")
+    _add_rate_flags(p_mark)
     p_mark.set_defaults(func=_cmd_oracle_markov)
 
-    p_lay = sub.add_parser("layout", help="emit or verify a strip layout")
+    p_lay = sub.add_parser("layout", parents=out, help="emit or verify a strip layout")
     _add_geometry_flags(p_lay)
     p_lay.add_argument("--format", choices=["text", "json"], help="output format")
-    p_lay.add_argument("--out", help="output file; default stdout")
     p_lay.add_argument("--verify", help="verify a JSON grid file instead of emitting")
     p_lay.set_defaults(func=_cmd_layout)
 
@@ -228,7 +244,10 @@ def build_parser() -> _Parser:
     p_cod.add_argument(
         "--erase-node", action="append", type=int, help="erase one whole node (repeatable)"
     )
-    p_cod.set_defaults(func=_cmd_codec_demo)
+    p_cod.set_defaults(
+        func=_cmd_codec_demo, n=4, m=4, k=1, ell=1, seed=42, strip_size=4096,
+        erase_disk=[], erase_node=[],
+    )
     return parser
 
 
@@ -239,95 +258,52 @@ def _require(merged: dict, *names: str) -> None:
 
 
 def _geometry(merged: dict) -> HraidConfig:
-    return HraidConfig(
-        n_nodes=merged["n"],
-        disks_per_node=merged["m"],
-        inter_tolerance=merged["k"],
-        intra_tolerance=merged["ell"],
-    )
+    _require(merged, "n", "m")
+    return HraidConfig(merged["n"], merged["m"], merged["k"], merged["ell"])
+
+
+def _rates(merged: dict) -> FailureModel:
+    return FailureModel(disk_rate=merged["delta"], controller_rate=merged["gamma"])
+
+
+_GEOMETRY_DEFAULTS = {"n": None, "m": None, "k": 0, "ell": 0}
+_RATE_DEFAULTS = {"delta": FailureModel.disk_rate, "gamma": FailureModel.controller_rate}
+_RUN_DEFAULTS = {
+    **_GEOMETRY_DEFAULTS, **_RATE_DEFAULTS,
+    "trials": 10_000, "seed": 0, "format": "table", "out": None,
+}
 
 
 def _flag_geometry(args: argparse.Namespace) -> HraidConfig:
     """Geometry from --n/--m (required) and --k/--l (default 0)."""
-    _require(vars(args), "n", "m")
-    return HraidConfig(args.n, args.m, args.k or 0, args.ell or 0)
+    return _geometry(_merge(args, _GEOMETRY_DEFAULTS))
 
 
-def _rates(merged: dict) -> FailureModel:
-    return FailureModel(
-        disk_rate=merged["delta"], controller_rate=merged["gamma"]
-    )
-
-
-_RUN_DEFAULTS = {
-    "n": None,
-    "m": None,
-    "k": 0,
-    "ell": 0,
-    "delta": 1e-6,
-    "gamma": 0.0,
-    "trials": 10_000,
-    "seed": 0,
-    "format": "table",
-    "out": None,
-}
+def _write_view(result, merged: dict) -> None:
+    """Write the result view that ``--format`` names."""
+    _write_output([getattr(result, _VIEWS[merged["format"]])()], merged["out"])
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     merged = _merge(args, _RUN_DEFAULTS)
-    _require(merged, "n", "m")
     config = _geometry(merged)
     rates = _rates(merged)
     trials, seed = merged["trials"], merged["seed"]
-
+    est = estimate_mttdl(config, rates, trials, seed)
     if args.trace:
-        times = np.empty(trials, dtype=np.float64)
-        with open(args.trace, "w") as fh:
-            for i in range(trials):
-                event = simulate_trial(config, rates, TrialStream(seed, i))
-                times[i] = event.time_hours
-                fh.write(trace_jsonl_line(i, event) + "\n")
-        est = MttdlEstimate.from_times(times, seed)
-    else:
-        est = estimate_mttdl(config, rates, trials, seed)
-
-    fmt = merged["format"]
-    if fmt == "csv":
-        text = format_csv([result_row(config, rates, est.seed, est)])
-    elif fmt == "json":
-        text = json.dumps(result_row(config, rates, est.seed, est), indent=2)
-    else:
-        text = (
-            f"MTTDL estimate for HRAID {config.k}/{config.ell}: N={config.n}, "
-            f"M={config.m}, delta={rates.disk_rate:g}/h, "
-            f"gamma={rates.controller_rate:g}/h, trials={est.trials}, seed={est.seed}\n"
-            f"  mean    : {est.mean_hours:.3f} h ({est.mean_hours / 1000.0:.1f} thousand hours)\n"
-            f"  std dev : {est.std_dev_hours:.3f} h\n"
-            f"  95% CI  : [{est.ci95_low:.3f}, {est.ci95_high:.3f}] h"
-        )
-    _write_output(text, merged["out"])
+        # streams are keyed by (seed, trial index), so each replay is
+        # bit-identical to the batch trial the estimate holds
+        replays = (simulate_trial(config, rates, TrialStream(seed, i)) for i in range(trials))
+        _write_output((trace_jsonl_line(i, e) + "\n" for i, e in enumerate(replays)), args.trace)
+    _write_view(RunResult(config, rates, seed, est), merged)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     merged = _merge(args, _RUN_DEFAULTS)
     _require(merged, "n", "m")
-    rates = _rates(merged)
-    result = sweep(
-        n=merged["n"],
-        m=merged["m"],
-        rates=rates,
-        trials=merged["trials"],
-        seed=merged["seed"],
-    )
-    fmt = merged["format"]
-    if fmt == "csv":
-        text = result.to_csv()
-    elif fmt == "json":
-        text = result.to_json()
-    else:
-        text = result.format_table()
-    _write_output(text, merged["out"])
+    result = sweep(merged["n"], merged["m"], _rates(merged), merged["trials"], merged["seed"])
+    _write_view(result, merged)
     return 0
 
 
@@ -342,8 +318,15 @@ def _cmd_analytic_compare(args: argparse.Namespace) -> int:
         f"  threshold form: N > 2 + (M-2)^2/(3M(M-1)) = "
         f"{cmp_result.threshold_n} ~= {float(cmp_result.threshold_n):.6g}"
     )
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     return 0
+
+
+def _approximation(p: float) -> str:
+    """A truncated-series probability, or n/a where it leaves [0, 1]."""
+    if 0.0 <= p <= 1.0:
+        return f"{p:.15g}"
+    return "n/a (approximation outside [0, 1] at this eps)"
 
 
 def _cmd_analytic_report(args: argparse.Namespace) -> int:
@@ -372,12 +355,13 @@ def _cmd_analytic_report(args: argparse.Namespace) -> int:
         lines += [
             f"  at eps = {eps:g}:",
             f"    node reliability R_l                 : {node_r:.15g}",
-            f"    node unreliability, two-term series  : {series:.15g}",
+            f"    node unreliability, two-term series  : {_approximation(series)}",
             f"    array reliability                    : {r:.15g}",
             f"    array unreliability                  : {u:.15g}",
-            f"    leading-term approximation           : {report.leading.evaluate(eps):.15g}",
+            f"    leading-term approximation           : "
+            f"{_approximation(report.leading.evaluate(eps))}",
         ]
-    _write_output("\n".join(lines), args.out)
+    _write_output(["\n".join(lines)], args.out)
     return 0
 
 
@@ -389,23 +373,21 @@ def _cmd_oracle_enum(args: argparse.Namespace) -> int:
             f"# unreliability at eps={args.eps:g}: "
             f"{poly.unreliability(args.eps):.15g}\n"
         )
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     return 0
 
 
 def _cmd_oracle_markov(args: argparse.Namespace) -> int:
-    config = _flag_geometry(args)
-    rates = FailureModel(
-        disk_rate=args.delta if args.delta is not None else 1e-6,
-        controller_rate=args.gamma if args.gamma is not None else 0.0,
-    )
+    merged = _merge(args, {**_GEOMETRY_DEFAULTS, **_RATE_DEFAULTS})
+    config = _geometry(merged)
+    rates = _rates(merged)
     hours = markov_mttdl(config, rates)
     text = (
         f"exact MTTDL for HRAID {config.k}/{config.ell}: N={config.n}, M={config.m}, "
         f"delta={rates.disk_rate:g}/h, gamma={rates.controller_rate:g}/h\n"
         f"  {hours:.15g} hours ({hours / 1000.0:.4f} thousand hours)"
     )
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     return 0
 
 
@@ -420,31 +402,25 @@ def _cmd_layout(args: argparse.Namespace) -> int:
             text = "\n".join(
                 [f"layout INVALID: {len(violations)} violation(s)"] + violations
             )
-            _write_output(text, args.out)
+            _write_output([text], args.out)
             return 2
-        _write_output("layout valid: all balance invariants hold", args.out)
+        _write_output(["layout valid: all balance invariants hold"], args.out)
         return 0
     grid = generate_layout(_flag_geometry(args))
     text = grid.to_json() if args.format == "json" else grid.as_text()
-    _write_output(text, args.out)
+    _write_output([text], args.out)
     return 0
 
 
 def _cmd_codec_demo(args: argparse.Namespace) -> int:
-    n = args.n if args.n is not None else 4
-    m = args.m if args.m is not None else 4
-    k = args.k if args.k is not None else 1
-    ell = args.ell if args.ell is not None else 1
-    seed = args.seed if args.seed is not None else 42
-    strip_size = args.strip_size if args.strip_size is not None else 4096
-    config = HraidConfig(n, m, k, ell)
+    config = _geometry(vars(args))
     grid = generate_layout(config)
-    payloads = random_payloads(grid, seed, strip_size)
+    payloads = random_payloads(grid, args.seed, args.strip_size)
     content = encode_stripes(payloads, config, grid)
     bad = verify_parity(content)
     lines = [
-        f"encoded HRAID {k}/{ell}: N={n}, M={m}, {len(payloads)} data strips of "
-        f"{strip_size} bytes (seed {seed})",
+        f"encoded HRAID {config.k}/{config.ell}: N={config.n}, M={config.m}, "
+        f"{len(payloads)} data strips of {args.strip_size} bytes (seed {args.seed})",
         f"parity check after encode: {'ok' if not bad else 'FAILED'}",
     ]
     if args.dir:
@@ -452,21 +428,17 @@ def _cmd_codec_demo(args: argparse.Namespace) -> int:
         lines.append(f"strip tree written under {args.dir}/node*/disk*/row*.bin")
 
     erased = set()
-    if args.erase_disk:
-        for spec_str in args.erase_disk:
-            try:
-                node_s, pos_s = spec_str.split(":")
-                node, pos = int(node_s), int(pos_s)
-            except ValueError as exc:
-                raise UsageError(
-                    f"--erase-disk expects NODE:POS, got {spec_str!r}"
-                ) from exc
-            erased |= disk_cells(config, node, pos)
-            lines.append(f"erased disk: node {node}, position {pos}")
-    if args.erase_node:
-        for node in args.erase_node:
-            erased |= node_cells(config, node)
-            lines.append(f"erased node {node}")
+    for spec_str in args.erase_disk:
+        try:
+            node_s, pos_s = spec_str.split(":")
+            node, pos = int(node_s), int(pos_s)
+        except ValueError as exc:
+            raise UsageError(f"--erase-disk expects NODE:POS, got {spec_str!r}") from exc
+        erased |= disk_cells(config, node, pos)
+        lines.append(f"erased disk: node {node}, position {pos}")
+    for node in args.erase_node:
+        erased |= node_cells(config, node)
+        lines.append(f"erased node {node}")
 
     if erased:
         scenarios = [("requested erasure", erased)]
@@ -484,7 +456,7 @@ def _cmd_codec_demo(args: argparse.Namespace) -> int:
         if result.data_loss:
             lines.append(f"recover after {label}: DATA LOSS ({result.message})")
             continue
-        exact = np.array_equal(result.content.strips, content.strips)
+        exact = (result.content.strips == content.strips).all()
         lines.append(
             f"recover after {label}: rebuilt {len(cells)} strips, "
             f"bit-exact: {'yes' if exact else 'NO'}"
@@ -494,7 +466,7 @@ def _cmd_codec_demo(args: argparse.Namespace) -> int:
                 else ""
             )
         )
-    _write_output("\n".join(lines), None)
+    _write_output(["\n".join(lines)], None)
     return 0
 
 

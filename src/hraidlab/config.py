@@ -78,30 +78,33 @@ class HraidConfig:
         return self.n_nodes * self.disks_per_node
 
 
+#: Rate domain per hour for every engine: 1e-30 <= delta <= 1e30 and
+#: 0 <= gamma <= 1e30, so loss times and their squares stay normal floats.
+MIN_DISK_RATE, MAX_RATE = 1e-30, 1e30
+
+
 @dataclass(frozen=True)
 class FailureModel:
     """Exponential lifetime rates per hour for disks and node controllers.
 
     The defaults model disks with a mean time to failure of 1e6 hours and
-    controllers that never fail.
+    controllers that never fail.  Rates must lie in the domain above.
     """
 
     disk_rate: float = 1e-6
     controller_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("disk_rate", "controller_rate"):
+        for name, low in (("disk_rate", MIN_DISK_RATE), ("controller_rate", 0.0)):
             value = getattr(self, name)
             if isinstance(value, bool) or not (
                 isinstance(value, numbers.Real) and math.isfinite(value)
             ):
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
-        if not self.disk_rate > 0:
-            raise ValidationError(f"disk_rate must be > 0, got {self.disk_rate}")
-        if self.controller_rate < 0:
-            raise ValidationError(
-                f"controller_rate must be >= 0, got {self.controller_rate}"
-            )
+            if not low <= value <= MAX_RATE:
+                raise ValidationError(
+                    f"{name} must be in [{low:g}, {MAX_RATE:g}] per hour, got {value}"
+                )
 
     @property
     def disk_mttf_hours(self) -> float:

@@ -53,10 +53,6 @@ CHUNK_TRIALS = 16384
 THREADS_ENV_VAR = "HRAID_LAB_THREADS"
 
 _F64 = np.float64
-_CSV_HEADER = (
-    "n,m,k,ell,delta_per_hour,gamma_per_hour,trials,seed,"
-    "mttdl_hours,std_hours,ci95_low,ci95_high"
-)
 
 
 class EventKind(Enum):
@@ -122,26 +118,52 @@ class MttdlEstimate:
         }
 
 
-def result_row(
-    config: HraidConfig, rates: FailureModel, seed: int, estimate: MttdlEstimate
-) -> dict:
-    """One result keyed by CSV column: a CSV row, or a flat JSON object."""
-    return {
-        "n": config.n,
-        "m": config.m,
-        "k": config.k,
-        "ell": config.ell,
-        "delta_per_hour": rates.disk_rate,
-        "gamma_per_hour": rates.controller_rate,
-        "trials": estimate.trials,
-        "seed": seed,
-        **estimate.fields(),
-    }
+@dataclass(frozen=True)
+class RunResult:
+    """One Monte Carlo run and its estimate.  ``seed`` is the requested seed:
+    in a sweep that is the sweep seed, and ``estimate.seed`` the cell seed."""
+
+    config: HraidConfig
+    rates: FailureModel
+    seed: int
+    estimate: MttdlEstimate
+
+    def row(self) -> dict:
+        """The run keyed by CSV column: a CSV row, or a flat JSON object."""
+        return {
+            "n": self.config.n,
+            "m": self.config.m,
+            "k": self.config.k,
+            "ell": self.config.ell,
+            "delta_per_hour": self.rates.disk_rate,
+            "gamma_per_hour": self.rates.controller_rate,
+            "trials": self.estimate.trials,
+            "seed": self.seed,
+            **self.estimate.fields(),
+        }
+
+    def to_csv(self) -> str:
+        return format_csv([self.row()])
+
+    def to_json(self) -> str:
+        return json.dumps(self.row(), indent=2)
+
+    def format_table(self) -> str:
+        """The estimate with its interval, in hours."""
+        config, rates, est = self.config, self.rates, self.estimate
+        return (
+            f"MTTDL estimate for HRAID {config.k}/{config.ell}: N={config.n}, "
+            f"M={config.m}, delta={rates.disk_rate:g}/h, "
+            f"gamma={rates.controller_rate:g}/h, trials={est.trials}, seed={self.seed}\n"
+            f"  mean    : {est.mean_hours:.3f} h ({est.mean_hours / 1000.0:.1f} thousand hours)\n"
+            f"  std dev : {est.std_dev_hours:.3f} h\n"
+            f"  95% CI  : [{est.ci95_low:.3f}, {est.ci95_high:.3f}] h"
+        )
 
 
 def format_csv(rows: list[dict]) -> str:
-    """Header plus one repr-exact line per ``result_row``."""
-    lines = [_CSV_HEADER] + [",".join(map(repr, row.values())) for row in rows]
+    """Header from the first row's keys, then one repr-exact line per row."""
+    lines = [",".join(rows[0])] + [",".join(map(repr, row.values())) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -404,14 +426,11 @@ class SweepResult:
         raise KeyError(f"no cell (k={k}, l={ell}) in this sweep")
 
     def to_csv(self) -> str:
-        return format_csv(
-            [
-                result_row(
-                    HraidConfig(self.n, self.m, c.k, c.ell), self.rates, self.seed, c.estimate
-                )
-                for c in self.cells
-            ]
-        )
+        runs = [
+            RunResult(HraidConfig(self.n, self.m, c.k, c.ell), self.rates, self.seed, c.estimate)
+            for c in self.cells
+        ]
+        return format_csv([run.row() for run in runs])
 
     def to_json(self) -> str:
         obj = {
@@ -463,11 +482,11 @@ def sweep(
     Every cell derives its own seed from (seed, k, l), so a cell's numbers
     match a standalone run with that derived seed and do not depend on
     which other cells are swept.  Grid cells that violate the geometry
-    bounds (k >= N or k + l >= M) are skipped.
+    bounds (k >= N or k + l >= M) are skipped; a sweep with no cell left
+    is rejected.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    check_seed(seed)
+    HraidConfig(n, m)  # N and M alone must be a valid geometry
+    check_seed(seed)  # cell_seed would map any integer into range
     cells = []
     for k in k_range:
         for ell in l_range:
@@ -485,6 +504,8 @@ def sweep(
                     trial_results=results if keep_trials else None,
                 )
             )
+    if not cells:
+        raise ValidationError(f"no (k, l) cell of the swept ranges fits N={n}, M={m}")
     return SweepResult(
         n=n, m=m, rates=rates, trials=trials, seed=seed, cells=tuple(cells)
     )

@@ -55,7 +55,18 @@ def test_invalid_geometry_is_validation_error(capsys):
          "seed must be in [0, 2**64)"),
         (["codec-demo", "--seed", "-1"], "seed must be in [0, 2**64)"),
         (["simulate", "--n", "3", "--m", "3", "--trials", "5", "--delta", "1e-10",
-          "--gamma", "1e300"], "must keep the total event rate finite"),
+          "--gamma", "1e300"], "controller_rate must be in [0, 1e+30] per hour"),
+        (["oracle", "markov", "--n", "4", "--m", "4", "--k", "1", "--l", "1",
+          "--delta", "1e-10", "--gamma", "1e300"], "controller_rate must be in [0, 1e+30]"),
+        (["simulate", "--n", "3", "--m", "3", "--trials", "5", "--delta", "1e-320"],
+         "disk_rate must be in [1e-30, 1e+30] per hour"),
+        (["oracle", "markov", "--n", "3", "--m", "3", "--delta", "1e-320"],
+         "disk_rate must be in [1e-30, 1e+30]"),
+        (["sweep", "--n", "0", "--m", "0", "--trials", "5"], "n_nodes must be >= 1"),
+        (["sweep", "--n", "-3", "--m", "4", "--trials", "5", "--format", "csv"],
+         "n_nodes must be >= 1"),
+        (["sweep", "--n", "3", "--m", "0", "--trials", "5", "--format", "json"],
+         "disks_per_node must be >= 1"),
     ],
 )
 def test_out_of_bound_flags_are_validation_errors(argv, bound, capsys):
@@ -157,6 +168,34 @@ def test_simulate_trace_file(tmp_path):
     # the traced scalar engine and the batch engine agree bit for bit
     est = estimate_mttdl(HraidConfig(2, 2, 0, 1), RATES, trials=12, seed=4)
     assert json.loads(out.read_text())["mttdl_hours"] == est.mean_hours
+
+
+def test_trace_creates_parent_dirs(tmp_path):
+    trace = tmp_path / "a" / "b" / "events.jsonl"
+    argv = ["simulate", "--n", "2", "--m", "2", "--trials", "3", "--trace", str(trace)]
+    assert main(argv) == 0
+    assert [json.loads(line)["trial"] for line in trace.read_text().splitlines()] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+@pytest.mark.parametrize("target", ["existing-dir", "under-regular-file"])
+def test_unwritable_output_is_validation_error(flag, target, tmp_path, capsys):
+    (tmp_path / "existing-dir").mkdir()
+    (tmp_path / "plain").write_text("x")
+    path = tmp_path / {"existing-dir": "existing-dir", "under-regular-file": "plain/x"}[target]
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["simulate", "--n", "3", "--m", "3", "--trials", "5", flag, str(path)]
+    assert main(argv) == 2
+    assert f"validation error: cannot write output file {path}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before  # no temp file left behind
+
+
+def test_bad_trial_count_with_trace_writes_nothing(tmp_path, capsys):
+    trace = tmp_path / "f"
+    argv = ["simulate", "--n", "3", "--m", "3", "--trials", "-5", "--trace", str(trace)]
+    assert main(argv) == 2
+    assert "trials must be >= 1" in capsys.readouterr().err
+    assert not trace.exists()
 
 
 def test_config_file_supplies_values(tmp_path):
@@ -310,6 +349,9 @@ def test_analytic_report_output(capsys):
     assert "3194400 * eps^6" in text
     assert "p_1/2 = (M-2)/D_S = 1/13" in text
     assert "at eps = 0.001" in text
+    for label in ("two-term series", "leading-term approximation"):
+        line = next(s for s in text.splitlines() if label in s)
+        assert 0.0 < float(line.split(":")[1]) < 1.0
 
 
 def test_analytic_report_at_two_thousand_nodes(capsys):
@@ -319,6 +361,10 @@ def test_analytic_report_at_two_thousand_nodes(capsys):
     text = capsys.readouterr().out
     line = next(s for s in text.splitlines() if "array unreliability" in s)
     assert float(line.split(":")[1]) == pytest.approx(1.0, rel=1e-10)
+    # at this eps the truncated series are not probabilities
+    for label in ("two-term series", "leading-term approximation"):
+        line = next(s for s in text.splitlines() if label in s)
+        assert line.endswith(": n/a (approximation outside [0, 1] at this eps)")
 
 
 def test_analytic_compare_output(capsys):

@@ -64,8 +64,17 @@ def test_failure_model_defaults():
         dict(disk_rate="1e-6"),
         dict(controller_rate=float("nan")),
         dict(controller_rate=float("inf")),
+        dict(disk_rate=1e-320),
+        dict(disk_rate=9.9e-31),
+        dict(disk_rate=1.1e30),
+        dict(controller_rate=1.1e30),
     ],
 )
 def test_failure_model_rejects_bad_rates(kwargs):
     with pytest.raises(ValidationError):
         FailureModel(**kwargs)
+
+
+def test_failure_model_accepts_the_edges_of_the_rate_domain():
+    FailureModel(disk_rate=1e-30, controller_rate=1e30)
+    FailureModel(disk_rate=1e30, controller_rate=0.0)

@@ -251,8 +251,13 @@ def test_largest_seed_is_accepted():
 
 
 def test_overflowing_total_rate_is_rejected():
-    cfg = HraidConfig(4, 4, 1, 1)
-    rates = FailureModel(disk_rate=1e-10, controller_rate=1e300)
+    with pytest.raises(ValidationError, match=r"controller_rate must be in \[0, 1e\+30\]"):
+        FailureModel(disk_rate=1e-10, controller_rate=1e300)
+    # at the edge rates gamma / delta = 1e60, so the total event rate
+    # N M + rho N overflows only near N = 10**249; the check raises before
+    # any per-trial or per-node allocation
+    cfg = HraidConfig(10**249, 4, 1, 1)
+    rates = FailureModel(disk_rate=1e-30, controller_rate=1e30)
     with pytest.raises(ValidationError, match="total event rate finite"):
         run_trials(cfg, rates, 4, seed=0)
     with pytest.raises(ValidationError, match="total event rate finite"):
@@ -292,6 +297,11 @@ def test_sweep_skips_invalid_cells():
     assert (3, 1) not in pairs and (2, 2) not in pairs
     with pytest.raises(KeyError):
         res.cell(3, 1)
+
+
+def test_sweep_with_no_cell_is_rejected():
+    with pytest.raises(ValidationError, match="no \\(k, l\\) cell"):
+        sweep(2, 2, DISK_ONLY, trials=4, seed=0, k_range=range(2, 4))
 
 
 def test_sweep_cells_independent_of_ranges():
