@@ -1,12 +1,14 @@
 """Closed-form reliability of MDS node arrays and HRAID k/l systems.
 
-A node of M disks tolerating l failures is an MDS array whose static
-reliability is a binomial sum in the single-disk unreliability eps.  The
-array survives when at most k nodes fail, giving a second binomial layer.
-Coefficients are kept as exact integers or rationals; floats appear only
-in final evaluations.  For small eps the unreliability is accumulated as
-a sum of positive fatal-configuration terms so no precision is lost to
-cancellation.
+A node of M disks survives while at most l of them fail, a binomial sum
+in the disk unreliability eps; the array survives while at most k nodes
+fail, a second binomial layer in the node unreliability.  One evaluator
+gives both sides of either layer, each with full relative precision where
+it is small, at a cost independent of N: the t + 1 head terms are summed
+in log space from q^n by the term ratio (n-j)/(j+1) p/q; a head of at most
+1/2 leaves the tail as its complement, otherwise the tail terms, falling
+from j = t + 1 on, are summed until one no longer changes the sum and the
+head is the complement.  The array layer takes both node sides, never 1 - u.
 """
 
 from __future__ import annotations
@@ -14,13 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, exp, lgamma, log, log1p
+from itertools import accumulate, islice
+from math import comb, exp, log, log1p
 
 from .config import HraidConfig, ValidationError
-
-#: Below this eps, reliabilities are computed via the complement to avoid
-#: cancellation against 1.
-CANCELLATION_GUARD_EPS = 1e-4
 
 
 def check_eps(eps: float) -> None:
@@ -29,30 +28,52 @@ def check_eps(eps: float) -> None:
         raise ValidationError(f"disk unreliability must be in (0, 1), got {eps}")
 
 
-def exact_mds_reliability(m: int, t: int, eps: float) -> float:
-    """Reliability of an m-disk MDS array tolerating t disk failures.
+def _binomial_sides(n: int, t: int, p: float, q: float) -> tuple[float, float]:
+    """(P[X <= t], P[X > t]) for X ~ Binomial(n, p), given p and q = 1 - p."""
+    if t >= n or p == 0.0:
+        return 1.0, 0.0
+    if q == 0.0:
+        return 0.0, 1.0
+    # log p and log q from whichever of p and q is held more precisely
+    log_p, log_q = (log(p), log1p(-p)) if p <= q else (log1p(-q), log(q))
+    log_ratio = log_p - log_q
+    steps = (log((n - j + 1) / j) + log_ratio for j in range(1, n + 1))
+    terms = map(exp, accumulate(steps, initial=n * log_q))
+    head = sum(islice(terms, t + 1))
+    if head <= 0.5:
+        return head, 1.0 - head
+    tail = 0.0
+    for term in terms:
+        if tail + term == tail:
+            break
+        tail += term
+    return 1.0 - tail, tail
 
-    Returns sum_{i=0..t} C(m,i) eps^i (1-eps)^(m-i); t=0 gives r^m and
-    t=1 the familiar r^m + m(1-r)r^(m-1).
-    """
+
+def _node_sides(m: int, t: int, eps: float) -> tuple[float, float]:
+    """(reliability, unreliability) of an m-disk MDS array tolerating t failures."""
     check_eps(eps)
     if not 0 <= t <= m:
         raise ValidationError(f"tolerance must satisfy 0 <= t <= m, got t={t}, m={m}")
-    r = 1.0 - eps
-    return sum(comb(m, i) * eps**i * r ** (m - i) for i in range(t + 1))
+    return _binomial_sides(m, t, eps, 1.0 - eps)
+
+
+def _array_sides(config: HraidConfig, eps: float) -> tuple[float, float]:
+    """(reliability, unreliability) of an HRAID k/l array."""
+    r, u = _node_sides(config.m, config.ell, eps)
+    return _binomial_sides(config.n, config.k, u, r)
+
+
+def exact_mds_reliability(m: int, t: int, eps: float) -> float:
+    """Reliability of an m-disk MDS array tolerating t disk failures:
+    sum_{i=0..t} C(m,i) eps^i (1-eps)^(m-i)."""
+    return _node_sides(m, t, eps)[0]
 
 
 def exact_mds_unreliability(m: int, t: int, eps: float) -> float:
-    """Complement of ``exact_mds_reliability`` as a positive sum.
-
-    Summing the fatal terms i = t+1..m directly keeps full relative
-    precision when eps is small.
-    """
-    check_eps(eps)
-    if not 0 <= t <= m:
-        raise ValidationError(f"tolerance must satisfy 0 <= t <= m, got t={t}, m={m}")
-    r = 1.0 - eps
-    return sum(comb(m, i) * eps**i * r ** (m - i) for i in range(m, t, -1))
+    """Complement of ``exact_mds_reliability``: the fatal terms i = t+1..m,
+    with full relative precision when eps is small."""
+    return _node_sides(m, t, eps)[1]
 
 
 def raid_series_approx(m: int, t: int, eps: float) -> float:
@@ -69,40 +90,16 @@ def raid_series_approx(m: int, t: int, eps: float) -> float:
 
 
 def hraid_unreliability(config: HraidConfig, eps: float) -> float:
-    """Probability of data loss of an HRAID k/l array at disk unreliability eps.
-
-    Data is lost when more than k nodes each lose more than l disks.  With
-    u = per-node unreliability, this is sum_{j=k+1..N} C(N,j) u^j (1-u)^(N-j),
-    accumulated as positive terms, smallest first.  Each term is evaluated
-    in log space, since C(N,j) alone overflows a float from N ~ 1030.
-    """
-    check_eps(eps)
-    n, k, ell, m = config.n, config.k, config.ell, config.m
-    u = exact_mds_unreliability(m, ell, eps)
-    if u == 0.0:  # underflow at tiny eps
-        return 0.0
-    if u >= 1.0:  # rounding can take u just past 1 at large M
-        return 1.0
-    log_u, log_s, log_n = log(u), log1p(-u), lgamma(n + 1)
-    return sum(
-        exp(log_n - lgamma(j + 1) - lgamma(n - j + 1) + j * log_u + (n - j) * log_s)
-        for j in range(n, k, -1)
-    )
+    """Probability of data loss of an HRAID k/l array at disk unreliability eps:
+    more than k nodes each lose more than l disks, so with u the node
+    unreliability it is sum_{j=k+1..N} C(N,j) u^j (1-u)^(N-j)."""
+    return _array_sides(config, eps)[1]
 
 
 def hraid_reliability(config: HraidConfig, eps: float) -> float:
-    """Probability an HRAID k/l array loses no data at disk unreliability eps.
-
-    Equals sum_{j=0..k} C(N,j) (1-R_l)^j R_l^(N-j) with R_l the node
-    reliability; computed via the complement below the cancellation guard.
-    """
-    check_eps(eps)
-    if eps < CANCELLATION_GUARD_EPS:
-        return 1.0 - hraid_unreliability(config, eps)
-    n, k, ell, m = config.n, config.k, config.ell, config.m
-    r_l = exact_mds_reliability(m, ell, eps)
-    q = 1.0 - r_l
-    return sum(comb(n, j) * q**j * r_l ** (n - j) for j in range(k + 1))
+    """Probability an HRAID k/l array loses no data at disk unreliability eps:
+    sum_{j=0..k} C(N,j) (1-R_l)^j R_l^(N-j) with R_l the node reliability."""
+    return _array_sides(config, eps)[0]
 
 
 @dataclass(frozen=True)

@@ -424,7 +424,10 @@ def _cmd_codec_demo(args: argparse.Namespace) -> int:
         f"parity check after encode: {'ok' if not bad else 'FAILED'}",
     ]
     if args.dir:
-        write_strip_tree(content, args.dir)
+        try:
+            write_strip_tree(content, args.dir)
+        except OSError as exc:
+            raise ValidationError(f"cannot write strip tree under {args.dir}: {exc}") from exc
         lines.append(f"strip tree written under {args.dir}/node*/disk*/row*.bin")
 
     erased = set()

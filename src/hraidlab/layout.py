@@ -138,28 +138,39 @@ class LayoutGrid:
 
     @classmethod
     def from_json(cls, text: str) -> "LayoutGrid":
+        """Parse ``to_json`` output; raise ValidationError naming what is
+        missing, of the wrong count, or an unknown letter."""
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValidationError(f"grid must be a JSON object, got {type(obj).__name__}")
+        missing = [key for key in ("n", "m", "k", "ell", "rows") if key not in obj]
+        if missing:
+            raise ValidationError(f"grid is missing key(s): {', '.join(missing)}")
         cfg = HraidConfig(
             n_nodes=obj["n"],
             disks_per_node=obj["m"],
             inter_tolerance=obj["k"],
             intra_tolerance=obj["ell"],
         )
+        letters = ("D", *CHECK_LETTERS[: cfg.k + cfg.ell])
+
+        def items(value, count: int, what: str) -> list:
+            if isinstance(value, list) and len(value) == count:
+                return value
+            found = f"a list of {len(value)}" if isinstance(value, list) else type(value).__name__
+            raise ValidationError(f"{what} must be a list of {count}, got {found}")
+
         codes = np.zeros((cfg.m, cfg.n, cfg.m), dtype=np.int8)
-        for i, row in enumerate(obj["rows"]):
-            for n, node_cells in enumerate(row):
-                for j, letter in enumerate(node_cells):
-                    if letter == "D":
-                        codes[i, n, j] = 0
-                    else:
-                        idx = CHECK_LETTERS.index(letter)
-                        if idx >= cfg.k + cfg.ell:
-                            raise ValidationError(
-                                f"letter {letter!r} at row {i + 1}, node {n + 1}, "
-                                f"position {j + 1} exceeds k+l={cfg.k + cfg.ell} "
-                                f"check classes"
-                            )
-                        codes[i, n, j] = idx + 1
+        for i, row in enumerate(items(obj["rows"], cfg.m, "rows")):
+            for n, cells in enumerate(items(row, cfg.n, f"row {i + 1}")):
+                where = f"row {i + 1}, node {n + 1}"
+                for j, letter in enumerate(items(cells, cfg.m, where)):
+                    if letter not in letters:
+                        raise ValidationError(
+                            f"letter {letter!r} at {where}, position {j + 1} is not one "
+                            f"of {', '.join(letters)} (k+l={cfg.k + cfg.ell} check classes)"
+                        )
+                    codes[i, n, j] = letters.index(letter)
         return cls(config=cfg, codes=codes)
 
 

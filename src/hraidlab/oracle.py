@@ -14,13 +14,13 @@ linear solver.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from itertools import product
 from math import comb
 
 from .analytic import check_eps
 from .config import FailureModel, HraidConfig, ValidationError
+from .simulator import format_csv
 
 #: Enumeration cap: per-node DP keeps cost polynomial, but coefficient
 #: tables beyond 64 disks serve no validation purpose here.
@@ -41,33 +41,29 @@ class UnreliabilityPolynomial:
     fatal_counts: tuple[int, ...]
 
     def unreliability(self, eps: float) -> float:
-        check_eps(eps)
-        r = 1.0 - eps
-        nm = self.total_disks
-        # smallest terms first: iterate from d = NM down to d_min
-        return sum(
-            self.fatal_counts[d] * eps**d * r ** (nm - d)
-            for d in range(nm, -1, -1)
-            if self.fatal_counts[d]
-        )
+        return self._weighted_sum(self.fatal_counts, eps)
 
     def reliability(self, eps: float) -> float:
+        nm = self.total_disks
+        return self._weighted_sum(
+            tuple(comb(nm, d) - fatal for d, fatal in enumerate(self.fatal_counts)), eps
+        )
+
+    def _weighted_sum(self, counts: tuple[int, ...], eps: float) -> float:
+        """sum_d counts[d] eps^d (1-eps)^(NM-d), smallest terms first."""
         check_eps(eps)
         r = 1.0 - eps
         nm = self.total_disks
-        return sum(
-            (comb(nm, d) - self.fatal_counts[d]) * eps**d * r ** (nm - d)
-            for d in range(nm, -1, -1)
-            if comb(nm, d) - self.fatal_counts[d]
-        )
+        return sum(counts[d] * eps**d * r ** (nm - d) for d in range(nm, -1, -1) if counts[d])
 
     def to_csv(self) -> str:
         """Rows ``d,total_subsets,fatal_count`` for d = 0..NM."""
-        out = io.StringIO()
-        out.write("d,total_subsets,fatal_count\n")
-        for d in range(self.total_disks + 1):
-            out.write(f"{d},{comb(self.total_disks, d)},{self.fatal_counts[d]}\n")
-        return out.getvalue()
+        return format_csv(
+            [
+                {"d": d, "total_subsets": comb(self.total_disks, d), "fatal_count": fatal}
+                for d, fatal in enumerate(self.fatal_counts)
+            ]
+        )
 
 
 def exact_reliability_enum(config: HraidConfig) -> UnreliabilityPolynomial:

@@ -1,4 +1,6 @@
 import math
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -130,7 +132,7 @@ def test_reliability_and_unreliability_are_complements():
 
 
 def test_small_eps_path_keeps_relative_precision():
-    # below the guard the complement path must agree with the direct sum
+    # past the median the reliability is the complement of the summed tail
     cfg = HraidConfig(5, 5, 1, 1)
     eps = 1e-5
     u = hraid_unreliability(cfg, eps)
@@ -241,14 +243,55 @@ def test_analytic_report_fields():
     assert small.p_12 is None and small.threshold_n is None
 
 
+def exact_sides(n, m, k, ell, eps):
+    """Exact (R_l, U_l, R, U) of a node and of the array, as rationals."""
+    e = Fraction(eps)
+    node_u = sum(math.comb(m, i) * e**i * (1 - e) ** (m - i) for i in range(ell + 1, m + 1))
+    a, b = node_u.numerator, node_u.denominator  # integer sums: Fraction powers are slow
+    loss = sum(math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(k + 1, n + 1))
+    return 1 - node_u, node_u, Fraction(b**n - loss, b**n), Fraction(loss, b**n)
+
+
 @pytest.mark.parametrize("eps", [1e-3, 0.05, 0.5])
 def test_hraid_unreliability_matches_exact_rational_at_two_hundred_nodes(eps):
     n, m, k, ell = 200, 12, 3, 2
-    e = Fraction(eps)
-    u = sum(math.comb(m, i) * e**i * (1 - e) ** (m - i) for i in range(ell + 1, m + 1))
-    a, b = u.numerator, u.denominator  # integer sums: Fraction powers are slow
-    exact = Fraction(
-        sum(math.comb(n, j) * a**j * (b - a) ** (n - j) for j in range(k + 1, n + 1)), b**n
-    )
+    exact = exact_sides(n, m, k, ell, eps)[3]
     got = hraid_unreliability(HraidConfig(n, m, k, ell), eps)
     assert got == pytest.approx(float(exact), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12, 48])
+def test_both_sides_match_exact_rationals(n):
+    # eps = 0.9 with l = 0 puts the node reliability near 1e-12: the array
+    # layer must take it as given, not as 1 - u
+    for m in (2, 4, 12):
+        for cfg in (HraidConfig(n, m, k, ell) for k in range(4) for ell in range(4)
+                    if k < n and k + ell < m):
+            for eps in (1e-6, 1e-3, 0.05, 0.3, 0.5, 0.9):
+                got = (
+                    exact_mds_reliability(m, cfg.ell, eps),
+                    exact_mds_unreliability(m, cfg.ell, eps),
+                    hraid_reliability(cfg, eps),
+                    hraid_unreliability(cfg, eps),
+                )
+                for value, want in zip(got, exact_sides(n, m, cfg.k, cfg.ell, eps)):
+                    if want >= sys.float_info.min:
+                        assert value == pytest.approx(float(want), rel=1e-12), (cfg, eps)
+
+
+@pytest.mark.parametrize("m", [1, 4, 12])
+def test_full_tolerance_sides_are_exact(m):
+    for eps in (1e-6, 0.5, 0.9):
+        assert (exact_mds_reliability(m, m, eps), exact_mds_unreliability(m, m, eps)) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [10**7, 10**12])
+def test_closed_forms_at_huge_node_counts(n):
+    cfg = HraidConfig(n, 12, 3, 3)
+    for eps in (0.5, 1e-3):
+        start = time.perf_counter()
+        u, r = hraid_unreliability(cfg, eps), hraid_reliability(cfg, eps)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 <= u <= 1.0 and 0.0 <= r <= 1.0
+        if eps == 0.5:  # P(at most 3 nodes fail) is below 1e-2000 here
+            assert (u, r) == (1.0, 0.0)

@@ -310,6 +310,34 @@ def test_layout_verify_missing_file(capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def _grid_2x2(rows):
+    """A 2 x 2 HRAID 0/1 grid file body with the given rows."""
+    return {"n": 2, "m": 2, "k": 0, "ell": 1, "rows": rows}
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"n": 2, "m": 2}, "grid is missing key(s): k, ell, rows"),
+        ([1, 2], "grid must be a JSON object, got list"),
+        (_grid_2x2([[["D", "Z"], ["P", "D"]], [["P", "D"], ["D", "P"]]]),
+         "letter 'Z' at row 1, node 1, position 2 is not one of D, P"),
+        (_grid_2x2([[["D", "Q"], ["P", "D"]], [["P", "D"], ["D", "P"]]]),
+         "letter 'Q' at row 1, node 1, position 2 is not one of D, P"),
+        (_grid_2x2([[["D", "P"], ["P", "D"]]]), "rows must be a list of 2, got a list of 1"),
+        (_grid_2x2([[["D", "P"]], [["P", "D"], ["D", "P"]]]),
+         "row 1 must be a list of 2, got a list of 1"),
+        (_grid_2x2([[["D", "P"], "PD"], [["P", "D"], ["D", "P"]]]),
+         "row 1, node 2 must be a list of 2, got str"),
+    ],
+)
+def test_layout_verify_rejects_malformed_grid(tmp_path, capsys, grid, message):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps(grid))
+    assert main(["layout", "--verify", str(grid_file)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_oracle_enum_output(tmp_path):
     out = tmp_path / "counts.csv"
     rc = main(
@@ -395,6 +423,13 @@ def test_codec_demo_requested_erasure(capsys, tmp_path):
     assert "erased disk: node 2, position 3" in text
     assert "bit-exact: yes" in text
     assert (tmp_path / "tree" / "node2" / "disk3" / "row1.bin").exists()
+
+
+def test_codec_demo_unwritable_dir_is_validation_error(tmp_path, capsys):
+    (tmp_path / "plain").write_text("x")
+    target = tmp_path / "plain" / "tree"
+    assert main(["codec-demo", "--strip-size", "8", "--dir", str(target)]) == 2
+    assert f"cannot write strip tree under {target}" in capsys.readouterr().err
 
 
 def test_codec_demo_bad_erase_spec(capsys):

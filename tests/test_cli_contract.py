@@ -1,9 +1,10 @@
 """The CLI contract as a property: every input gets a valid answer (exit 0)
 or names what it violated (exit 1 or 2), never an internal failure (exit 3),
-and no answer holds a nan or an inf."""
+and no answer holds a nan or an inf, nor a probability outside [0, 1]."""
 
 import contextlib
 import io
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -11,28 +12,66 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hraidlab import HraidConfig, generate_layout
 from hraidlab.cli import main
 
 RATES = [0.0, -1e-6, 1e-320, 1e-30, 1e-6, 1.0, 1e30, 1e300, float("nan"), float("inf")]
 SEEDS = [-1, 0, 1, 2**63, 2**64 - 1, 2**64]
-#: Where --out and --trace point, relative to a scratch directory holding the
-#: directory existing-dir and the regular file plain: nowhere (stdout), a new
-#: file, an existing directory, or a path under a regular file.
+#: Where --out, --trace and --dir point, relative to a scratch directory
+#: holding the directory existing-dir and the regular file plain: nowhere
+#: (stdout), a new file, an existing directory, or a path under a regular file.
 TARGETS = [None, "new-{}", "existing-dir", "plain/{}"]
+#: Node counts at which only the closed forms can answer.
+HUGE_N = [10**6, 10**7, 10**12]
+COMMANDS = [
+    ["simulate"], ["sweep"], ["oracle", "markov"], ["oracle", "enum"],
+    ["analytic", "report"], ["analytic", "compare"], ["layout"], ["codec-demo"],
+]
+GRID_CONFIGS = [
+    HraidConfig(n, m, k, ell)
+    for n in range(1, 5) for m in range(1, 5) for k in range(2) for ell in range(2)
+    if k < n and k + ell < m
+]
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 
 @st.composite
+def grid_files(draw):
+    """A layout grid file: valid, truncated, or with one cell's letter replaced."""
+    cfg = draw(st.sampled_from(GRID_CONFIGS))
+    text = generate_layout(cfg).to_json()
+    kind = draw(st.sampled_from(["valid", "truncated", "bad letter"]))
+    if kind == "truncated":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    if kind == "bad letter":
+        obj = json.loads(text)
+        row = obj["rows"][draw(st.integers(0, cfg.m - 1))][draw(st.integers(0, cfg.n - 1))]
+        row[draw(st.integers(0, cfg.m - 1))] = draw(st.sampled_from(["Z", "U", "", 7, None, ["P"]]))
+        return json.dumps(obj)
+    return text
+
+
+@st.composite
 def invocations(draw):
-    command = draw(
-        st.sampled_from([["simulate"], ["sweep"], ["oracle", "markov"], ["analytic", "report"]])
-    )
-    geometry = st.integers(-2, 14)
-    tolerance = st.integers(-1, 4)
-    argv = command + [f"--n={draw(geometry)}", f"--m={draw(geometry)}"]
-    if command != ["sweep"]:
-        argv += [f"--k={draw(tolerance)}", f"--l={draw(tolerance)}"]
-    if command[0] != "analytic":
+    """argv, the flags that take a path under the scratch directory, and the
+    files to create there first."""
+    command = draw(st.sampled_from(COMMANDS))
+    targets, files = {}, {}
+    if command == ["layout"] and draw(st.booleans()):
+        files["grid.json"] = draw(grid_files())
+        targets["--verify"] = "grid.json"
+        argv = list(command)
+    else:
+        geometry = st.integers(-2, 14)
+        if command[0] == "analytic":
+            geometry_n = st.one_of(geometry, st.sampled_from(HUGE_N))
+        else:
+            geometry_n = geometry
+        argv = command + [f"--n={draw(geometry_n)}", f"--m={draw(geometry)}"]
+        if command not in (["sweep"], ["analytic", "compare"]):
+            tolerance = st.integers(-1, 4)
+            argv += [f"--k={draw(tolerance)}", f"--l={draw(tolerance)}"]
+    if command[0] in ("simulate", "sweep") or command == ["oracle", "markov"]:
         rates = st.sampled_from(RATES)
         argv += [f"--delta={draw(rates)!r}", f"--gamma={draw(rates)!r}"]
     if command[0] in ("simulate", "sweep"):
@@ -41,23 +80,39 @@ def invocations(draw):
             f"--seed={draw(st.sampled_from(SEEDS))}",
             f"--format={draw(st.sampled_from(['table', 'csv', 'json']))}",
         ]
-    if command[0] == "analytic":
+    if command in (["analytic", "report"], ["oracle", "enum"]):
         eps = draw(st.sampled_from([None, 0.5, *RATES]))
         argv += [] if eps is None else [f"--eps={eps!r}"]
-    targets = {"--out": draw(st.sampled_from(TARGETS))}
+    if command == ["layout"] and "--verify" not in targets:
+        argv += [f"--format={draw(st.sampled_from(['text', 'json']))}"]
+    if command == ["codec-demo"]:
+        argv += [
+            f"--strip-size={draw(st.integers(-1, 16))}",
+            f"--seed={draw(st.sampled_from(SEEDS))}",
+        ]
+        targets["--dir"] = draw(st.sampled_from(TARGETS))
+    else:
+        targets["--out"] = draw(st.sampled_from(TARGETS))
     if command == ["simulate"]:
         targets["--trace"] = draw(st.sampled_from(TARGETS))
-    return argv, targets
+    return argv, targets, files
 
 
-@settings(max_examples=300, database=None, deadline=None)
+def evaluated_probabilities(text: str) -> list[str]:
+    """The values an analytic report prints under 'at eps = ...'."""
+    return re.findall(r": (\S+)", text.partition("at eps =")[2])
+
+
+@settings(max_examples=400, database=None, deadline=None)
 @given(invocations())
 def test_every_input_gets_an_answer_or_a_named_bound(invocation):
-    argv, targets = invocation
+    argv, targets, files = invocation
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "existing-dir").mkdir()
         (root / "plain").write_text("x")
+        for name, text in files.items():
+            (root / name).write_text(text)
         for flag, target in targets.items():
             if target is not None:
                 argv = argv + [flag, str(root / target.format(flag.strip("-")))]
@@ -66,6 +121,8 @@ def test_every_input_gets_an_answer_or_a_named_bound(invocation):
             rc = main(argv)
         assert rc in (0, 1, 2), (argv, err.getvalue())
         if rc == 0:
-            written = [p.read_text() for p in root.rglob("*") if p.is_file()]
+            written = [p.read_text() for p in root.rglob("*") if p.is_file() and p.suffix != ".bin"]
             for text in [out.getvalue(), *written]:
                 assert not NON_FINITE.search(text), (argv, text)
+                for value in evaluated_probabilities(text):
+                    assert value == "n/a" or 0.0 <= float(value) <= 1.0, (argv, text)
