@@ -17,9 +17,30 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, islice
-from math import comb, exp, log, log1p
+from math import comb, exp, inf, log, log1p
 
 from .config import HraidConfig, ValidationError
+
+
+#: Largest node or disk count the binomial evaluator takes: it forms n log q
+#: in floats.
+_MAX_COUNT = 10**308
+
+
+def _check_count(name: str, value: int) -> None:
+    if value > _MAX_COUNT:
+        raise ValidationError(
+            f"{name} must be at most 1e308 for the closed forms, got a "
+            f"{len(str(value))}-digit value"
+        )
+
+
+def _rounded(x: Fraction) -> float:
+    """x rounded once to a float, or +-inf beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return inf if x > 0 else -inf
 
 
 def check_eps(eps: float) -> None:
@@ -55,12 +76,14 @@ def _node_sides(m: int, t: int, eps: float) -> tuple[float, float]:
     check_eps(eps)
     if not 0 <= t <= m:
         raise ValidationError(f"tolerance must satisfy 0 <= t <= m, got t={t}, m={m}")
+    _check_count("disk count m", m)
     return _binomial_sides(m, t, eps, 1.0 - eps)
 
 
 def _array_sides(config: HraidConfig, eps: float) -> tuple[float, float]:
     """(reliability, unreliability) of an HRAID k/l array."""
     r, u = _node_sides(config.m, config.ell, eps)
+    _check_count("n_nodes", config.n)
     return _binomial_sides(config.n, config.k, u, r)
 
 
@@ -86,7 +109,9 @@ def raid_series_approx(m: int, t: int, eps: float) -> float:
     check_eps(eps)
     if t < 0:
         raise ValidationError(f"tolerance must be >= 0, got {t}")
-    return comb(m, t + 1) * eps ** (t + 1) - (t + 1) * comb(m, t + 2) * eps ** (t + 2)
+    e = Fraction(eps)
+    series = comb(m, t + 1) * e ** (t + 1) - (t + 1) * comb(m, t + 2) * e ** (t + 2)
+    return _rounded(series)
 
 
 def hraid_unreliability(config: HraidConfig, eps: float) -> float:
@@ -115,7 +140,8 @@ class LeadingTerm:
     coefficient: int
 
     def evaluate(self, eps: float) -> float:
-        return self.coefficient * eps**self.power
+        """coefficient * eps**power, rounded once; inf beyond the float range."""
+        return _rounded(self.coefficient * Fraction(eps) ** self.power)
 
 
 def leading_term(config: HraidConfig) -> LeadingTerm:

@@ -446,14 +446,15 @@ def _cmd_codec_demo(args: argparse.Namespace) -> int:
     if erased:
         scenarios = [("requested erasure", erased)]
     else:
+        node = min(2, config.n)  # node 2, or the only node of a one-node array
         scenarios = [
             ("single disk (node 1, position 1)", disk_cells(config, 1, 1)),
-            ("whole node 2", node_cells(config, 2)),
-            (
-                "two whole nodes (1 and 2)",
-                node_cells(config, 1) | node_cells(config, 2),
-            ),
+            (f"whole node {node}", node_cells(config, node)),
         ]
+        if config.n > 1:
+            scenarios.append(
+                ("two whole nodes (1 and 2)", node_cells(config, 1) | node_cells(config, 2))
+            )
     for label, cells in scenarios:
         result = recover(content, cells)
         if result.data_loss:

@@ -20,12 +20,13 @@ library's).
 
 The vectorized engine is table-driven over compacted live trials.  It
 holds the class counts as one float64 (l+1, live) array of exact small
-integers; one matmul against a fixed weight matrix gives the cumulative
-disk weights and the cumulative counts, from which the 2(l+1) event
-thresholds follow; the bin is the count of thresholds at or below the
-draw; and three per-bin tables apply the class-count change, the
-dead-node increment and the event kind.  Absorbed trials are written out
-and dropped from every per-trial array after each step.
+integers.  One matmul against a fixed weight matrix gives the event
+thresholds: l+1 disk bins, plus l+1 controller bins only when gamma/delta
+is positive (at 0 no draw reaches them).  The bin is the count of
+thresholds at or below the draw.  Two per-bin tables apply it: the
+class-count change, and the change to one int64 tally that packs the
+dead-node count above the disk-event count.  Absorbed trials are written
+out and dropped after each step.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ CHUNK_TRIALS = 16384
 THREADS_ENV_VAR = "HRAID_LAB_THREADS"
 
 _F64 = np.float64
+_DEAD_SHIFT = 60  # tally bits: dead nodes (at most k + 1 = 4) above, disk events below
 
 
 class EventKind(Enum):
@@ -264,22 +266,22 @@ def simulate_trial(
             )
 
 
-def _bin_tables(m: int, ell: int) -> tuple[np.ndarray, ...]:
-    """Fixed tables of the 2(l+1) event bins for ``_simulate_chunk``.
-
-    ``weights @ c`` gives the cumulative disk weights, then the cumulative
-    class counts.  Indexed by bin: ``step[:, b]`` is the class-count change,
-    ``kills[b]`` the dead-node increment, ``is_disk[b]`` the event kind.
+def _bin_tables(m: int, ell: int, rho: float) -> tuple[np.ndarray, ...]:
+    """Fixed event-bin tables for ``_simulate_chunk``: disk bins 0..l, then
+    controller bins 0..l only when rho > 0 (at rho = 0 every controller
+    threshold is the total, which no draw reaches).  ``weights @ c`` gives
+    the cumulative disk weights, then the cumulative class counts; by bin,
+    ``step[:, b]`` is the class-count change, ``tally_step[b]`` the tally's.
     """
     nb = ell + 1
+    bins = np.arange(2 * nb if rho else nb)
     lower = np.tri(nb)
-    weights = np.vstack((lower * (m - np.arange(nb)), lower))
-    step = np.zeros((nb, 2 * nb))
-    step[np.arange(2 * nb) % nb, np.arange(2 * nb)] = -1.0
+    weights = np.vstack((lower * (m - np.arange(nb)), lower))[: bins.size]
+    step = np.zeros((nb, bins.size))
+    step[bins % nb, bins] = -1.0
     step[np.arange(1, nb), np.arange(ell)] = 1.0
-    kills = (np.arange(2 * nb) >= ell).astype(np.int64)
-    is_disk = (np.arange(2 * nb) < nb).astype(np.int64)
-    return weights, step, kills, is_disk
+    tally_step = (bins >= ell).astype(np.int64) << _DEAD_SHIFT | (bins < nb)
+    return weights, step, tally_step
 
 
 def _simulate_chunk(
@@ -296,14 +298,13 @@ def _simulate_chunk(
     """
     n, k, ell = config.n, config.k, config.ell
     nb = ell + 1
-    weights, step, kills, is_disk = _bin_tables(config.m, ell)
+    weights, step, tally_step = _bin_tables(config.m, ell, rho)
     keys = trial_keys(seed, start, count)
     trial = np.arange(count)
     c = np.zeros((nb, count))  # c_f per live trial; exact small integers
     c[0] = n
-    dead = np.zeros(count, dtype=np.int64)
+    tally = np.zeros(count, dtype=np.int64)  # dead << _DEAD_SHIFT | disk events
     t_unit = np.zeros(count)
-    disk_events = np.zeros(count, dtype=np.int64)
     out_t = np.empty(count)
     out_disk = np.empty(count, dtype=np.int64)
     out_cause = np.empty(count, dtype=np.uint8)
@@ -314,7 +315,7 @@ def _simulate_chunk(
         u2 = uniforms_at(keys, 2 * it)
         # integer partial sums below 2**53, so the matmul is exact
         thr = weights @ c
-        ctrl = thr[nb:]
+        ctrl = thr[nb:]  # no rows at rho = 0
         ctrl *= rho
         ctrl += thr[ell]  # wtot + rho * cum_c, the float order of total
         total = thr[-1]
@@ -324,22 +325,21 @@ def _simulate_chunk(
         # The thresholds never decrease, so counting those <= x finds the bin.
         b = (u2 * total >= thr).sum(axis=0)
         c += step.take(b, axis=1)
-        dead += kills.take(b)
-        disk_events += is_disk.take(b)
+        tally += tally_step.take(b)
 
-        absorbed = dead > k
+        absorbed = tally >= (k + 1) << _DEAD_SHIFT
         if not absorbed.any():
             continue
         done = np.flatnonzero(absorbed)
         out = trial.take(done)
         out_t[out] = t_unit.take(done)
-        out_disk[out] = disk_events.take(done)
-        out_cause[out] = 1 - is_disk.take(b.take(done))
+        out_disk[out] = tally.take(done) & ((1 << _DEAD_SHIFT) - 1)
+        out_cause[out] = b.take(done) >= nb
         # take keeps c C-contiguous: a boolean column index would return an
         # F-ordered array, which makes the next matmul far slower
         live = np.flatnonzero(~absorbed)
         trial, keys, c = trial.take(live), keys.take(live), c.take(live, axis=1)
-        dead, t_unit, disk_events = dead.take(live), t_unit.take(live), disk_events.take(live)
+        tally, t_unit = tally.take(live), t_unit.take(live)
     return out_t, out_disk, out_cause
 
 

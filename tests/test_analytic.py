@@ -285,7 +285,7 @@ def test_full_tolerance_sides_are_exact(m):
         assert (exact_mds_reliability(m, m, eps), exact_mds_unreliability(m, m, eps)) == (1.0, 0.0)
 
 
-@pytest.mark.parametrize("n", [10**7, 10**12])
+@pytest.mark.parametrize("n", [10**7, 10**12, 10**100, 10**308])
 def test_closed_forms_at_huge_node_counts(n):
     cfg = HraidConfig(n, 12, 3, 3)
     for eps in (0.5, 1e-3):
@@ -295,3 +295,22 @@ def test_closed_forms_at_huge_node_counts(n):
         assert 0.0 <= u <= 1.0 and 0.0 <= r <= 1.0
         if eps == 0.5:  # P(at most 3 nodes fail) is below 1e-2000 here
             assert (u, r) == (1.0, 0.0)
+
+
+def test_closed_forms_name_the_count_bound():
+    # n log q is formed in floats, so a count beyond 1e308 is refused by name
+    with pytest.raises(ValidationError, match="n_nodes must be at most 1e308"):
+        hraid_unreliability(HraidConfig(10**308 + 1, 12, 3, 3), 1e-3)
+    with pytest.raises(ValidationError, match="disk count m must be at most 1e308"):
+        exact_mds_reliability(10**400, 3, 1e-3)
+
+
+def test_truncated_series_past_the_float_range():
+    # the coefficients exceed a float; the values are rounded once, to +-inf
+    # where they leave the float range
+    lead = leading_term(HraidConfig(10**100, 12, 3, 3))
+    assert lead.evaluate(1e-3) == math.inf
+    exact = lead.coefficient * Fraction(1e-30) ** lead.power
+    assert lead.evaluate(1e-30) == float(exact) and 0.0 < float(exact) < 1.0
+    assert raid_series_approx(10**100, 3, 0.5) == -math.inf
+    assert raid_series_approx(10**100, 3, 1e-300) == 0.0

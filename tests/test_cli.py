@@ -413,6 +413,15 @@ def test_codec_demo_default_scenarios(capsys):
     assert "DATA LOSS" in text  # two whole nodes exceed k=1
 
 
+def test_codec_demo_default_scenarios_on_one_node(capsys):
+    rc = main(["codec-demo", "--n", "1", "--m", "2", "--k", "0", "--l", "1", "--strip-size", "1"])
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert "recover after single disk (node 1, position 1): rebuilt 2 strips" in text
+    assert "recover after whole node 1: DATA LOSS" in text  # one node exceeds k=0
+    assert "node 2" not in text
+
+
 def test_codec_demo_requested_erasure(capsys, tmp_path):
     rc = main(
         ["codec-demo", "--n", "4", "--m", "4", "--k", "1", "--l", "1",

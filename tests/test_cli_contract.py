@@ -21,8 +21,9 @@ SEEDS = [-1, 0, 1, 2**63, 2**64 - 1, 2**64]
 #: holding the directory existing-dir and the regular file plain: nowhere
 #: (stdout), a new file, an existing directory, or a path under a regular file.
 TARGETS = [None, "new-{}", "existing-dir", "plain/{}"]
-#: Node counts at which only the closed forms can answer.
-HUGE_N = [10**6, 10**7, 10**12]
+#: Node counts at which only the closed forms can answer, up to and past
+#: their 1e308 bound.
+HUGE_N = [10**6, 10**7, 10**12, 10**100, 10**400]
 COMMANDS = [
     ["simulate"], ["sweep"], ["oracle", "markov"], ["oracle", "enum"],
     ["analytic", "report"], ["analytic", "compare"], ["layout"], ["codec-demo"],

@@ -41,6 +41,10 @@ WITH_CONTROLLERS = FailureModel(disk_rate=1e-6, controller_rate=2e-7)
         (HraidConfig(2, 3, 1, 0), WITH_CONTROLLERS),
         (HraidConfig(9, 6, 2, 2), WITH_CONTROLLERS),
         (HraidConfig(1, 5, 0, 3), DISK_ONLY),
+        (HraidConfig(12, 12, 3, 3), DISK_ONLY),
+        # gamma > 0 whose gamma/delta underflows to 0.0, and one left subnormal
+        (HraidConfig(4, 4, 1, 1), FailureModel(disk_rate=1e30, controller_rate=1e-300)),
+        (HraidConfig(4, 4, 1, 1), FailureModel(disk_rate=1e10, controller_rate=1e-300)),
     ],
 )
 def test_scalar_and_batch_engines_are_bit_identical(cfg, rates):
