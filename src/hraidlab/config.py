@@ -78,6 +78,22 @@ class HraidConfig:
         return self.n_nodes * self.disks_per_node
 
 
+#: Size bound of the counting engines (the simulator and the exact chain):
+#: N M must be below 2**53, so that every class count and disk-weight sum
+#: is an exact float64 integer.
+MAX_EXACT_COUNT = 2**53
+
+
+def check_exact_counts(config: HraidConfig) -> None:
+    """Raise ValidationError unless N M is below ``MAX_EXACT_COUNT``."""
+    if config.total_disks >= MAX_EXACT_COUNT:
+        raise ValidationError(
+            f"n_nodes * disks_per_node must be below 2**53 for the simulator and "
+            f"the exact chain, got N*M of {len(str(config.total_disks))} digits; "
+            f"the closed forms (hraidlab analytic) take up to 1e308 nodes"
+        )
+
+
 #: Rate domain per hour for every engine: 1e-30 <= delta <= 1e30 and
 #: 0 <= gamma <= 1e30, so loss times and their squares stay normal floats.
 MIN_DISK_RATE, MAX_RATE = 1e-30, 1e30

@@ -20,7 +20,7 @@ library's).
 
 The vectorized engine is table-driven over compacted live trials.  It
 holds the class counts as one float64 (l+1, live) array of exact small
-integers.  One matmul against a fixed weight matrix gives the event
+integers (N M below 2**53 keeps them exact).  One matmul against a fixed weight matrix gives the event
 thresholds: l+1 disk bins, plus l+1 controller bins only when gamma/delta
 is positive (at 0 no draw reaches them).  The bin is the count of
 thresholds at or below the draw.  Two per-bin tables apply it: the
@@ -31,6 +31,7 @@ out and dropped after each step.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import os
@@ -42,13 +43,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import FailureModel, HraidConfig, ValidationError
+from .config import FailureModel, HraidConfig, ValidationError, check_exact_counts
 from .stream import TrialStream, check_seed, trial_key, trial_keys, uniforms_at
 
 #: Trials per work unit.  Chunking only batches the vectorized engine;
 #: results are independent of it because streams are keyed by absolute
 #: trial index.
 CHUNK_TRIALS = 16384
+
+#: Longest trial the engines take, in events.  A trial takes at most
+#: l N + k + 1 events (a node absorbs at most l disk failures, and the
+#: (k+1)-th death ends it), and the batch engine steps until its longest
+#: trial ends.
+MAX_TRIAL_EVENTS = 2**20
 
 #: Environment variable capping worker threads (0 means one per CPU).
 THREADS_ENV_VAR = "HRAID_LAB_THREADS"
@@ -202,15 +209,29 @@ def resolve_thread_count(threads: int | None = None) -> int:
 
 
 def _unit_rho(config: HraidConfig, rates: FailureModel) -> float:
-    """The controller rate in units of the disk rate, rho = gamma / delta.
+    """The controller rate in units of the disk rate, rho = gamma / delta,
+    once both engines' bounds hold.
 
     Raises ValidationError when the total event rate N M + rho N is not a
-    finite float: no event could then be drawn.
+    finite float (no event could then be drawn), when N M is not below
+    2**53, or when a trial may take more than ``MAX_TRIAL_EVENTS`` events.
     """
     rho = rates.controller_rate / rates.disk_rate
-    if not math.isfinite(config.n * config.m + rho * config.n):
+    try:
+        finite = math.isfinite(config.n * config.m + rho * config.n)
+    except OverflowError:  # N past the float range; the count bound names it
+        finite = True
+    if not finite:
         raise ValidationError(
             f"controller_rate / disk_rate must keep the total event rate finite, got {rho}"
+        )
+    check_exact_counts(config)
+    events = config.ell * config.n + config.k + 1
+    if events > MAX_TRIAL_EVENTS:
+        raise ValidationError(
+            f"a trial may take l*N + k + 1 = {events} events and the simulator takes "
+            f"at most {MAX_TRIAL_EVENTS}; the closed forms (hraidlab analytic) take "
+            f"larger arrays"
         )
     return rho
 
@@ -224,14 +245,19 @@ def simulate_trial(
     bit-identical times without traces.  The event is drawn over the same
     2(l+1) bins in the same order: disk failures in classes 0..l, then
     controller failures in classes 0..l.  Trace node ids go to the
-    lowest-index alive node of the chosen class.
+    lowest-index alive node of the chosen class.  A class-0 pick is then
+    always the lowest untouched node, so the untouched nodes are a suffix,
+    and the labels cost O(events) memory whatever N is.
     """
     n, m, k, ell = config.n, config.m, config.k, config.ell
     delta = rates.disk_rate
     rho = _unit_rho(config, rates)
     counts = [n] + [0] * ell  # c_f: alive nodes with f failed disks
     dead = 0
-    node_class = [0] * n  # per-node class, -1 once dead; labels the trace only
+    # trace labels only: the nodes from index ``untouched`` on are in class
+    # 0, and touched[f] is a heap of the alive nodes in class f >= 1
+    untouched = 0
+    touched: list[list[int]] = [[] for _ in range(ell + 1)]
     t_unit = 0.0
     trace: list[TraceEvent] = []
     while True:
@@ -248,13 +274,15 @@ def simulate_trial(
         kind = EventKind.DISK if b <= ell else EventKind.CONTROLLER
         f = b % (ell + 1)
 
-        node = node_class.index(f)
+        if f:
+            node = heapq.heappop(touched[f])
+        else:
+            node, untouched = untouched, untouched + 1
         counts[f] -= 1
         if kind is EventKind.DISK and f < ell:
             counts[f + 1] += 1
-            node_class[node] += 1
+            heapq.heappush(touched[f + 1], node)
         else:
-            node_class[node] = -1
             dead += 1
         trace.append(TraceEvent(t_unit / delta, node + 1, kind))
         if dead > k:
@@ -487,23 +515,27 @@ def sweep(
     """
     HraidConfig(n, m)  # N and M alone must be a valid geometry
     check_seed(seed)  # cell_seed would map any integer into range
+    configs = [
+        HraidConfig(n, m, k, ell)
+        for k in k_range
+        for ell in l_range
+        if k < n and k + ell < m
+    ]
+    for config in configs:  # refuse an oversized cell before running any
+        _unit_rho(config, rates)
     cells = []
-    for k in k_range:
-        for ell in l_range:
-            if k >= n or k + ell >= m:
-                continue
-            config = HraidConfig(n, m, k, ell)
-            cseed = cell_seed(seed, k, ell)
-            results = run_trials(config, rates, trials, cseed, threads)
-            est = MttdlEstimate.from_times(results.times_hours, cseed)
-            cells.append(
-                SweepCell(
-                    k=k,
-                    ell=ell,
-                    estimate=est,
-                    trial_results=results if keep_trials else None,
-                )
+    for config in configs:
+        cseed = cell_seed(seed, config.k, config.ell)
+        results = run_trials(config, rates, trials, cseed, threads)
+        est = MttdlEstimate.from_times(results.times_hours, cseed)
+        cells.append(
+            SweepCell(
+                k=config.k,
+                ell=config.ell,
+                estimate=est,
+                trial_results=results if keep_trials else None,
             )
+        )
     if not cells:
         raise ValidationError(f"no (k, l) cell of the swept ranges fits N={n}, M={m}")
     return SweepResult(

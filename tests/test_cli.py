@@ -67,6 +67,13 @@ def test_invalid_geometry_is_validation_error(capsys):
          "n_nodes must be >= 1"),
         (["sweep", "--n", "3", "--m", "0", "--trials", "5", "--format", "json"],
          "disks_per_node must be >= 1"),
+        (["oracle", "markov", "--n", "100000", "--m", "12", "--k", "3", "--l", "3"],
+         "the exact chain takes at most"),
+        (["oracle", "markov", "--n", str(10**400), "--m", "12"], "below 2**53"),
+        (["simulate", "--n", str(10**16), "--m", "12", "--k", "1", "--trials", "3"],
+         "below 2**53"),
+        (["simulate", "--n", str(10**12), "--m", "12", "--l", "1", "--trials", "3"],
+         "events and the simulator takes at most"),
     ],
 )
 def test_out_of_bound_flags_are_validation_errors(argv, bound, capsys):

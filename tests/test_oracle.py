@@ -1,5 +1,6 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -12,6 +13,7 @@ from hraidlab import (
     hraid_unreliability,
     markov_mttdl,
 )
+from hraidlab.oracle import MAX_CHAIN_STATES, MAX_CHAIN_WAVES
 
 
 def brute_force_fatal_counts(config):
@@ -199,3 +201,71 @@ def test_markov_controller_only_limit():
     rates = FailureModel(disk_rate=1e-30, controller_rate=1e-6)
     got = markov_mttdl(cfg, rates)
     assert got == pytest.approx(1.5e6, rel=1e-3)
+
+
+def _reference_chain(config, rates):
+    """Independent reference: the same lumped chain keyed by class-count
+    tuples, one dict per dead-node level, filled state by state."""
+    n, m, k, ell = config.n, config.m, config.k, config.ell
+    delta, gamma = rates.disk_rate, rates.controller_rate
+    below = {}  # past k every state is lost: 0 h
+    for dead in range(k, -1, -1):
+        alive = n - dead
+        level = {}
+        # (c_l..c_1) falls lexicographically, so a disk move's target is in level
+        for high in product(range(alive, -1, -1), repeat=ell):
+            if sum(high) > alive:
+                continue
+            counts = (alive - sum(high),) + high[::-1]
+            moves = []
+            total = 0.0
+            for f in range(ell + 1):
+                c = counts[f]
+                if not c:
+                    continue
+                disk = c * (m - f) * delta
+                killed = below.get(counts[:f] + (c - 1,) + counts[f + 1 :], 0.0)
+                if f < ell:
+                    up = counts[:f] + (c - 1, counts[f + 1] + 1) + counts[f + 2 :]
+                    moves.append((disk, level[up]))
+                else:
+                    moves.append((disk, killed))
+                total += disk
+                if gamma > 0.0:
+                    moves.append((c * gamma, killed))
+                    total += c * gamma
+            level[counts] = 1.0 / total + sum((rate / total) * e for rate, e in moves)
+        below = level
+    return below[(n,) + (0,) * ell]
+
+
+@pytest.mark.parametrize("ell", range(4))
+@pytest.mark.parametrize("k", range(4))
+def test_markov_matches_reference_chain(k, ell):
+    for n, m, gamma in product({k + 1, 5, 12, 24}, {k + ell + 1, 12}, (0.0, 1e-7, 1e-6)):
+        cfg = HraidConfig(n, m, k, ell)
+        rates = FailureModel(disk_rate=1e-6, controller_rate=gamma)
+        want = _reference_chain(cfg, rates)
+        assert markov_mttdl(cfg, rates) == pytest.approx(want, rel=1e-13), (cfg, gamma)
+
+
+def test_markov_pinned_at_the_largest_probe():
+    # the reference chain's value, computed once (about 15 s there)
+    got = markov_mttdl(HraidConfig(128, 12, 3, 3), FailureModel(1e-6, 1e-7))
+    assert got == pytest.approx(96023.71422471823, rel=1e-12)
+
+
+def test_markov_size_bound():
+    # (k+1) C(N+l, l) states in (k+1)(lN+1) waves
+    assert 4 * comb(131, 3) <= MAX_CHAIN_STATES and 4 * (1000 + 1) <= MAX_CHAIN_WAVES
+    rates = FailureModel(disk_rate=1e-6)
+    for cfg in (HraidConfig(100_000, 12, 3, 3), HraidConfig(10**6, 12, 0, 1)):
+        with pytest.raises(ValidationError, match="exact chain takes at most .* analytic"):
+            markov_mttdl(cfg, rates)
+    # l = 0 keeps one state per level, so any N below the count bound answers
+    n = 10**12
+    expected = sum(1.0 / ((n - j) * 12 * rates.disk_rate) for j in range(4))
+    assert markov_mttdl(HraidConfig(n, 12, 3, 0), rates) == pytest.approx(expected, rel=1e-12)
+    for n in (2**53 // 12 + 1, 10**400):
+        with pytest.raises(ValidationError, match=r"below 2\*\*53"):
+            markov_mttdl(HraidConfig(n, 12, 3, 0), rates)

@@ -372,3 +372,57 @@ def test_trace_jsonl_line_is_valid_json():
     assert obj["time_hours"] == event.time_hours
     assert obj["cause"] == "disk_cascade"
     assert len(obj["events"]) == len(event.trace)
+
+
+def test_engines_share_the_exact_count_bound():
+    # float64 class counts are exact only below 2**53: past it c_0 - 1 == c_0
+    for n in (10**16, 10**400):
+        cfg = HraidConfig(n, 12, 1, 0)
+        for run in (
+            lambda: run_trials(cfg, DISK_ONLY, 3, seed=0),
+            lambda: simulate_trial(cfg, DISK_ONLY, TrialStream(0, 0)),
+            lambda: sweep(n, 12, DISK_ONLY, trials=3, seed=0),
+        ):
+            with pytest.raises(ValidationError, match=r"below 2\*\*53"):
+                run()
+    # just below the bound a trial still answers: l = 0 takes k + 1 events
+    n = 2**53 // 12 - 1
+    assert run_trials(HraidConfig(n, 12, 1, 0), DISK_ONLY, 3, seed=0).times_hours.min() > 0
+
+
+def test_trial_event_bound():
+    # a trial may take l N + k + 1 events; the bound is checked before any runs
+    cfg = HraidConfig(simulator_module.MAX_TRIAL_EVENTS, 12, 1, 1)
+    for run in (
+        lambda: run_trials(cfg, DISK_ONLY, 3, seed=0),
+        lambda: simulate_trial(cfg, DISK_ONLY, TrialStream(0, 0)),
+        lambda: sweep(cfg.n, 12, DISK_ONLY, trials=3, seed=0, k_range=range(1)),
+    ):
+        with pytest.raises(ValidationError, match="events and the simulator takes at most"):
+            run()
+
+
+@pytest.mark.parametrize(
+    "cfg,rates",
+    [
+        (HraidConfig(6, 6, 2, 2), DISK_ONLY),
+        (HraidConfig(9, 6, 2, 2), WITH_CONTROLLERS),
+        (HraidConfig(5, 8, 3, 3), FailureModel(disk_rate=1e-6, controller_rate=1e-6)),
+    ],
+)
+def test_trace_labels_the_lowest_node_of_the_class(cfg, rates):
+    # test-local O(N) reference: per-node classes, -1 once dead
+    for i in range(64):
+        event = simulate_trial(cfg, rates, TrialStream(31, i))
+        node_class = [0] * cfg.n
+        for e in event.trace:
+            f = node_class[e.node - 1]
+            assert f >= 0 and node_class.index(f) == e.node - 1, (i, e)
+            dies = e.kind is EventKind.CONTROLLER or f == cfg.ell
+            node_class[e.node - 1] = -1 if dies else f + 1
+
+
+def test_trace_labels_at_huge_node_counts():
+    # the labels cost O(events), so a trace at N = 10**12 answers at once
+    event = simulate_trial(HraidConfig(10**12, 12, 3, 0), WITH_CONTROLLERS, TrialStream(1, 0))
+    assert [e.node for e in event.trace] == [1, 2, 3, 4]
