@@ -2,8 +2,11 @@
 
 ``exact_reliability_enum`` counts, for every failure cardinality d, how
 many d-subsets of the N*M disks cause data loss (more than k nodes each
-holding more than l failed disks), by dynamic programming over per-node
-failure counts with exact big integers.
+holding more than l failed disks), by dynamic programming over nodes with
+exact big integers: each DP state's count polynomial is packed in one
+integer, one (NM+1)-bit slot per cardinality, so a node step is a few
+big-integer multiplies, and no carry crosses a slot because every count
+is below 2**(NM).
 
 ``markov_mttdl`` computes the exact mean time to data loss of the failure
 process with instantaneous restriping: states count alive nodes by failed
@@ -14,7 +17,9 @@ the colex rank of its partial class sums, which is the same at every
 level, so every event's target is an index array; a level is evaluated in
 waves of equal failed-disk total, from the highest down, each wave a few
 gathers from finished waves and the level below.  The chain's states and
-waves are bounded by ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``.
+waves are bounded by ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``.  The
+ranks, event targets and wave order are built once for the top level and
+sliced for each level below it.
 """
 
 from __future__ import annotations
@@ -80,10 +85,21 @@ class UnreliabilityPolynomial:
 def exact_reliability_enum(config: HraidConfig) -> UnreliabilityPolynomial:
     """Count fatal disk subsets of every size by per-node dynamic programming.
 
-    Processing nodes one at a time, the DP state is (disk failures used so
-    far, number of nodes already past their intra tolerance, saturated at
-    k+1); a node with f failed disks contributes weight C(M, f).  Cost is
-    O(N^2 M^2 k), not 2^(NM).
+    Processing nodes one at a time, the DP state is b, the number of nodes
+    already past their intra tolerance, saturated at k+1; a node with f
+    failed disks contributes weight C(M, f).  Each state's polynomial
+    sum_d count_d x^d is packed in one integer, d's count in bits
+    [dw, (d+1)w) with w = NM + 1 (Kronecker substitution), so a node step
+    is 2k+3 big-integer multiplies:
+
+        dp'[b]   = dp[b] S + dp[b-1] U      for b <= k (no dp[-1] term)
+        dp'[k+1] = dp[k+1] (S + U) + dp[k] U
+
+    with S = sum_{f<=l} C(M, f) x^f and U = sum_{f>l} C(M, f) x^f.  No
+    carry crosses a slot: every coefficient of every product and sum counts
+    distinct disk subsets of the nodes processed so far, so it is below
+    2**(NM).  Cost is N(2k+3) multiplies, each of an integer of at most
+    (NM+1)**2 bits by one of (M+1)(NM+1) bits, not 2^(NM) subsets.
     """
     n, m, k, ell = config.n, config.m, config.k, config.ell
     nm = n * m
@@ -91,27 +107,19 @@ def exact_reliability_enum(config: HraidConfig) -> UnreliabilityPolynomial:
         raise ValidationError(
             f"enumeration supports at most {MAX_ENUM_DISKS} disks, got {nm}"
         )
-    binom_m = [comb(m, f) for f in range(m + 1)]
+    w = nm + 1
+    safe = sum(comb(m, f) << (w * f) for f in range(ell + 1))
+    over = sum(comb(m, f) << (w * f) for f in range(ell + 1, m + 1))
     cap = k + 1  # "cap" nodes past tolerance means data already lost
-
-    # dp[b][d] = weighted count of ways over processed nodes
-    dp = [[0] * (nm + 1) for _ in range(cap + 1)]
-    dp[0][0] = 1
+    dp = [1] + [0] * cap
     for _ in range(n):
-        ndp = [[0] * (nm + 1) for _ in range(cap + 1)]
-        for b in range(cap + 1):
-            row = dp[b]
-            for d in range(nm + 1):
-                w = row[d]
-                if not w:
-                    continue
-                for f in range(m + 1):
-                    nb = b + (1 if f > ell else 0)
-                    if nb > cap:
-                        nb = cap
-                    ndp[nb][d + f] += w * binom_m[f]
-        dp = ndp
-    fatal = tuple(dp[cap][d] for d in range(nm + 1))
+        dp = [
+            dp[0] * safe,
+            *(dp[b] * safe + dp[b - 1] * over for b in range(1, cap)),
+            dp[cap] * (safe + over) + dp[cap - 1] * over,
+        ]
+    slot = (1 << w) - 1
+    fatal = tuple((dp[cap] >> (w * d)) & slot for d in range(nm + 1))
     return UnreliabilityPolynomial(config=config, total_disks=nm, fatal_counts=fatal)
 
 
@@ -141,18 +149,60 @@ def _colex_states(n: int, ell: int) -> np.ndarray:
     return t
 
 
+def _chain_tables(n: int, ell: int) -> tuple[np.ndarray, ...]:
+    """The top level's tables, which every level slices to its prefix of
+    states, since neither ranks nor targets depend on ``alive``.
+
+    Returns the states T (``_colex_states``); the target rank of a kill in
+    class f = 0..l (in the level below) and of a disk move out of class
+    f = 0..l-1 (in the same level), as int32 rows; each state's failed-disk
+    total D; and the ranks in wave order, D falling and rank rising.  Where
+    a class is empty its targets are meaningless and never read.
+    """
+    t = _colex_states(n, ell)
+    s = t.shape[1]
+    rank = np.arange(s)
+
+    def step(j: int, down: int) -> np.ndarray:
+        """The rank change when T_j rises by one (down = 0) or falls by one
+        (down = 1): C(T_j + j - 1 - down, j - 1)."""
+        return _binom(t[j - 1].astype(np.int64) + (j - 1 - down), j - 1)
+
+    kill = np.empty((ell + 1, s), dtype=np.int32)
+    kill[0] = rank  # a class-0 kill leaves T unchanged
+    drop = 0
+    for f in range(ell, 0, -1):
+        drop = drop + step(f, 1)  # a kill in class f >= 1 lowers T_f..T_l
+        kill[f] = rank - drop
+    move = np.empty((ell, s), dtype=np.int32)
+    for f in range(ell):
+        # out of class 0 every T_j rises; out of class f >= 1 T_f falls
+        if f == 0:
+            move[f] = rank + sum(step(j, 0) for j in range(1, ell + 1))
+        else:
+            move[f] = rank - step(f, 1)
+    # a disk move raises D = sum_f f c_f by one, so waves of high D go first
+    d = ell * t[-1] - t[:-1].sum(axis=0, dtype=np.int32) if ell else np.zeros(s, dtype=np.int32)
+    order = np.argsort(-d, kind="stable").astype(np.int32)
+    return t, kill, move, d, order
+
+
 def _level(
-    t: np.ndarray, alive: int, m: int, delta: float, gamma: float, below: np.ndarray
+    tables: tuple[np.ndarray, ...], alive: int, m: int, delta: float, gamma: float,
+    below: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
-    """One dead-node level's terms, given ``below``, the expected hours of the
-    level with one more dead node, by rank.
+    """One dead-node level's terms, given the top level's ``_chain_tables``
+    and ``below``, the expected hours of the level with one more dead node,
+    by rank.
 
     Returns the states' rank order by wave, the wave ends, and in that order
     each state's 1/total plus its kills' share of ``below``, and its disk
     moves' rate/total and target rank (class f = 0..l-1).
     """
-    ell, s = t.shape
-    rank = np.arange(s)
+    t, kill, move, d, order = tables
+    ell = t.shape[0]
+    s = comb(alive + ell, ell)
+    t = t[:, :s]
 
     def count(f: int) -> np.ndarray:
         """c_f of every state: c_0 = alive - T_l, c_f = T_f - T_{f-1}."""
@@ -162,37 +212,22 @@ def _level(
             c = t[f - 1] - t[f - 2] if f > 1 else t[0]
         return c.astype(np.float64)
 
-    def step(j: int, down: int) -> np.ndarray:
-        """The rank change when T_j rises by one (down = 0) or falls by one
-        (down = 1): C(T_j + j - 1 - down, j - 1)."""
-        return _binom(t[j - 1].astype(np.int64) + (j - 1 - down), j - 1)
-
     inv = 1.0 / sum(count(f) * ((m - f) * delta + gamma) for f in range(ell + 1))
     head = inv.copy()
-    drop = 0
     for f in range(ell, -1, -1):
-        if f:
-            drop = drop + step(f, 1)  # a kill in class f >= 1 lowers T_f..T_l
         share = count(f) * (gamma + (m - ell) * delta if f == ell else gamma) * inv
         if share.any():
-            # where a class is empty its rate is 0 and its target rank invalid
-            head += share * below[np.where(share > 0, rank - drop if f else rank, 0)]
+            head += share * below[np.where(share > 0, kill[f, :s], 0)]
 
-    # a disk move raises D = sum_f f c_f by one, so waves of high D go first
-    d = ell * t[-1] - t[:-1].sum(axis=0) if ell else np.zeros(s, dtype=np.int64)
-    order = np.argsort(-d, kind="stable")
-    ends = np.cumsum(np.bincount(d)[::-1])
+    # the top level's stable order, restricted to this level, is this level's
+    order = order[order < s].astype(np.intp)
+    ends = np.cumsum(np.bincount(d[:s])[::-1])
     moves = np.empty((ell, s))
     to = np.empty((ell, s), dtype=np.int32)
     for f in range(ell):
         share = count(f) * ((m - f) * delta) * inv
-        # out of class 0 every T_j rises; out of class f >= 1 T_f falls
-        if f == 0:
-            target = rank + sum(step(j, 0) for j in range(1, ell + 1))
-        else:
-            target = rank - step(f, 1)
         moves[f] = share[order]
-        to[f] = np.where(share > 0, target, 0)[order]
+        to[f] = np.where(share > 0, move[f, :s], 0)[order]
     return order, ends, head[order], moves, to
 
 
@@ -224,7 +259,9 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
     A level's state is stored as its partial sums T_j = c_1 + ... + c_j,
     0 <= T_1 <= ... <= T_l <= alive, and ranked by the colex rank
     sum_j C(T_j + j - 1, j).  The rank does not depend on ``alive``, so each
-    level's states are a prefix of the next level's.  Within a level the
+    level's states are a prefix of the next level's, and the ranks, event
+    targets and wave order are built once for the top level
+    (``_chain_tables``) and sliced for each level.  Within a level the
     states are evaluated in waves of equal failed-disk total
     D = sum_f f c_f, from the highest down: a disk move raises D by one, so
     a wave reads only finished waves and the level below.
@@ -232,9 +269,10 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
     The work is (k+1) C(N+l, l) states in (k+1)(lN+1) waves, bounded by
     ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``; past either, or when N M
     is not below 2**53, this raises ValidationError.  The largest admitted
-    chain of each (k, l) answered in at most 1.0 s and 309 MB peak RSS
-    (0/3 at N = 230 is the largest; 3/3 at N = 144 took 0.7 s and 134 MB),
-    on 2 cores with Python 3.11.7 and numpy 2.4.6.
+    chain of each (k, l) answered in at most 1.5 s and 309 MB peak RSS
+    (0/3 at N = 230 is the largest: 1.0 s, 309 MB; 3/3 at N = 144: 0.6 s,
+    126 MB; l = 1 at the wave bound, one state per wave, is the slowest:
+    0.9-1.4 s), on 2 shared cores with Python 3.11.7 and numpy 2.4.6.
     """
     check_exact_counts(config)
     n, m, k, ell = config.n, config.m, config.k, config.ell
@@ -246,13 +284,9 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
             f"{MAX_CHAIN_WAVES} waves, got {states} states and {waves} waves for "
             f"N={n}, k={k}, l={ell}; the closed forms (hraidlab analytic) take larger arrays"
         )
-    t = _colex_states(n, ell)
+    tables = _chain_tables(n, ell)
     below = np.zeros(comb(n - k - 1 + ell, ell))  # past k dead every state is lost: 0 h
     for dead in range(k, -1, -1):
-        alive = n - dead
-        terms = _level(
-            t[:, : comb(alive + ell, ell)], alive, m, rates.disk_rate,
-            rates.controller_rate, below,
-        )
+        terms = _level(tables, n - dead, m, rates.disk_rate, rates.controller_rate, below)
         below = _waves(*terms)
     return float(below[0])

@@ -164,10 +164,18 @@ class RunResult:
             f"MTTDL estimate for HRAID {config.k}/{config.ell}: N={config.n}, "
             f"M={config.m}, delta={rates.disk_rate:g}/h, "
             f"gamma={rates.controller_rate:g}/h, trials={est.trials}, seed={self.seed}\n"
-            f"  mean    : {est.mean_hours:.3f} h ({est.mean_hours / 1000.0:.1f} thousand hours)\n"
-            f"  std dev : {est.std_dev_hours:.3f} h\n"
-            f"  95% CI  : [{est.ci95_low:.3f}, {est.ci95_high:.3f}] h"
+            f"  mean    : {_hours(est.mean_hours)} h "
+            f"({_hours(est.mean_hours, 1000.0, '.1f')} thousand hours)\n"
+            f"  std dev : {_hours(est.std_dev_hours)} h\n"
+            f"  95% CI  : [{_hours(est.ci95_low)}, {_hours(est.ci95_high)}] h"
         )
+
+
+def _hours(hours: float, unit: float = 1.0, spec: str = ".3f") -> str:
+    """``hours`` in units of ``unit`` hours, formatted by ``spec``; a nonzero
+    value below 1 h gets 3 significant digits instead, so it never prints as
+    zero."""
+    return format(hours / unit, "#.3g" if 0.0 < abs(hours) < 1.0 else spec)
 
 
 def format_csv(rows: list[dict]) -> str:

@@ -142,6 +142,33 @@ def test_simulate_table_format(capsys):
     assert "thousand hours" in text
 
 
+def test_simulate_table_keeps_small_hours_significant(capsys):
+    # about 1.7e-7 h, which a fixed 3-decimal format prints as 0.000
+    argv = ["simulate", "--n", "1000000000000", "--m", "12", "--k", "1", "--l", "0"]
+    assert main(argv + ["--trials", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    est = estimate_mttdl(HraidConfig(10**12, 12, 1, 0), RATES, trials=3, seed=0)
+    assert 0.0 < est.mean_hours < 1e-6
+    assert lines[1] == (
+        f"  mean    : {est.mean_hours:#.3g} h ({est.mean_hours / 1000.0:#.3g} thousand hours)"
+    )
+    assert lines[2] == f"  std dev : {est.std_dev_hours:#.3g} h"
+    assert lines[3] == f"  95% CI  : [{est.ci95_low:#.3g}, {est.ci95_high:#.3g}] h"
+    assert "0.000" not in "\n".join(lines[1:])
+
+
+def test_simulate_table_hours_past_one_keep_three_decimals(capsys):
+    assert main(["simulate", "--n", "3", "--m", "3", "--k", "1", "--l", "1", "--trials", "40"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    est = estimate_mttdl(HraidConfig(3, 3, 1, 1), RATES, trials=40, seed=0)
+    assert est.ci95_low >= 1.0
+    assert lines[1:] == [
+        f"  mean    : {est.mean_hours:.3f} h ({est.mean_hours / 1000.0:.1f} thousand hours)",
+        f"  std dev : {est.std_dev_hours:.3f} h",
+        f"  95% CI  : [{est.ci95_low:.3f}, {est.ci95_high:.3f}] h",
+    ]
+
+
 def test_simulate_csv_reruns_byte_identical(tmp_path):
     args = [
         "simulate", "--n", "3", "--m", "3", "--trials", "60", "--seed", "5",

@@ -27,6 +27,9 @@ HUGE_N = [10**6, 10**7, 10**12, 10**100, 10**400]
 HUGE_N_COMMANDS = [
     ["simulate"], ["sweep"], ["oracle", "markov"], ["analytic", "report"], ["analytic", "compare"],
 ]
+#: The commands drawn at a huge N with every flag valid.
+VALID_HUGE_N_COMMANDS = [["simulate"], ["sweep"], ["oracle", "markov"], ["analytic", "report"]]
+POSITIVE_RATES = [1e-30, 1e-6, 1e-3, 1.0, 1e30]
 COMMANDS = [
     ["simulate"], ["sweep"], ["oracle", "markov"], ["oracle", "enum"],
     ["analytic", "report"], ["analytic", "compare"], ["layout"], ["codec-demo"],
@@ -102,9 +105,41 @@ def invocations(draw):
     return argv, targets, files
 
 
+@st.composite
+def valid_huge_invocations(draw):
+    """argv for a command at one of HUGE_N with every flag valid on its own,
+    so only a size bound can refuse it."""
+    command = draw(st.sampled_from(VALID_HUGE_N_COMMANDS))
+    m = draw(st.integers(1, 14))
+    argv = command + [f"--n={draw(st.sampled_from(HUGE_N))}", f"--m={m}"]
+    if command != ["sweep"]:
+        k = draw(st.integers(0, min(3, m - 1)))  # k < N at every huge N
+        argv += [f"--k={k}", f"--l={draw(st.integers(0, min(3, m - 1 - k)))}"]
+    if command != ["analytic", "report"]:
+        rates = st.sampled_from(POSITIVE_RATES)
+        argv += [f"--delta={draw(rates)!r}", f"--gamma={draw(rates)!r}"]
+    else:
+        eps = draw(st.sampled_from([None, 1e-6, 0.01, 0.5]))
+        argv += [] if eps is None else [f"--eps={eps!r}"]
+    if command[0] in ("simulate", "sweep"):
+        argv += [
+            f"--trials={draw(st.integers(1, 5))}",
+            f"--seed={draw(st.integers(0, 2**64 - 1))}",
+            f"--format={draw(st.sampled_from(['table', 'csv', 'json']))}",
+        ]
+    return argv
+
+
 def evaluated_probabilities(text: str) -> list[str]:
     """The values an analytic report prints under 'at eps = ...'."""
     return re.findall(r": (\S+)", text.partition("at eps =")[2])
+
+
+def check_answer(argv: list[str], text: str) -> None:
+    """An answer holds no nan or inf and no probability outside [0, 1]."""
+    assert not NON_FINITE.search(text), (argv, text)
+    for value in evaluated_probabilities(text):
+        assert value == "n/a" or 0.0 <= float(value) <= 1.0, (argv, text)
 
 
 @settings(max_examples=400, database=None, deadline=None)
@@ -127,6 +162,15 @@ def test_every_input_gets_an_answer_or_a_named_bound(invocation):
         if rc == 0:
             written = [p.read_text() for p in root.rglob("*") if p.is_file() and p.suffix != ".bin"]
             for text in [out.getvalue(), *written]:
-                assert not NON_FINITE.search(text), (argv, text)
-                for value in evaluated_probabilities(text):
-                    assert value == "n/a" or 0.0 <= float(value) <= 1.0, (argv, text)
+                check_answer(argv, text)
+
+
+@settings(max_examples=200, database=None, deadline=None)
+@given(valid_huge_invocations())
+def test_valid_flags_at_huge_node_counts_answer_or_name_a_bound(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (0, 2), (argv, err.getvalue())
+    if rc == 0:
+        check_answer(argv, out.getvalue())

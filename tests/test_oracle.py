@@ -84,6 +84,49 @@ def test_fatal_sets_are_upward_closed():
             assert (mask | (1 << bit)) in fatal
 
 
+def _reference_enum(config):
+    """Independent reference: the same DP over nodes with one list of
+    per-cardinality counts per state, filled coefficient by coefficient."""
+    n, m, k, ell = config.n, config.m, config.k, config.ell
+    nm = n * m
+    binom_m = [comb(m, f) for f in range(m + 1)]
+    cap = k + 1
+    dp = [[0] * (nm + 1) for _ in range(cap + 1)]
+    dp[0][0] = 1
+    for _ in range(n):
+        ndp = [[0] * (nm + 1) for _ in range(cap + 1)]
+        for b in range(cap + 1):
+            row = dp[b]
+            for d in range(nm + 1):
+                w = row[d]
+                if not w:
+                    continue
+                for f in range(m + 1):
+                    nb = b + (1 if f > ell else 0)
+                    if nb > cap:
+                        nb = cap
+                    ndp[nb][d + f] += w * binom_m[f]
+        dp = ndp
+    return tuple(dp[cap][d] for d in range(nm + 1))
+
+
+#: Every valid config with k, l <= 3 and NM <= 64, as in the benchmark's sweep.
+ENUM_CONFIGS = [
+    HraidConfig(n, m, k, ell)
+    for n in range(1, 65) for m in range(1, 64 // n + 1)
+    for k in range(min(4, n)) for ell in range(4)
+    if k + ell < m
+]
+
+
+def test_enum_matches_reference_dp():
+    assert len(ENUM_CONFIGS) == 1736
+    for edge in (HraidConfig(1, 64, 0, 3), HraidConfig(64, 1, 0, 0), HraidConfig(8, 8, 3, 3)):
+        assert edge in ENUM_CONFIGS
+    for cfg in ENUM_CONFIGS:
+        assert exact_reliability_enum(cfg).fatal_counts == _reference_enum(cfg), cfg
+
+
 def test_min_fatal_size_is_product_of_tolerances():
     for n in range(2, 5):
         for m in range(2, 5):
@@ -269,3 +312,17 @@ def test_markov_size_bound():
     for n in (2**53 // 12 + 1, 10**400):
         with pytest.raises(ValidationError, match=r"below 2\*\*53"):
             markov_mttdl(HraidConfig(n, 12, 3, 0), rates)
+
+
+def test_markov_pinned_bit_for_bit():
+    # the values of the chain before its tables were built once per call
+    rates = FailureModel(1e-6, 1e-7)
+    pinned = {
+        (12, 3): 259667.4760380747, (24, 3): 188973.89652085624,
+        (48, 3): 142158.46394855087, (96, 3): 107891.20397070269,
+        (12, 0): 31847.399615994655, (24, 0): 14728.80335618388,
+        (48, 0): 7113.329069009836, (96, 0): 3498.675082687916,
+        (128, 3): 96023.71422471784,
+    }
+    for (n, ell), want in pinned.items():
+        assert markov_mttdl(HraidConfig(n, 12, 3, ell), rates) == want, (n, ell)
