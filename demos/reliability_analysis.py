@@ -62,9 +62,10 @@ print()
 
 ###############################################################################
 # 1/2 or 2/1?  Both spend two check strips per node row and survive any
-# five disk failures.  The leading coefficients C(N,2)C(M,3)^2 versus
-# C(N,3)C(M,2)^3 decide: the threshold N > 2 + (M-2)^2/(3M(M-1)) barely
-# exceeds 2, so intra-heavy 1/2 wins for every real geometry.
+# five disk failures, and both fit for N >= 3 and M >= 4.  The leading
+# coefficients C(N,2)C(M,3)^2 versus C(N,3)C(M,2)^3 decide; they are equal
+# at N = 2 + 3C(M,3)^2/C(M,2)^3, which stays below 8/3, so intra-heavy 1/2
+# wins for every real geometry (at gamma = 0, to leading order in eps).
 for size in (4, 8, 12):
     cmp_res = compare_apportionments(size, size)
     print(

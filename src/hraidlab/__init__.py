@@ -10,11 +10,9 @@ each other.
 """
 
 from .analytic import (
-    AnalyticReport,
     ApportionmentComparison,
     LeadingTerm,
     Ordering,
-    analytic_report,
     compare_apportionments,
     conditional_sixth_failure,
     d_max,
@@ -47,8 +45,6 @@ from .config import (
 )
 from .layout import (
     LayoutGrid,
-    RoleKind,
-    StripRole,
     WorkloadParams,
     anchor_position,
     generate_layout,
@@ -82,7 +78,6 @@ from .stream import TrialStream
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticReport",
     "ApportionmentComparison",
     "DataLossEvent",
     "EventKind",
@@ -94,9 +89,7 @@ __all__ = [
     "MttdlEstimate",
     "Ordering",
     "RecoveryResult",
-    "RoleKind",
     "RunResult",
-    "StripRole",
     "StripeContent",
     "SweepCell",
     "SweepResult",
@@ -106,7 +99,6 @@ __all__ = [
     "UnsupportedCodecError",
     "ValidationError",
     "WorkloadParams",
-    "analytic_report",
     "anchor_position",
     "cell_seed",
     "compare_apportionments",

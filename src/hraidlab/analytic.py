@@ -148,7 +148,7 @@ def leading_term(config: HraidConfig) -> LeadingTerm:
     """Leading unreliability term: C(N,k+1) C(M,l+1)^(k+1) eps^((k+1)(l+1))."""
     n, m, k, ell = config.n, config.m, config.k, config.ell
     return LeadingTerm(
-        power=(k + 1) * (ell + 1),
+        power=d_min(config),
         coefficient=comb(n, k + 1) * comb(m, ell + 1) ** (k + 1),
     )
 
@@ -163,11 +163,11 @@ class Ordering(Enum):
 class ApportionmentComparison:
     """Small-eps comparison of HRAID1/2 against HRAID2/1 on N x M disks.
 
-    Both tolerate any five disk failures (d_min = 6); the leading
-    coefficients C(N,2)C(M,3)^2 and C(N,3)C(M,2)^3 decide which is more
-    reliable for small eps (smaller is better).  ``threshold_n`` restates
-    the comparison as the classical lower bound on N derived from the
-    ratio of the two coefficients' closed forms.
+    Both tolerate any five disk failures (d_min = 6); their leading
+    coefficients, C(N,2)C(M,3)^2 and C(N,3)C(M,2)^3, decide which is more
+    reliable for small eps (smaller is better).  ``threshold_n`` is the N at
+    which the two coefficients are equal, 2 + 3C(M,3)^2/C(M,2)^3: 1/2 is
+    better for every larger N.
     """
 
     ordering: Ordering
@@ -176,22 +176,30 @@ class ApportionmentComparison:
     threshold_n: Fraction
 
 
+def _apportionment_pair(n: int, m: int) -> tuple[HraidConfig, HraidConfig]:
+    """HRAID1/2 and HRAID2/1 on N x M disks.  Both fit only for N >= 3 and
+    M >= 4; otherwise the error names the bound one of them violates."""
+    try:
+        return HraidConfig(n, m, 1, 2), HraidConfig(n, m, 2, 1)
+    except ValidationError as exc:
+        raise ValidationError(f"HRAID1/2 vs HRAID2/1 needs both codes to fit: {exc}") from exc
+
+
 def compare_apportionments(n: int, m: int) -> ApportionmentComparison:
-    """Compare HRAID1/2 vs HRAID2/1 by minimal-fatal-set counts."""
-    if n < 3 or m < 3:
-        raise ValidationError(
-            f"comparison needs N >= 3 and M >= 3 (both codes must fit), "
-            f"got N={n}, M={m}"
-        )
-    c12 = comb(n, 2) * comb(m, 3) ** 2
-    c21 = comb(n, 3) * comb(m, 2) ** 3
+    """Compare HRAID1/2 vs HRAID2/1 by their leading unreliability terms,
+    which count the minimal fatal sets."""
+    one_two, two_one = _apportionment_pair(n, m)
+    c12 = leading_term(one_two).coefficient
+    c21 = leading_term(two_one).coefficient
     if c12 < c21:
         ordering = Ordering.ONE_TWO_BETTER
     elif c21 < c12:
         ordering = Ordering.TWO_ONE_BETTER
     else:
         ordering = Ordering.EQUAL
-    threshold = 2 + Fraction((m - 2) ** 2, 3 * m * (m - 1))
+    # c12/c21 = 3/(N-2) * C(M,3)^2/C(M,2)^3: the N where the two are equal
+    # is 2 + (N-2) c12/c21 = 2 + 3C(M,3)^2/C(M,2)^3, the same for every N
+    threshold = 2 + (n - 2) * Fraction(c12, c21)
     return ApportionmentComparison(
         ordering=ordering, coeff_12=c12, coeff_21=c21, threshold_n=threshold
     )
@@ -205,10 +213,7 @@ def conditional_sixth_failure(n: int, m: int) -> tuple[Fraction, Fraction, int]:
     critical node, hitting one of M-2 disks under 1/2 or M-1 under 2/1.
     Returns (p_12, p_21, D_S) with exact rationals.
     """
-    if n < 3 or m < 3:
-        raise ValidationError(
-            f"conditional probabilities need N >= 3 and M >= 3, got N={n}, M={m}"
-        )
+    _apportionment_pair(n, m)
     d_s = (n - 2) * m + m - 2
     return Fraction(m - 2, d_s), Fraction(m - 1, d_s), d_s
 
@@ -226,40 +231,3 @@ def d_max(config: HraidConfig) -> int:
 def d_min(config: HraidConfig) -> int:
     """Fewest disk failures that can lose data: (k+1)(l+1)."""
     return (config.k + 1) * (config.ell + 1)
-
-
-@dataclass(frozen=True)
-class AnalyticReport:
-    """Summary of the closed-form quantities for one configuration.
-
-    The conditional sixth-failure probabilities and the apportionment
-    threshold require N, M >= 3 and are None otherwise.
-    """
-
-    config: HraidConfig
-    d_max: int
-    d_min: int
-    leading: LeadingTerm
-    p_12: Fraction | None
-    p_21: Fraction | None
-    d_s: int | None
-    threshold_n: Fraction | None
-
-
-def analytic_report(config: HraidConfig) -> AnalyticReport:
-    """Assemble the full analytic summary for ``config``."""
-    if config.n >= 3 and config.m >= 3:
-        p12, p21, d_s = conditional_sixth_failure(config.n, config.m)
-        threshold = compare_apportionments(config.n, config.m).threshold_n
-    else:
-        p12 = p21 = d_s = threshold = None
-    return AnalyticReport(
-        config=config,
-        d_max=d_max(config),
-        d_min=d_min(config),
-        leading=leading_term(config),
-        p_12=p12,
-        p_21=p21,
-        d_s=d_s,
-        threshold_n=threshold,
-    )

@@ -23,11 +23,14 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from .analytic import (
-    analytic_report,
     compare_apportionments,
+    conditional_sixth_failure,
+    d_max,
+    d_min,
     exact_mds_reliability,
     hraid_reliability,
     hraid_unreliability,
+    leading_term,
     raid_series_approx,
 )
 from .codec import (
@@ -45,6 +48,7 @@ from .oracle import exact_reliability_enum, markov_mttdl
 from .simulator import (
     RunResult,
     estimate_mttdl,
+    format_hours,
     simulate_trial,
     sweep,
     trace_jsonl_line,
@@ -315,7 +319,7 @@ def _cmd_analytic_compare(args: argparse.Namespace) -> int:
         f"  minimal fatal sets (6 failures): "
         f"1/2 -> {cmp_result.coeff_12}, 2/1 -> {cmp_result.coeff_21}\n"
         f"  verdict: {cmp_result.ordering.name}\n"
-        f"  threshold form: N > 2 + (M-2)^2/(3M(M-1)) = "
+        f"  threshold form: N > 2 + 3C(M,3)^2/C(M,2)^3 = "
         f"{cmp_result.threshold_n} ~= {float(cmp_result.threshold_n):.6g}"
     )
     _write_output([text], args.out)
@@ -331,20 +335,24 @@ def _approximation(p: float) -> str:
 
 def _cmd_analytic_report(args: argparse.Namespace) -> int:
     config = _flag_geometry(args)
-    report = analytic_report(config)
+    leading = leading_term(config)
     lines = [
         f"HRAID {config.k}/{config.ell} on N={config.n} nodes x M={config.m} disks",
-        f"  d_min (fewest disk failures that can lose data)   : {report.d_min}",
-        f"  d_max (most disk failures any survivable pattern) : {report.d_max}",
-        f"  leading unreliability term: {report.leading.coefficient} * eps^{report.leading.power}",
+        f"  d_min (fewest disk failures that can lose data)   : {d_min(config)}",
+        f"  d_max (most disk failures any survivable pattern) : {d_max(config)}",
+        f"  leading unreliability term: {leading.coefficient} * eps^{leading.power}",
     ]
-    if report.p_12 is not None:
+    try:
+        threshold = compare_apportionments(config.n, config.m).threshold_n
+        p12, p21, d_s = conditional_sixth_failure(config.n, config.m)
+    except ValidationError:
+        pass  # HRAID1/2 or HRAID2/1 does not fit N x M: no pair lines
+    else:
         lines += [
-            f"  sixth-failure pool D_S = (N-2)M + M-2 = {report.d_s}",
-            f"  p_1/2 = (M-2)/D_S = {report.p_12} ~= {float(report.p_12):.6g}",
-            f"  p_2/1 = (M-1)/D_S = {report.p_21} ~= {float(report.p_21):.6g}",
-            f"  apportionment threshold: N > {report.threshold_n} "
-            f"~= {float(report.threshold_n):.6g}",
+            f"  sixth-failure pool D_S = (N-2)M + M-2 = {d_s}",
+            f"  p_1/2 = (M-2)/D_S = {p12} ~= {float(p12):.6g}",
+            f"  p_2/1 = (M-1)/D_S = {p21} ~= {float(p21):.6g}",
+            f"  apportionment threshold: N > {threshold} ~= {float(threshold):.6g}",
         ]
     if args.eps is not None:
         eps = args.eps
@@ -359,7 +367,7 @@ def _cmd_analytic_report(args: argparse.Namespace) -> int:
             f"    array reliability                    : {r:.15g}",
             f"    array unreliability                  : {u:.15g}",
             f"    leading-term approximation           : "
-            f"{_approximation(report.leading.evaluate(eps))}",
+            f"{_approximation(leading.evaluate(eps))}",
         ]
     _write_output(["\n".join(lines)], args.out)
     return 0
@@ -385,7 +393,7 @@ def _cmd_oracle_markov(args: argparse.Namespace) -> int:
     text = (
         f"exact MTTDL for HRAID {config.k}/{config.ell}: N={config.n}, M={config.m}, "
         f"delta={rates.disk_rate:g}/h, gamma={rates.controller_rate:g}/h\n"
-        f"  {hours:.15g} hours ({hours / 1000.0:.4f} thousand hours)"
+        f"  {hours:.15g} hours ({format_hours(hours, 1000.0, '.4f')} thousand hours)"
     )
     _write_output([text], args.out)
     return 0

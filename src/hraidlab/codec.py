@@ -52,10 +52,6 @@ class StripeContent:
     def config(self) -> HraidConfig:
         return self.grid.config
 
-    @property
-    def strip_size(self) -> int:
-        return self.strips.shape[3]
-
     def strip(self, cell: Cell) -> bytes:
         i, n, j = cell
         return self.strips[i - 1, n - 1, j - 1].tobytes()
@@ -131,18 +127,19 @@ def _column_data(strips: np.ndarray, data: np.ndarray, i: int, j: int) -> np.nda
 
 
 def encode_stripes(
-    data: Mapping[Cell, bytes],
-    config: HraidConfig,
-    grid: LayoutGrid | None = None,
+    data: Mapping[Cell, bytes], config: HraidConfig, grid: LayoutGrid
 ) -> StripeContent:
     """Encode data payloads into a fully checked StripeContent.
 
-    ``data`` must supply a payload of uniform length for exactly the DATA
-    cells of the layout.  Re-encoding the same data is idempotent.
+    ``grid`` must be built for ``config``.  ``data`` must supply a payload
+    of uniform length for exactly the DATA cells of the layout.  Re-encoding
+    the same data is idempotent.
     """
+    if config != grid.config:
+        raise ValidationError(
+            f"grid was built for {grid.config}, encoding requested for {config}"
+        )
     _require_xor_codec(config)
-    if grid is None:
-        grid = generate_layout(config)
     expected = set(data_cells(grid))
     supplied = set(data.keys())
     if supplied != expected:
@@ -159,8 +156,7 @@ def encode_stripes(
     if size == 0:
         raise ValidationError("strip payloads must be non-empty")
 
-    cfg = grid.config
-    strips = np.zeros((cfg.m, cfg.n, cfg.m, size), dtype=np.uint8)
+    strips = np.zeros((config.m, config.n, config.m, size), dtype=np.uint8)
     for (i, n, j), payload in data.items():
         strips[i - 1, n - 1, j - 1] = np.frombuffer(payload, dtype=np.uint8)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -21,20 +20,6 @@ from .config import HraidConfig, ValidationError
 #: k inter classes (P intra and Q inter for HRAID1/1; P, Q intra and R
 #: inter for HRAID1/2, and so on).
 CHECK_LETTERS = "PQRSTU"
-
-
-class RoleKind(Enum):
-    DATA = "data"
-    INTRA_CHECK = "intra"
-    INTER_CHECK = "inter"
-
-
-@dataclass(frozen=True)
-class StripRole:
-    """Role of one grid cell: data, or the ``index``-th check of its kind."""
-
-    kind: RoleKind
-    index: int = 0
 
 
 def anchor_position(row: int, node: int, m: int) -> int:
@@ -67,15 +52,6 @@ class LayoutGrid:
                 f"grid shape {self.codes.shape} does not match config "
                 f"(expected {(m, n, m)})"
             )
-
-    def role_at(self, row: int, node: int, pos: int) -> StripRole:
-        code = int(self.codes[row - 1, node - 1, pos - 1])
-        ell = self.config.ell
-        if code == 0:
-            return StripRole(RoleKind.DATA)
-        if code <= ell:
-            return StripRole(RoleKind.INTRA_CHECK, code - 1)
-        return StripRole(RoleKind.INTER_CHECK, code - 1 - ell)
 
     def role_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Boolean ``(data, intra, inter)`` masks, each shaped like ``codes``."""

@@ -164,18 +164,22 @@ class RunResult:
             f"MTTDL estimate for HRAID {config.k}/{config.ell}: N={config.n}, "
             f"M={config.m}, delta={rates.disk_rate:g}/h, "
             f"gamma={rates.controller_rate:g}/h, trials={est.trials}, seed={self.seed}\n"
-            f"  mean    : {_hours(est.mean_hours)} h "
-            f"({_hours(est.mean_hours, 1000.0, '.1f')} thousand hours)\n"
-            f"  std dev : {_hours(est.std_dev_hours)} h\n"
-            f"  95% CI  : [{_hours(est.ci95_low)}, {_hours(est.ci95_high)}] h"
+            f"  mean    : {format_hours(est.mean_hours)} h "
+            f"({format_hours(est.mean_hours, 1000.0, '.1f')} thousand hours)\n"
+            f"  std dev : {format_hours(est.std_dev_hours)} h\n"
+            f"  95% CI  : [{format_hours(est.ci95_low)}, {format_hours(est.ci95_high)}] h"
         )
 
 
-def _hours(hours: float, unit: float = 1.0, spec: str = ".3f") -> str:
-    """``hours`` in units of ``unit`` hours, formatted by ``spec``; a nonzero
-    value below 1 h gets 3 significant digits instead, so it never prints as
-    zero."""
-    return format(hours / unit, "#.3g" if 0.0 < abs(hours) < 1.0 else spec)
+def format_hours(hours: float, unit: float = 1.0, spec: str = ".3f") -> str:
+    """``hours`` in units of ``unit`` hours, formatted by ``spec``.  A nonzero
+    value gets 3 significant digits instead where ``spec`` would print it as
+    all zeros, and in hours below 1 h, so it never prints as zero."""
+    value = hours / unit
+    text = format(value, spec)
+    if value and (not text.strip("-0.") or unit == 1.0 and abs(value) < 1.0):
+        return format(value, "#.3g")
+    return text
 
 
 def format_csv(rows: list[dict]) -> str:
@@ -497,7 +501,8 @@ class SweepResult:
             row = [f"l={ell:<4}"]
             for k in ks:
                 c = by_pos.get((k, ell))
-                row.append(f"{c.estimate.mean_hours / 1000.0:>10.1f}" if c else f"{'-':>10}")
+                cell = format_hours(c.estimate.mean_hours, 1000.0, ".1f") if c else "-"
+                row.append(f"{cell:>10}")
             lines.append("".join(row))
         return "\n".join(lines)
 

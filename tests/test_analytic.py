@@ -9,7 +9,6 @@ from hraidlab import (
     HraidConfig,
     Ordering,
     ValidationError,
-    analytic_report,
     compare_apportionments,
     conditional_sixth_failure,
     d_max,
@@ -183,13 +182,33 @@ def test_hraid_monotone_in_k_and_l():
 def test_compare_apportionments_examples():
     cmp12 = compare_apportionments(12, 12)
     assert cmp12.ordering is Ordering.ONE_TWO_BETTER
-    assert cmp12.threshold_n == 2 + Fraction(100, 396)
-    assert float(cmp12.threshold_n) == pytest.approx(2.2525, abs=1e-4)
-    cmp3 = compare_apportionments(3, 3)
+    # 2 + 3 C(12,3)^2 / C(12,2)^3 = 2 + 3 * 220^2 / 66^3
+    assert cmp12.threshold_n == 2 + Fraction(3 * 220**2, 66**3) == Fraction(248, 99)
+    assert float(cmp12.threshold_n) == pytest.approx(2.50505, abs=1e-5)
+    cmp3 = compare_apportionments(3, 4)
     assert cmp3.ordering is Ordering.ONE_TWO_BETTER
-    assert cmp3.threshold_n == 2 + Fraction(1, 18)
-    with pytest.raises(ValidationError):
+    assert cmp3.threshold_n == 2 + Fraction(3 * 4**2, 6**3) == Fraction(20, 9)
+    # HRAID2/1 needs N >= 3, and HRAID1/2 (l = 2 plus k = 1) needs M >= 4
+    with pytest.raises(ValidationError, match="n_nodes"):
         compare_apportionments(2, 12)
+    with pytest.raises(ValidationError, match="disks_per_node"):
+        compare_apportionments(3, 3)
+
+
+def test_threshold_equates_the_leading_coefficients():
+    # C(N,2) C(M,3)^2 = C(N,3) C(M,2)^3 at N = threshold_n, in exact rationals
+    def c2(x):
+        return x * (x - 1) / 2
+
+    def c3(x):
+        return x * (x - 1) * (x - 2) / 6
+
+    for m in range(4, 65):
+        t = compare_apportionments(5, m).threshold_n
+        assert c2(t) * math.comb(m, 3) ** 2 == c3(t) * math.comb(m, 2) ** 3, m
+        assert 2 < t < Fraction(8, 3), m
+        for n in (3, 4, 40):
+            assert compare_apportionments(n, m).threshold_n == t, (n, m)
 
 
 def test_compare_agrees_with_enumeration():
@@ -207,12 +226,15 @@ def test_conditional_sixth_failure_values():
     assert d_s == 130
     assert p12 == Fraction(10, 130)
     assert p21 == Fraction(11, 130)
-    p12, _, d_s3 = conditional_sixth_failure(5, 3)
-    assert p12 == Fraction(1, d_s3)
+    p12, _, d_s4 = conditional_sixth_failure(5, 4)
+    assert p12 == Fraction(2, d_s4)
     for n in range(3, 8):
-        for m in range(3, 8):
+        for m in range(4, 8):
             a, b, _ = conditional_sixth_failure(n, m)
             assert a < b
+    # the pool of the worst five-failure pattern needs both codes to fit
+    with pytest.raises(ValidationError, match="disks_per_node"):
+        conditional_sixth_failure(5, 3)
 
 
 def test_d_max_d_min_examples():
@@ -235,12 +257,17 @@ def test_d_max_agrees_with_enumeration_bracket():
 
 
 def test_analytic_report_fields():
-    rep = analytic_report(HraidConfig(12, 12, 1, 2))
-    assert rep.d_min == 6 and rep.d_max == 34
-    assert rep.leading.coefficient == 3_194_400
-    assert rep.p_12 == Fraction(10, 130)
-    small = analytic_report(HraidConfig(2, 2, 1, 0))
-    assert small.p_12 is None and small.threshold_n is None
+    # the quantities `analytic report` prints, each from its one source
+    cfg = HraidConfig(12, 12, 1, 2)
+    assert d_min(cfg) == leading_term(cfg).power == 6 and d_max(cfg) == 34
+    assert leading_term(cfg).coefficient == 3_194_400 == compare_apportionments(12, 12).coeff_12
+    assert conditional_sixth_failure(12, 12)[0] == Fraction(10, 130)
+    # no pair quantities where HRAID1/2 or HRAID2/1 does not fit
+    for n, m in [(2, 2), (12, 3)]:
+        with pytest.raises(ValidationError):
+            compare_apportionments(n, m)
+        with pytest.raises(ValidationError):
+            conditional_sixth_failure(n, m)
 
 
 def exact_sides(n, m, k, ell, eps):

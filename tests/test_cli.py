@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -169,6 +172,18 @@ def test_simulate_table_hours_past_one_keep_three_decimals(capsys):
     ]
 
 
+def test_simulate_table_thousands_never_print_as_zero(capsys):
+    # about 8.9 h: a fixed one-decimal count of thousands prints 0.0
+    argv = ["simulate", "--n", "12", "--m", "12", "--delta", "0.001", "--trials", "3"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    est = estimate_mttdl(HraidConfig(12, 12), FailureModel(1e-3), trials=3, seed=0)
+    assert 1.0 < est.mean_hours < 50.0
+    assert lines[1] == (
+        f"  mean    : {est.mean_hours:.3f} h ({est.mean_hours / 1000.0:#.3g} thousand hours)"
+    )
+
+
 def test_simulate_csv_reruns_byte_identical(tmp_path):
     args = [
         "simulate", "--n", "3", "--m", "3", "--trials", "60", "--seed", "5",
@@ -280,6 +295,20 @@ def test_sweep_json_matches_library(tmp_path):
     assert rc == 0
     expected = sweep(3, 3, RATES, trials=30, seed=2)
     assert out.read_text() == expected.to_json()
+
+
+def test_sweep_table_never_prints_nonzero_as_zero(capsys):
+    assert main(["sweep", "--n", "12", "--m", "12", "--delta", "0.001", "--trials", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    grid = sweep(12, 12, FailureModel(1e-3), trials=3, seed=0)
+    thousands = {(c.k, c.ell): c.estimate.mean_hours / 1000.0 for c in grid.cells}
+    assert min(thousands.values()) < 0.05 <= max(thousands.values())
+    for ell, line in enumerate(lines[2:]):
+        assert len(line) == len(lines[1]) == 6 + 4 * 10
+        for k in range(4):
+            x = thousands[(k, ell)]
+            want = f"{x:.1f}" if x >= 0.05 else f"{x:#.3g}"
+            assert line[6 + 10 * k : 16 + 10 * k] == f"{want:>10}", (k, ell)
 
 
 def test_sweep_csv_reruns_byte_identical(tmp_path):
@@ -400,6 +429,18 @@ def test_oracle_markov_output(capsys):
     assert main(["oracle", "markov", "--n", "1000", "--m", "12", "--l", "1"]) == 0
 
 
+@pytest.mark.parametrize(
+    "delta, thousands", [("0.001", "0.0069"), ("1", "6.94e-06"), ("1e-6", "6.9444")]
+)
+def test_oracle_markov_thousand_hours_never_print_as_zero(delta, thousands, capsys):
+    # 1/(12 * 12 * delta) hours; a fixed 4-decimal count of thousands prints
+    # 0.0000 for the 0.0069 h of delta = 1
+    argv = ["oracle", "markov", "--n", "12", "--m", "12", "--delta", delta]
+    assert main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert line.endswith(f" hours ({thousands} thousand hours)")
+
+
 def test_analytic_report_output(capsys):
     rc = main(
         ["analytic", "report", "--n", "12", "--m", "12", "--k", "1", "--l", "2",
@@ -434,8 +475,48 @@ def test_analytic_compare_output(capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "verdict: ONE_TWO_BETTER" in text
-    assert "223/99" in text
+    # 2 + 3 C(12,3)^2 / C(12,2)^3, where C(N,2) C(12,3)^2 = C(N,3) C(12,2)^3
+    assert "threshold form: N > 2 + 3C(M,3)^2/C(M,2)^3 = 248/99 ~= 2.50505" in text
     assert "1/2 -> 3194400" in text and "2/1 -> 63249120" in text
+
+
+def test_analytic_compare_refuses_a_pair_that_does_not_fit(capsys):
+    # HRAID1/2 needs k + l = 3 below M, so M = 3 has no 1/2 code
+    assert main(["analytic", "compare", "--n", "12", "--m", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "HRAID1/2 vs HRAID2/1 needs both codes to fit" in err
+    assert "must be below disks_per_node, got k=1, l=2 with M=3" in err
+
+
+@pytest.mark.parametrize(
+    "geometry", [["--n", "12", "--m", "3"], ["--n", "2", "--m", "2", "--k", "1"]]
+)
+def test_analytic_report_omits_pair_lines_where_the_pair_does_not_fit(geometry, capsys):
+    assert main(["analytic", "report", *geometry]) == 0
+    text = capsys.readouterr().out
+    assert "leading unreliability term" in text
+    assert "D_S" not in text and "p_1/2" not in text and "threshold" not in text
+
+
+def _readme_commands():
+    """Each command of the README's Command line block, with its optional
+    [...] parts dropped."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("hraidlab ")]
+    return [shlex.split(re.sub(r"\[[^]]*\]", "", line))[1:] for line in lines]
+
+
+def test_readme_command_block_is_found():
+    assert len(_readme_commands()) == 8
+
+
+@pytest.mark.parametrize(
+    "argv", _readme_commands(), ids=lambda a: "-".join(w for w in a[:2] if w[0] != "-")
+)
+def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0, capsys.readouterr().err
 
 
 def test_codec_demo_default_scenarios(capsys):

@@ -1,9 +1,10 @@
+from enum import Enum
+
 import numpy as np
 import pytest
 
 from hraidlab import (
     HraidConfig,
-    RoleKind,
     StripeContent,
     UnsupportedCodecError,
     ValidationError,
@@ -20,7 +21,16 @@ from hraidlab import (
 )
 
 CFG = HraidConfig(4, 4, 1, 1)
-DATA, INTRA, INTER = RoleKind.DATA, RoleKind.INTRA_CHECK, RoleKind.INTER_CHECK
+Kind = Enum("Kind", "DATA INTRA INTER")
+DATA, INTRA, INTER = Kind
+
+
+def role_kind(grid, cell):
+    """Role of a 1-based cell, decoded from the layout codes: 0 is data,
+    1..l the intra checks, l+1..l+k the inter checks."""
+    i, n, j = cell
+    code = grid.codes[i - 1, n - 1, j - 1]
+    return DATA if code == 0 else INTRA if code <= grid.config.ell else INTER
 
 
 def encoded(seed=42, size=64):
@@ -57,6 +67,14 @@ def test_rejects_unsupported_tolerances():
     payloads = {cell: bytes(8) for cell in data_cells(grid)}
     with pytest.raises(UnsupportedCodecError):
         encode_stripes(payloads, cfg, grid)
+
+
+def test_rejects_a_config_the_grid_was_not_built_for():
+    # a k = 2 grid must not be XOR-encoded under a k = 1 config
+    grid = generate_layout(HraidConfig(4, 4, 2, 1))
+    payloads = random_payloads(grid, 1, 8)
+    with pytest.raises(ValidationError, match="grid was built for"):
+        encode_stripes(payloads, CFG, grid)
 
 
 def test_rejects_wrong_payload_cells_and_sizes():
@@ -182,7 +200,7 @@ class Reference:
             for n in range(1, cfg.n + 1)
             for j in range(1, cfg.m + 1)
         ]
-        self.kind = {c: self.grid.role_at(*c).kind for c in self.cells}
+        self.kind = {c: role_kind(self.grid, c) for c in self.cells}
 
     def inter(self, s, i, n, j):
         """XOR of the DATA strips at (row i, position j) in the other nodes."""

@@ -20,7 +20,8 @@ def test_demo_runs(demo, tmp_path):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [sys.executable, str(demo)],
+        # warnings are errors, as in the test suite's own settings
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

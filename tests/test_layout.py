@@ -4,7 +4,6 @@ import pytest
 from hraidlab import (
     HraidConfig,
     LayoutGrid,
-    RoleKind,
     ValidationError,
     WorkloadParams,
     anchor_position,
@@ -12,6 +11,7 @@ from hraidlab import (
     small_write_cost,
     verify_layout,
 )
+from test_codec import DATA, INTER, INTRA, role_kind
 
 # Golden role pattern of the 4x4 HRAID1/1 figure, all 16 node-rows.
 GOLDEN_4X4 = {
@@ -51,11 +51,7 @@ def test_each_disk_holds_k_plus_l_checks():
 
 def test_roles_and_letters():
     grid = generate_layout(HraidConfig(4, 4, 1, 1))
-    role = grid.role_at(1, 1, 3)
-    assert role.kind is RoleKind.INTRA_CHECK and role.index == 0
-    role = grid.role_at(1, 1, 4)
-    assert role.kind is RoleKind.INTER_CHECK and role.index == 0
-    assert grid.role_at(1, 1, 1).kind is RoleKind.DATA
+    assert [grid.letter_at(1, 1, j) for j in (3, 4, 1)] == ["P", "Q", "D"]
     # with l=2, intra checks take P and Q; the inter check takes R
     grid2 = generate_layout(HraidConfig(4, 5, 1, 2))
     letters = {grid2.letter_at(1, 1, j) for j in range(1, 6)}
@@ -65,10 +61,11 @@ def test_roles_and_letters():
 @pytest.mark.parametrize("k, ell", [(0, 0), (1, 1), (2, 1), (1, 3)])
 def test_role_masks_agree_with_role_at(k, ell):
     grid = generate_layout(HraidConfig(5, 6, k, ell))
+    # the codec reference decodes the codes on its own; role_masks must agree
     data, intra, inter = grid.role_masks()
-    kinds = {RoleKind.DATA: data, RoleKind.INTRA_CHECK: intra, RoleKind.INTER_CHECK: inter}
+    kinds = {DATA: data, INTRA: intra, INTER: inter}
     for i, n, j in np.ndindex(grid.codes.shape):
-        kind = grid.role_at(i + 1, n + 1, j + 1).kind
+        kind = role_kind(grid, (i + 1, n + 1, j + 1))
         assert [mask[i, n, j] for mask in kinds.values()] == [
             other is kind for other in kinds
         ]
