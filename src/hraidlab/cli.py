@@ -55,7 +55,8 @@ from .simulator import (
 )
 from .stream import TrialStream
 
-#: Config-file keys accepted by simulate and sweep, mapped to flag dests.
+#: Config-file keys of simulate and sweep, mapped to flag dests; a command
+#: accepts the keys of the dests it reads.
 _CONFIG_KEYS = {
     "n": "n",
     "m": "m",
@@ -110,18 +111,18 @@ def _write_output(pieces: Iterable[str], out: str | None) -> None:
             os.unlink(tmp)
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, dests: Iterable[str]) -> dict:
+    accepted = sorted(key for key, dest in _CONFIG_KEYS.items() if dest in dests)
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+    unknown = sorted(set(raw) - set(accepted))
     if unknown:
         raise ValidationError(
-            f"config file {path} has unknown keys {unknown}; "
-            f"accepted: {sorted(_CONFIG_KEYS)}"
+            f"config file {path} has unknown keys {unknown}; accepted: {accepted}"
         )
     for key in ("trials", "seed"):
         value = raw.get(key, 0)
@@ -145,7 +146,7 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     """Flags override config-file values override defaults."""
     merged = dict(defaults)
     if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config))
+        merged.update(_load_config_file(args.config, defaults))
     for dest in defaults:
         flag_value = getattr(args, dest, None)
         if flag_value is not None:
@@ -276,6 +277,8 @@ _RUN_DEFAULTS = {
     **_GEOMETRY_DEFAULTS, **_RATE_DEFAULTS,
     "trials": 10_000, "seed": 0, "format": "table", "out": None,
 }
+#: sweep runs every (k, l) cell: neither a flag nor a config file sets k or l
+_SWEEP_DEFAULTS = {dest: v for dest, v in _RUN_DEFAULTS.items() if dest not in ("k", "ell")}
 
 
 def _flag_geometry(args: argparse.Namespace) -> HraidConfig:
@@ -304,7 +307,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    merged = _merge(args, _RUN_DEFAULTS)
+    merged = _merge(args, _SWEEP_DEFAULTS)
     _require(merged, "n", "m")
     result = sweep(merged["n"], merged["m"], _rates(merged), merged["trials"], merged["seed"])
     _write_view(result, merged)

@@ -28,6 +28,25 @@ from .stream import check_seed
 
 Cell = tuple[int, int, int]  # 1-based (row, node, position)
 
+#: Largest strip array, in bytes: the N M^2 strips of a grid times the strip
+#: size.  It admits 12 x 12 at 64 KiB, a 113 MB array.  At the bound
+#: ``codec-demo`` (without ``--dir``) took 1.1-1.4 s and 485-528 MB peak RSS
+#: on 12 x 12, 4 x 4 and 1 x 2 arrays; at this bound and the grid bound
+#: together (512-byte strips) it took at most 7.1 s and 668 MB (1 x 512), on
+#: 2 shared cores with Python 3.11.7 and numpy 2.4.6.
+MAX_STRIP_BYTES = 2**27
+
+
+def _check_strip_bytes(config: HraidConfig, strip_size: int) -> None:
+    """Raise ValidationError unless the strip array of ``config`` at
+    ``strip_size`` bytes a strip is at most ``MAX_STRIP_BYTES``."""
+    size = config.n * config.m**2 * strip_size
+    if size > MAX_STRIP_BYTES:
+        raise ValidationError(
+            f"the codec holds at most {MAX_STRIP_BYTES} bytes of strips (N*M^2 * strip "
+            f"size), got {size} for N={config.n}, M={config.m}, strip size {strip_size}"
+        )
+
 
 @dataclass(frozen=True, eq=False)
 class StripeContent:
@@ -98,9 +117,11 @@ def node_cells(config: HraidConfig, node: int) -> set[Cell]:
 def random_payloads(
     grid: LayoutGrid, seed: int, strip_size: int = 4096
 ) -> dict[Cell, bytes]:
-    """Seeded random payload bytes for every DATA cell."""
+    """Seeded random payload bytes for every DATA cell; the grid's strip
+    array at ``strip_size`` must fit ``MAX_STRIP_BYTES``."""
     if strip_size < 1:
         raise ValidationError(f"strip_size must be >= 1, got {strip_size}")
+    _check_strip_bytes(grid.config, strip_size)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     return {
@@ -155,6 +176,7 @@ def encode_stripes(
     size = sizes.pop()
     if size == 0:
         raise ValidationError("strip payloads must be non-empty")
+    _check_strip_bytes(config, size)
 
     strips = np.zeros((config.m, config.n, config.m, size), dtype=np.uint8)
     for (i, n, j), payload in data.items():
@@ -271,6 +293,7 @@ def read_strip_tree(
                     continue
                 raw = np.frombuffer(p.read_bytes(), dtype=np.uint8)
                 if strips is None:
+                    _check_strip_bytes(config, raw.size)
                     strips = np.zeros((config.m, config.n, config.m, raw.size), dtype=np.uint8)
                 elif raw.size != strips.shape[3]:
                     raise ValidationError(

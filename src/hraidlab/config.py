@@ -15,6 +15,11 @@ class UnsupportedCodecError(ValidationError):
     """The requested redundancy level has no implemented codec."""
 
 
+#: Largest inter- and intra-node tolerance an ``HraidConfig`` admits: the
+#: apportionments k, l in 0..3 of the paper's MTTDL table.
+MAX_TOLERANCE = 3
+
+
 @dataclass(frozen=True)
 class HraidConfig:
     """Geometry and redundancy apportionment of an HRAID k/l array.
@@ -42,10 +47,9 @@ class HraidConfig:
             raise ValidationError(f"n_nodes must be >= 1, got {n}")
         if m < 1:
             raise ValidationError(f"disks_per_node must be >= 1, got {m}")
-        if not 0 <= k <= 3:
-            raise ValidationError(f"inter_tolerance must be in 0..3, got {k}")
-        if not 0 <= ell <= 3:
-            raise ValidationError(f"intra_tolerance must be in 0..3, got {ell}")
+        for name, value in (("inter_tolerance", k), ("intra_tolerance", ell)):
+            if not 0 <= value <= MAX_TOLERANCE:
+                raise ValidationError(f"{name} must be in 0..{MAX_TOLERANCE}, got {value}")
         if k >= n:
             raise ValidationError(
                 f"inter_tolerance must be below n_nodes, got k={k} with N={n}"

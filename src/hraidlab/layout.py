@@ -21,6 +21,24 @@ from .config import HraidConfig, ValidationError
 #: inter for HRAID1/2, and so on).
 CHECK_LETTERS = "PQRSTU"
 
+#: Largest layout grid, in cells: M stripe rows of N nodes of M disks.  At
+#: the bound (262144 x 1, 64 x 64, 16 x 128 and 1 x 512) ``layout`` took at
+#: most 2.0 s and 104 MB peak RSS (262144 x 1 as JSON), ``layout --verify``
+#: 2.6 s and 64 MB, and ``codec-demo`` at 1-byte strips 4.6 s and 144 MB
+#: (1 x 512), on 2 shared cores with Python 3.11.7 and numpy 2.4.6.
+MAX_GRID_CELLS = 2**18
+
+
+def _check_grid_cells(config: HraidConfig) -> None:
+    """Raise ValidationError unless the grid's N M^2 cells are at most
+    ``MAX_GRID_CELLS``."""
+    cells = config.n * config.m**2
+    if cells > MAX_GRID_CELLS:
+        raise ValidationError(
+            f"a layout grid holds at most {MAX_GRID_CELLS} cells (N*M^2), got "
+            f"{cells} for N={config.n}, M={config.m}"
+        )
+
 
 def anchor_position(row: int, node: int, m: int) -> int:
     """1-based position where the check run of (row, node) starts.
@@ -115,7 +133,8 @@ class LayoutGrid:
     @classmethod
     def from_json(cls, text: str) -> "LayoutGrid":
         """Parse ``to_json`` output; raise ValidationError naming what is
-        missing, of the wrong count, or an unknown letter."""
+        missing, of the wrong count, an unknown letter, or a grid past
+        ``MAX_GRID_CELLS``."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValidationError(f"grid must be a JSON object, got {type(obj).__name__}")
@@ -128,6 +147,7 @@ class LayoutGrid:
             inter_tolerance=obj["k"],
             intra_tolerance=obj["ell"],
         )
+        _check_grid_cells(cfg)
         letters = ("D", *CHECK_LETTERS[: cfg.k + cfg.ell])
 
         def items(value, count: int, what: str) -> list:
@@ -155,8 +175,10 @@ def generate_layout(config: HraidConfig) -> LayoutGrid:
 
     For stripe row i and node n the k+l check strips occupy consecutive
     cyclic positions starting at ``anchor_position(i, n, M)``: the l
-    intra-node checks first, then the k inter-node checks.
+    intra-node checks first, then the k inter-node checks.  A grid of more
+    than ``MAX_GRID_CELLS`` cells raises ValidationError.
     """
+    _check_grid_cells(config)
     m, n_nodes = config.m, config.n
     k, ell = config.k, config.ell
     codes = np.zeros((m, n_nodes, m), dtype=np.int8)

@@ -53,8 +53,11 @@ class UnreliabilityPolynomial:
     """
 
     config: HraidConfig
-    total_disks: int
     fatal_counts: tuple[int, ...]
+
+    @property
+    def total_disks(self) -> int:
+        return self.config.total_disks
 
     def unreliability(self, eps: float) -> float:
         return self._weighted_sum(self.fatal_counts, eps)
@@ -120,7 +123,7 @@ def exact_reliability_enum(config: HraidConfig) -> UnreliabilityPolynomial:
         ]
     slot = (1 << w) - 1
     fatal = tuple((dp[cap] >> (w * d)) & slot for d in range(nm + 1))
-    return UnreliabilityPolynomial(config=config, total_disks=nm, fatal_counts=fatal)
+    return UnreliabilityPolynomial(config=config, fatal_counts=fatal)
 
 
 def _binom(x: np.ndarray, r: int) -> np.ndarray:

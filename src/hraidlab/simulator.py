@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import FailureModel, HraidConfig, ValidationError, check_exact_counts
+from .config import MAX_TOLERANCE, FailureModel, HraidConfig, ValidationError, check_exact_counts
 from .stream import TrialStream, check_seed, trial_key, trial_keys, uniforms_at
 
 #: Trials per work unit.  Chunking only batches the vectorized engine;
@@ -436,7 +436,7 @@ def estimate_mttdl(
 
 
 def cell_seed(seed: int, k: int, ell: int) -> int:
-    """Per-cell seed for sweeps, independent of the ranges swept."""
+    """The seed of cell (k, l) in a sweep at ``seed``."""
     return trial_key(seed, (k << 16) | ell)
 
 
@@ -445,12 +445,11 @@ class SweepCell:
     k: int
     ell: int
     estimate: MttdlEstimate
-    trial_results: TrialResults | None = None
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """MTTDL estimates over a (k, l) grid at fixed N, M, and rates."""
+    """MTTDL estimates over the (k, l) grid at fixed N, M, and rates."""
 
     n: int
     m: int
@@ -513,47 +512,32 @@ def sweep(
     rates: FailureModel,
     trials: int,
     seed: int,
-    k_range: range = range(4),
-    l_range: range = range(4),
     threads: int | None = None,
-    keep_trials: bool = False,
 ) -> SweepResult:
-    """Estimate MTTDL over the (k, l) grid.
+    """Estimate MTTDL for every apportionment of an N x M array.
 
-    Every cell derives its own seed from (seed, k, l), so a cell's numbers
-    match a standalone run with that derived seed and do not depend on
-    which other cells are swept.  Grid cells that violate the geometry
-    bounds (k >= N or k + l >= M) are skipped; a sweep with no cell left
-    is rejected.
+    The cells are every (k, l) with 0 <= k, l <= ``MAX_TOLERANCE`` that
+    ``HraidConfig`` admits (k < N and k + l < M), k-major; cell (0, 0)
+    always fits.  Cell (k, l) is ``estimate_mttdl`` at the seed
+    ``cell_seed(seed, k, l)``, the run ``simulate --seed`` makes at that
+    seed.  Every cell's bounds are checked before any cell runs.
     """
     HraidConfig(n, m)  # N and M alone must be a valid geometry
     check_seed(seed)  # cell_seed would map any integer into range
+    tolerances = range(MAX_TOLERANCE + 1)
     configs = [
         HraidConfig(n, m, k, ell)
-        for k in k_range
-        for ell in l_range
+        for k in tolerances
+        for ell in tolerances
         if k < n and k + ell < m
     ]
     for config in configs:  # refuse an oversized cell before running any
         _unit_rho(config, rates)
-    cells = []
-    for config in configs:
-        cseed = cell_seed(seed, config.k, config.ell)
-        results = run_trials(config, rates, trials, cseed, threads)
-        est = MttdlEstimate.from_times(results.times_hours, cseed)
-        cells.append(
-            SweepCell(
-                k=config.k,
-                ell=config.ell,
-                estimate=est,
-                trial_results=results if keep_trials else None,
-            )
-        )
-    if not cells:
-        raise ValidationError(f"no (k, l) cell of the swept ranges fits N={n}, M={m}")
-    return SweepResult(
-        n=n, m=m, rates=rates, trials=trials, seed=seed, cells=tuple(cells)
+    cells = tuple(
+        SweepCell(c.k, c.ell, estimate_mttdl(c, rates, trials, cell_seed(seed, c.k, c.ell), threads))
+        for c in configs
     )
+    return SweepResult(n=n, m=m, rates=rates, trials=trials, seed=seed, cells=cells)
 
 
 def trace_jsonl_line(trial_index: int, event: DataLossEvent) -> str:

@@ -22,7 +22,9 @@ import pytest
 from hraidlab import (
     FailureModel,
     HraidConfig,
+    MttdlEstimate,
     Ordering,
+    cell_seed,
     compare_apportionments,
     disk_cells,
     encode_stripes,
@@ -34,6 +36,7 @@ from hraidlab import (
     node_cells,
     random_payloads,
     recover,
+    run_trials,
     sweep,
 )
 from hraidlab.cli import main
@@ -111,9 +114,7 @@ def exact_integral_khours(k: int, ell: int) -> float:
 def table_sweep():
     """The full 16-cell sweep shared by criteria 1, 2a, and 8."""
     t0 = time.perf_counter()
-    result = sweep(
-        12, 12, RATES, trials=TRIALS, seed=PINNED_SEED, threads=1, keep_trials=True
-    )
+    result = sweep(12, 12, RATES, trials=TRIALS, seed=PINNED_SEED, threads=1)
     elapsed = time.perf_counter() - t0
     return SimpleNamespace(result=result, elapsed=elapsed)
 
@@ -332,7 +333,12 @@ def test_criterion_8_no_loss_below_minimum_failures(table_sweep):
     minima = {}
     for cell in table_sweep.result.cells:
         dmin = (cell.k + 1) * (cell.ell + 1)
-        observed = int(cell.trial_results.disk_failures.min())
+        # the sweep cell's own trials: same config, rates, count and seed
+        cfg = HraidConfig(12, 12, cell.k, cell.ell)
+        cseed = cell_seed(PINNED_SEED, cell.k, cell.ell)
+        results = run_trials(cfg, RATES, TRIALS, cseed, threads=1)
+        assert MttdlEstimate.from_times(results.times_hours, cseed) == cell.estimate
+        observed = int(results.disk_failures.min())
         minima[(cell.k, cell.ell)] = observed
         assert observed >= dmin, (
             f"(k={cell.k}, l={cell.ell}): a trial lost data after {observed} "

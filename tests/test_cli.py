@@ -77,6 +77,17 @@ def test_invalid_geometry_is_validation_error(capsys):
          "below 2**53"),
         (["simulate", "--n", str(10**12), "--m", "12", "--l", "1", "--trials", "3"],
          "events and the simulator takes at most"),
+        (["layout", "--n", str(10**20), "--m", "2"], "a layout grid holds at most 262144"),
+        (["layout", "--n", "4", "--m", str(10**20)], "a layout grid holds at most 262144"),
+        (["layout", "--n", "1", "--m", "513", "--format", "json"],
+         "a layout grid holds at most 262144 cells (N*M^2), got 263169"),
+        (["codec-demo", "--n", str(10**20), "--m", "2", "--k", "0", "--l", "0"],
+         "a layout grid holds at most 262144"),
+        (["codec-demo", "--n", "2000", "--m", "2000", "--k", "0", "--l", "0",
+          "--strip-size", "1"], "a layout grid holds at most 262144"),
+        (["codec-demo", "--strip-size", str(10**20)], "the codec holds at most 134217728 bytes"),
+        (["codec-demo", "--n", "12", "--m", "12", "--strip-size", "77673"],
+         "the codec holds at most 134217728 bytes"),
     ],
 )
 def test_out_of_bound_flags_are_validation_errors(argv, bound, capsys):
@@ -277,6 +288,29 @@ def test_flags_override_config_file(tmp_path):
     assert obj["k"] == 1
     est = estimate_mttdl(HraidConfig(3, 3, 1, 0), RATES, trials=40, seed=3)
     assert obj["mttdl_hours"] == est.mean_hours
+
+
+def test_layout_verify_names_the_grid_bound(tmp_path, capsys):
+    obj = json.loads(generate_layout(HraidConfig(2, 2)).to_json())
+    obj["n"] = 10**20
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps(obj))
+    assert main(["layout", "--verify", str(grid_file)]) == 2
+    assert "a layout grid holds at most 262144 cells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, keys",
+    [({"k": 2, "ell": 0}, "['ell', 'k']"), ({"k": 0}, "['k']"), ({"ell": 1}, "['ell']")],
+)
+def test_sweep_config_refuses_k_and_ell(entry, keys, tmp_path, capsys):
+    # a sweep runs every (k, l) cell: a config file that names one is refused,
+    # as the --k and --l flags are
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"n": 3, "m": 3, "trials": 8, "seed": 1, **entry}))
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert f"unknown keys {keys}" in capsys.readouterr().err
+    assert main(["sweep", "--k", "2", "--n", "3", "--m", "3"]) == 1
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hraidlab import HraidConfig, generate_layout
 from hraidlab.cli import main
+from hraidlab.codec import MAX_STRIP_BYTES
 
 RATES = [0.0, -1e-6, 1e-320, 1e-30, 1e-6, 1.0, 1e30, 1e300, float("nan"), float("inf")]
 SEEDS = [-1, 0, 1, 2**63, 2**64 - 1, 2**64]
@@ -26,9 +27,21 @@ TARGETS = [None, "new-{}", "existing-dir", "plain/{}"]
 HUGE_N = [10**6, 10**7, 10**12, 10**100, 10**400]
 HUGE_N_COMMANDS = [
     ["simulate"], ["sweep"], ["oracle", "markov"], ["analytic", "report"], ["analytic", "compare"],
+    ["layout"], ["codec-demo"],
 ]
+#: The commands also drawn at a huge M (from HUGE_N): their grids hold N M^2 cells.
+HUGE_M_COMMANDS = [["layout"], ["codec-demo"]]
 #: The commands drawn at a huge N with every flag valid.
-VALID_HUGE_N_COMMANDS = [["simulate"], ["sweep"], ["oracle", "markov"], ["analytic", "report"]]
+VALID_HUGE_N_COMMANDS = [
+    ["simulate"], ["sweep"], ["oracle", "markov"], ["analytic", "report"], ["layout"],
+    ["codec-demo"],
+]
+#: codec-demo strip sizes: small ones, the default, and sizes past the strip
+#: array bound at every geometry, up to 1e20.  Sizes between those answer at a
+#: cost that grows with the size, so they are left to the codec's own tests.
+STRIP_SIZES = st.one_of(
+    st.integers(-1, 16), st.just(4096), st.integers(MAX_STRIP_BYTES + 1, 10**20)
+)
 POSITIVE_RATES = [1e-30, 1e-6, 1e-3, 1.0, 1e30]
 COMMANDS = [
     ["simulate"], ["sweep"], ["oracle", "markov"], ["oracle", "enum"],
@@ -44,10 +57,15 @@ NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 
 @st.composite
 def grid_files(draw):
-    """A layout grid file: valid, truncated, or with one cell's letter replaced."""
+    """A layout grid file: valid, truncated, with one cell's letter replaced,
+    or with N or M replaced by a huge count."""
     cfg = draw(st.sampled_from(GRID_CONFIGS))
     text = generate_layout(cfg).to_json()
-    kind = draw(st.sampled_from(["valid", "truncated", "bad letter"]))
+    kind = draw(st.sampled_from(["valid", "truncated", "bad letter", "huge"]))
+    if kind == "huge":
+        obj = json.loads(text)
+        obj[draw(st.sampled_from(["n", "m"]))] = draw(st.sampled_from(HUGE_N))
+        return json.dumps(obj)
     if kind == "truncated":
         return text[: draw(st.integers(0, len(text) - 1))]
     if kind == "bad letter":
@@ -70,11 +88,10 @@ def invocations(draw):
         argv = list(command)
     else:
         geometry = st.integers(-2, 14)
-        if command in HUGE_N_COMMANDS:
-            geometry_n = st.one_of(geometry, st.sampled_from(HUGE_N))
-        else:
-            geometry_n = geometry
-        argv = command + [f"--n={draw(geometry_n)}", f"--m={draw(geometry)}"]
+        huge = st.one_of(geometry, st.sampled_from(HUGE_N))
+        geometry_n = huge if command in HUGE_N_COMMANDS else geometry
+        geometry_m = huge if command in HUGE_M_COMMANDS else geometry
+        argv = command + [f"--n={draw(geometry_n)}", f"--m={draw(geometry_m)}"]
         if command not in (["sweep"], ["analytic", "compare"]):
             tolerance = st.integers(-1, 4)
             argv += [f"--k={draw(tolerance)}", f"--l={draw(tolerance)}"]
@@ -94,7 +111,7 @@ def invocations(draw):
         argv += [f"--format={draw(st.sampled_from(['text', 'json']))}"]
     if command == ["codec-demo"]:
         argv += [
-            f"--strip-size={draw(st.integers(-1, 16))}",
+            f"--strip-size={draw(STRIP_SIZES)}",
             f"--seed={draw(st.sampled_from(SEEDS))}",
         ]
         targets["--dir"] = draw(st.sampled_from(TARGETS))
@@ -113,14 +130,17 @@ def valid_huge_invocations(draw):
     m = draw(st.integers(1, 14))
     argv = command + [f"--n={draw(st.sampled_from(HUGE_N))}", f"--m={m}"]
     if command != ["sweep"]:
-        k = draw(st.integers(0, min(3, m - 1)))  # k < N at every huge N
-        argv += [f"--k={k}", f"--l={draw(st.integers(0, min(3, m - 1 - k)))}"]
-    if command != ["analytic", "report"]:
+        top = 1 if command == ["codec-demo"] else 3  # the XOR codec takes k, l <= 1
+        k = draw(st.integers(0, min(top, m - 1)))  # k < N at every huge N
+        argv += [f"--k={k}", f"--l={draw(st.integers(0, min(top, m - 1 - k)))}"]
+    if command[0] in ("simulate", "sweep", "oracle"):
         rates = st.sampled_from(POSITIVE_RATES)
         argv += [f"--delta={draw(rates)!r}", f"--gamma={draw(rates)!r}"]
-    else:
+    elif command == ["analytic", "report"]:
         eps = draw(st.sampled_from([None, 1e-6, 0.01, 0.5]))
         argv += [] if eps is None else [f"--eps={eps!r}"]
+    elif command == ["codec-demo"]:
+        argv += [f"--strip-size={draw(st.integers(1, 10**20))}"]
     if command[0] in ("simulate", "sweep"):
         argv += [
             f"--trials={draw(st.integers(1, 5))}",

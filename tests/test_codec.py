@@ -162,6 +162,23 @@ def test_strip_tree_round_trip_and_missing_files(tmp_path):
     assert np.array_equal(result.content.strips, content.strips)
 
 
+def test_strip_array_bound(tmp_path):
+    # 12 x 12 at 64 KiB is a 113 MB strip array; one byte a strip past
+    # 2**27 / 1728 cells is refused before any strip array is allocated
+    cfg = HraidConfig(12, 12, 1, 1)
+    grid = generate_layout(cfg)
+    bound = "the codec holds at most 134217728 bytes of strips"
+    size = 2**27 // 1728 + 1
+    with pytest.raises(ValidationError, match=bound):
+        random_payloads(grid, 1, size)
+    with pytest.raises(ValidationError, match=bound):
+        encode_stripes(dict.fromkeys(data_cells(grid), bytes(size)), cfg, grid)
+    (tmp_path / "node1" / "disk1").mkdir(parents=True)
+    (tmp_path / "node1" / "disk1" / "row1.bin").write_bytes(bytes(size))
+    with pytest.raises(ValidationError, match=bound):
+        read_strip_tree(tmp_path, cfg)
+
+
 def test_strip_tree_rejects_ragged_or_empty_trees(tmp_path):
     with pytest.raises(ValidationError, match="no strip files"):
         read_strip_tree(tmp_path, CFG)

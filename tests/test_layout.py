@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from hraidlab import (
     small_write_cost,
     verify_layout,
 )
+from hraidlab import layout as layout_module
 from test_codec import DATA, INTER, INTRA, role_kind
 
 # Golden role pattern of the 4x4 HRAID1/1 figure, all 16 node-rows.
@@ -108,6 +111,19 @@ def test_verifier_rejects_mismatched_config():
     grid = generate_layout(HraidConfig(4, 4, 1, 1))
     with pytest.raises(ValidationError):
         verify_layout(grid, HraidConfig(4, 4, 1, 0))
+
+
+def test_grid_cell_bound():
+    # N M^2 cells: 1 x 512 is at the bound, 1 x 513 and 2 x 512 past it
+    assert generate_layout(HraidConfig(1, 512)).codes.size == layout_module.MAX_GRID_CELLS
+    text = generate_layout(HraidConfig(2, 2)).to_json()
+    for n, m in ((1, 513), (2, 512), (10**20, 2), (4, 10**20)):
+        with pytest.raises(ValidationError, match="a layout grid holds at most 262144 cells"):
+            generate_layout(HraidConfig(n, m))
+        obj = json.loads(text)
+        obj["n"], obj["m"] = n, m
+        with pytest.raises(ValidationError, match="a layout grid holds at most 262144 cells"):
+            LayoutGrid.from_json(json.dumps(obj))
 
 
 def test_grid_json_round_trip():

@@ -9,6 +9,7 @@ from hraidlab import (
     FailureModel,
     HraidConfig,
     MttdlEstimate,
+    SweepCell,
     TrialStream,
     ValidationError,
     cell_seed,
@@ -303,16 +304,10 @@ def test_sweep_skips_invalid_cells():
         res.cell(3, 1)
 
 
-def test_sweep_with_no_cell_is_rejected():
-    with pytest.raises(ValidationError, match="no \\(k, l\\) cell"):
-        sweep(2, 2, DISK_ONLY, trials=4, seed=0, k_range=range(2, 4))
-
-
-def test_sweep_cells_independent_of_ranges():
-    full = sweep(3, 3, DISK_ONLY, trials=64, seed=5)
-    narrow = sweep(3, 3, DISK_ONLY, trials=64, seed=5, k_range=range(1, 2))
-    assert narrow.cell(1, 0) == full.cell(1, 0)
-    assert narrow.cell(1, 1) == full.cell(1, 1)
+def test_smallest_sweep_is_the_one_unprotected_cell():
+    res = sweep(1, 1, DISK_ONLY, trials=16, seed=4)
+    standalone = estimate_mttdl(HraidConfig(1, 1), DISK_ONLY, 16, cell_seed(4, 0, 0))
+    assert res.cells == (SweepCell(k=0, ell=0, estimate=standalone),)
 
 
 def test_sweep_csv_round_trip():
@@ -353,18 +348,6 @@ def test_sweep_table_marks_invalid_cells():
     assert last.count("-") == 3
 
 
-def test_sweep_keep_trials_exposes_raw_results():
-    res = sweep(2, 2, DISK_ONLY, trials=16, seed=4, k_range=range(1), l_range=range(1))
-    assert res.cells[0].trial_results is None
-    kept = sweep(
-        2, 2, DISK_ONLY, trials=16, seed=4, k_range=range(1), l_range=range(1),
-        keep_trials=True,
-    )
-    tr = kept.cells[0].trial_results
-    assert tr is not None and tr.trials == 16
-    assert tr.times_hours.shape == (16,)
-
-
 def test_trace_jsonl_line_is_valid_json():
     event = simulate_trial(HraidConfig(2, 2, 0, 1), DISK_ONLY, TrialStream(0, 0))
     obj = json.loads(trace_jsonl_line(7, event))
@@ -396,7 +379,7 @@ def test_trial_event_bound():
     for run in (
         lambda: run_trials(cfg, DISK_ONLY, 3, seed=0),
         lambda: simulate_trial(cfg, DISK_ONLY, TrialStream(0, 0)),
-        lambda: sweep(cfg.n, 12, DISK_ONLY, trials=3, seed=0, k_range=range(1)),
+        lambda: sweep(cfg.n, 12, DISK_ONLY, trials=3, seed=0),
     ):
         with pytest.raises(ValidationError, match="events and the simulator takes at most"):
             run()
