@@ -3,8 +3,11 @@ layout emission, and an XOR codec walkthrough.
 
 Exit codes: 0 success, 1 usage error, 2 validation error (a named model
 bound was violated, or an output file is unwritable), 3 internal failure.
-Values given as flags override values from ``--config`` (a flat JSON
-object), which override defaults.  Rates per hour must satisfy
+Every command reads its values from one dict, ``_values(args)``, holding
+each dest of its own parser: a given flag, else the ``--config`` value (a
+flat JSON object whose keys name the command's own flags), else the
+``_DEFAULTS`` entry.  Trial counts and seeds are checked by the library
+that takes them.  Rates per hour must satisfy
 1e-30 <= delta <= 1e30 and 0 <= gamma <= 1e30.  ``simulate`` and ``sweep``
 print a table, CSV or JSON view of one result record; ``simulate --trace``
 then replays every trial in the scalar engine to dump its events.  Output
@@ -22,6 +25,8 @@ import tempfile
 from collections.abc import Iterable
 from pathlib import Path
 
+import numpy as np
+
 from .analytic import (
     compare_apportionments,
     conditional_sixth_failure,
@@ -34,6 +39,8 @@ from .analytic import (
     raid_series_approx,
 )
 from .codec import (
+    Cell,
+    StripeContent,
     disk_cells,
     encode_stripes,
     node_cells,
@@ -56,7 +63,7 @@ from .simulator import (
 from .stream import TrialStream
 
 #: Config-file keys of simulate and sweep, mapped to flag dests; a command
-#: accepts the keys of the dests it reads.
+#: accepts the keys of the dests its own parser defines.
 _CONFIG_KEYS = {
     "n": "n",
     "m": "m",
@@ -72,6 +79,18 @@ _CONFIG_KEYS = {
 
 #: Output formats of simulate and sweep, each mapped to the result view that renders it.
 _VIEWS = {"table": "format_table", "csv": "to_csv", "json": "to_json"}
+
+#: Defaults of every command's values; a dest with neither a parser default
+#: nor an entry here is None when no flag or config file sets it.
+_DEFAULTS = {
+    "k": 0,
+    "ell": 0,
+    "delta": FailureModel.disk_rate,
+    "gamma": FailureModel.controller_rate,
+    "trials": 10_000,
+    "seed": 0,
+    "format": "table",
+}
 
 
 class UsageError(Exception):
@@ -115,7 +134,7 @@ def _load_config_file(path: str, dests: Iterable[str]) -> dict:
     accepted = sorted(key for key, dest in _CONFIG_KEYS.items() if dest in dests)
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
@@ -124,16 +143,10 @@ def _load_config_file(path: str, dests: Iterable[str]) -> dict:
         raise ValidationError(
             f"config file {path} has unknown keys {unknown}; accepted: {accepted}"
         )
-    for key in ("trials", "seed"):
-        value = raw.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(
-                f"config file {path}: {key} must be an integer, got {value!r}"
-            )
-    if raw.get("output_format", "table") not in _VIEWS:
+    fmt = raw.get("output_format", "table")
+    if not isinstance(fmt, str) or fmt not in _VIEWS:  # a list or an object is unhashable
         raise ValidationError(
-            f"config file {path}: output_format must be one of {', '.join(_VIEWS)}, "
-            f"got {raw['output_format']!r}"
+            f"config file {path}: output_format must be one of {', '.join(_VIEWS)}, got {fmt!r}"
         )
     if not isinstance(raw.get("output_path", ""), str):
         raise ValidationError(
@@ -142,16 +155,16 @@ def _load_config_file(path: str, dests: Iterable[str]) -> dict:
     return {_CONFIG_KEYS[key]: value for key, value in raw.items()}
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """Flags override config-file values override defaults."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        merged.update(_load_config_file(args.config, defaults))
-    for dest in defaults:
-        flag_value = getattr(args, dest, None)
-        if flag_value is not None:
-            merged[dest] = flag_value
-    return merged
+def _values(args: argparse.Namespace) -> dict:
+    """Every dest of the command's parser: the flag when given, else the
+    ``--config`` value, else the ``_DEFAULTS`` entry.  A parser default
+    (``codec-demo``'s geometry, ``layout --format``) counts as given."""
+    given = vars(args)
+    from_file = _load_config_file(given["config"], given) if given.get("config") else {}
+    return {
+        dest: value if value is not None else from_file.get(dest, _DEFAULTS.get(dest))
+        for dest, value in given.items()
+    }
 
 
 def _add_geometry_flags(p: argparse.ArgumentParser, with_kl: bool = True) -> None:
@@ -229,7 +242,7 @@ def build_parser() -> _Parser:
 
     p_lay = sub.add_parser("layout", parents=out, help="emit or verify a strip layout")
     _add_geometry_flags(p_lay)
-    p_lay.add_argument("--format", choices=["text", "json"], help="output format")
+    p_lay.add_argument("--format", choices=["text", "json"], default="text", help="output format")
     p_lay.add_argument("--verify", help="verify a JSON grid file instead of emitting")
     p_lay.set_defaults(func=_cmd_layout)
 
@@ -256,76 +269,61 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _require(merged: dict, *names: str) -> None:
-    missing = [n for n in names if merged.get(n) is None]
+def _require(values: dict, *names: str) -> None:
+    missing = [n for n in names if values[n] is None]
     if missing:
         raise UsageError("missing required value(s): " + ", ".join(f"--{n}" for n in missing))
 
 
-def _geometry(merged: dict) -> HraidConfig:
-    _require(merged, "n", "m")
-    return HraidConfig(merged["n"], merged["m"], merged["k"], merged["ell"])
+def _geometry(values: dict) -> HraidConfig:
+    _require(values, "n", "m")
+    return HraidConfig(values["n"], values["m"], values["k"], values["ell"])
 
 
-def _rates(merged: dict) -> FailureModel:
-    return FailureModel(disk_rate=merged["delta"], controller_rate=merged["gamma"])
+def _rates(values: dict) -> FailureModel:
+    return FailureModel(disk_rate=values["delta"], controller_rate=values["gamma"])
 
 
-_GEOMETRY_DEFAULTS = {"n": None, "m": None, "k": 0, "ell": 0}
-_RATE_DEFAULTS = {"delta": FailureModel.disk_rate, "gamma": FailureModel.controller_rate}
-_RUN_DEFAULTS = {
-    **_GEOMETRY_DEFAULTS, **_RATE_DEFAULTS,
-    "trials": 10_000, "seed": 0, "format": "table", "out": None,
-}
-#: sweep runs every (k, l) cell: neither a flag nor a config file sets k or l
-_SWEEP_DEFAULTS = {dest: v for dest, v in _RUN_DEFAULTS.items() if dest not in ("k", "ell")}
-
-
-def _flag_geometry(args: argparse.Namespace) -> HraidConfig:
-    """Geometry from --n/--m (required) and --k/--l (default 0)."""
-    return _geometry(_merge(args, _GEOMETRY_DEFAULTS))
-
-
-def _write_view(result, merged: dict) -> None:
+def _write_view(result, values: dict) -> None:
     """Write the result view that ``--format`` names."""
-    _write_output([getattr(result, _VIEWS[merged["format"]])()], merged["out"])
+    _write_output([getattr(result, _VIEWS[values["format"]])()], values["out"])
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    merged = _merge(args, _RUN_DEFAULTS)
-    config = _geometry(merged)
-    rates = _rates(merged)
-    trials, seed = merged["trials"], merged["seed"]
+def _cmd_simulate(values: dict) -> int:
+    config = _geometry(values)
+    rates = _rates(values)
+    trials, seed = values["trials"], values["seed"]
     est = estimate_mttdl(config, rates, trials, seed)
-    if args.trace:
+    if values["trace"]:
         # streams are keyed by (seed, trial index), so each replay is
         # bit-identical to the batch trial the estimate holds
         replays = (simulate_trial(config, rates, TrialStream(seed, i)) for i in range(trials))
-        _write_output((trace_jsonl_line(i, e) + "\n" for i, e in enumerate(replays)), args.trace)
-    _write_view(RunResult(config, rates, seed, est), merged)
+        lines = (trace_jsonl_line(i, e) + "\n" for i, e in enumerate(replays))
+        _write_output(lines, values["trace"])
+    _write_view(RunResult(config, rates, seed, est), values)
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    merged = _merge(args, _SWEEP_DEFAULTS)
-    _require(merged, "n", "m")
-    result = sweep(merged["n"], merged["m"], _rates(merged), merged["trials"], merged["seed"])
-    _write_view(result, merged)
+def _cmd_sweep(values: dict) -> int:
+    _require(values, "n", "m")
+    result = sweep(values["n"], values["m"], _rates(values), values["trials"], values["seed"])
+    _write_view(result, values)
     return 0
 
 
-def _cmd_analytic_compare(args: argparse.Namespace) -> int:
-    _require(vars(args), "n", "m")
-    cmp_result = compare_apportionments(args.n, args.m)
+def _cmd_analytic_compare(values: dict) -> int:
+    _require(values, "n", "m")
+    n, m = values["n"], values["m"]
+    cmp_result = compare_apportionments(n, m)
     text = (
-        f"HRAID1/2 vs HRAID2/1 on N={args.n} nodes x M={args.m} disks\n"
+        f"HRAID1/2 vs HRAID2/1 on N={n} nodes x M={m} disks\n"
         f"  minimal fatal sets (6 failures): "
         f"1/2 -> {cmp_result.coeff_12}, 2/1 -> {cmp_result.coeff_21}\n"
         f"  verdict: {cmp_result.ordering.name}\n"
         f"  threshold form: N > 2 + 3C(M,3)^2/C(M,2)^3 = "
         f"{cmp_result.threshold_n} ~= {float(cmp_result.threshold_n):.6g}"
     )
-    _write_output([text], args.out)
+    _write_output([text], values["out"])
     return 0
 
 
@@ -336,8 +334,8 @@ def _approximation(p: float) -> str:
     return "n/a (approximation outside [0, 1] at this eps)"
 
 
-def _cmd_analytic_report(args: argparse.Namespace) -> int:
-    config = _flag_geometry(args)
+def _cmd_analytic_report(values: dict) -> int:
+    config = _geometry(values)
     leading = leading_term(config)
     lines = [
         f"HRAID {config.k}/{config.ell} on N={config.n} nodes x M={config.m} disks",
@@ -357,8 +355,8 @@ def _cmd_analytic_report(args: argparse.Namespace) -> int:
             f"  p_2/1 = (M-1)/D_S = {p21} ~= {float(p21):.6g}",
             f"  apportionment threshold: N > {threshold} ~= {float(threshold):.6g}",
         ]
-    if args.eps is not None:
-        eps = args.eps
+    eps = values["eps"]
+    if eps is not None:
         r = hraid_reliability(config, eps)
         u = hraid_unreliability(config, eps)
         node_r = exact_mds_reliability(config.m, config.ell, eps)
@@ -372,77 +370,92 @@ def _cmd_analytic_report(args: argparse.Namespace) -> int:
             f"    leading-term approximation           : "
             f"{_approximation(leading.evaluate(eps))}",
         ]
-    _write_output(["\n".join(lines)], args.out)
+    _write_output(["\n".join(lines)], values["out"])
     return 0
 
 
-def _cmd_oracle_enum(args: argparse.Namespace) -> int:
-    poly = exact_reliability_enum(_flag_geometry(args))
+def _cmd_oracle_enum(values: dict) -> int:
+    poly = exact_reliability_enum(_geometry(values))
     text = poly.to_csv()
-    if args.eps is not None:
-        text += (
-            f"# unreliability at eps={args.eps:g}: "
-            f"{poly.unreliability(args.eps):.15g}\n"
-        )
-    _write_output([text], args.out)
+    eps = values["eps"]
+    if eps is not None:
+        text += f"# unreliability at eps={eps:g}: {poly.unreliability(eps):.15g}\n"
+    _write_output([text], values["out"])
     return 0
 
 
-def _cmd_oracle_markov(args: argparse.Namespace) -> int:
-    merged = _merge(args, {**_GEOMETRY_DEFAULTS, **_RATE_DEFAULTS})
-    config = _geometry(merged)
-    rates = _rates(merged)
+def _cmd_oracle_markov(values: dict) -> int:
+    config = _geometry(values)
+    rates = _rates(values)
     hours = markov_mttdl(config, rates)
     text = (
         f"exact MTTDL for HRAID {config.k}/{config.ell}: N={config.n}, M={config.m}, "
         f"delta={rates.disk_rate:g}/h, gamma={rates.controller_rate:g}/h\n"
         f"  {hours:.15g} hours ({format_hours(hours, 1000.0, '.4f')} thousand hours)"
     )
-    _write_output([text], args.out)
+    _write_output([text], values["out"])
     return 0
 
 
-def _cmd_layout(args: argparse.Namespace) -> int:
-    if args.verify:
+def _cmd_layout(values: dict) -> int:
+    out, verify = values["out"], values["verify"]
+    if verify:
         try:
-            grid = LayoutGrid.from_json(Path(args.verify).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read grid file {args.verify}: {exc}") from exc
+            grid = LayoutGrid.from_json(Path(verify).read_text())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"cannot read grid file {verify}: {exc}") from exc
         violations = verify_layout(grid)
         if violations:
             text = "\n".join(
                 [f"layout INVALID: {len(violations)} violation(s)"] + violations
             )
-            _write_output([text], args.out)
+            _write_output([text], out)
             return 2
-        _write_output(["layout valid: all balance invariants hold"], args.out)
+        _write_output(["layout valid: all balance invariants hold"], out)
         return 0
-    grid = generate_layout(_flag_geometry(args))
-    text = grid.to_json() if args.format == "json" else grid.as_text()
-    _write_output([text], args.out)
+    grid = generate_layout(_geometry(values))
+    text = grid.to_json() if values["format"] == "json" else grid.as_text()
+    _write_output([text], out)
     return 0
 
 
-def _cmd_codec_demo(args: argparse.Namespace) -> int:
-    config = _geometry(vars(args))
+def _recovery_line(content: StripeContent, label: str, cells: set[Cell]) -> str:
+    """One scenario's outcome; its rebuilt strip array is freed on return."""
+    result = recover(content, cells)
+    if result.data_loss:
+        return f"recover after {label}: DATA LOSS ({result.message})"
+    # row by row: one == over the whole array would allocate a temporary of its size
+    exact = all(map(np.array_equal, result.content.strips, content.strips))
+    return (
+        f"recover after {label}: rebuilt {len(cells)} strips, "
+        f"bit-exact: {'yes' if exact else 'NO'}"
+        + (f" (failed nodes restriped: {result.failed_nodes})" if result.failed_nodes else "")
+    )
+
+
+def _cmd_codec_demo(values: dict) -> int:
+    config = _geometry(values)
+    seed, strip_size, tree = values["seed"], values["strip_size"], values["dir"]
     grid = generate_layout(config)
-    payloads = random_payloads(grid, args.seed, args.strip_size)
+    payloads = random_payloads(grid, seed, strip_size)
+    count = len(payloads)
     content = encode_stripes(payloads, config, grid)
+    del payloads  # the strip array holds every payload now
     bad = verify_parity(content)
     lines = [
         f"encoded HRAID {config.k}/{config.ell}: N={config.n}, M={config.m}, "
-        f"{len(payloads)} data strips of {args.strip_size} bytes (seed {args.seed})",
+        f"{count} data strips of {strip_size} bytes (seed {seed})",
         f"parity check after encode: {'ok' if not bad else 'FAILED'}",
     ]
-    if args.dir:
+    if tree:
         try:
-            write_strip_tree(content, args.dir)
+            write_strip_tree(content, tree)
         except OSError as exc:
-            raise ValidationError(f"cannot write strip tree under {args.dir}: {exc}") from exc
-        lines.append(f"strip tree written under {args.dir}/node*/disk*/row*.bin")
+            raise ValidationError(f"cannot write strip tree under {tree}: {exc}") from exc
+        lines.append(f"strip tree written under {tree}/node*/disk*/row*.bin")
 
     erased = set()
-    for spec_str in args.erase_disk:
+    for spec_str in values["erase_disk"]:
         try:
             node_s, pos_s = spec_str.split(":")
             node, pos = int(node_s), int(pos_s)
@@ -450,7 +463,7 @@ def _cmd_codec_demo(args: argparse.Namespace) -> int:
             raise UsageError(f"--erase-disk expects NODE:POS, got {spec_str!r}") from exc
         erased |= disk_cells(config, node, pos)
         lines.append(f"erased disk: node {node}, position {pos}")
-    for node in args.erase_node:
+    for node in values["erase_node"]:
         erased |= node_cells(config, node)
         lines.append(f"erased node {node}")
 
@@ -466,21 +479,7 @@ def _cmd_codec_demo(args: argparse.Namespace) -> int:
             scenarios.append(
                 ("two whole nodes (1 and 2)", node_cells(config, 1) | node_cells(config, 2))
             )
-    for label, cells in scenarios:
-        result = recover(content, cells)
-        if result.data_loss:
-            lines.append(f"recover after {label}: DATA LOSS ({result.message})")
-            continue
-        exact = (result.content.strips == content.strips).all()
-        lines.append(
-            f"recover after {label}: rebuilt {len(cells)} strips, "
-            f"bit-exact: {'yes' if exact else 'NO'}"
-            + (
-                f" (failed nodes restriped: {result.failed_nodes})"
-                if result.failed_nodes
-                else ""
-            )
-        )
+    lines += [_recovery_line(content, label, cells) for label, cells in scenarios]
     _write_output(["\n".join(lines)], None)
     return 0
 
@@ -489,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        return args.func(_values(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -499,7 +498,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

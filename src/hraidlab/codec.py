@@ -29,11 +29,12 @@ from .stream import check_seed
 Cell = tuple[int, int, int]  # 1-based (row, node, position)
 
 #: Largest strip array, in bytes: the N M^2 strips of a grid times the strip
-#: size.  It admits 12 x 12 at 64 KiB, a 113 MB array.  At the bound
-#: ``codec-demo`` (without ``--dir``) took 1.1-1.4 s and 485-528 MB peak RSS
-#: on 12 x 12, 4 x 4 and 1 x 2 arrays; at this bound and the grid bound
-#: together (512-byte strips) it took at most 7.1 s and 668 MB (1 x 512), on
-#: 2 shared cores with Python 3.11.7 and numpy 2.4.6.
+#: size.  It admits 12 x 12 at 64 KiB, a 113 MB array, where ``codec-demo``
+#: took 0.9 s and 262 MB peak RSS.  At the bound ``codec-demo`` (without
+#: ``--dir``) took 0.9-1.1 s and 304-357 MB peak RSS on 12 x 12, 4 x 4 and
+#: 1 x 2 arrays; at this bound and the grid bound together (512-byte strips)
+#: it took at most 5.7 s and 413 MB (1 x 512), on 2 shared cores with Python
+#: 3.11.7 and numpy 2.4.6.
 MAX_STRIP_BYTES = 2**27
 
 

@@ -20,6 +20,12 @@ class UnsupportedCodecError(ValidationError):
 MAX_TOLERANCE = 3
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValidationError unless ``value`` is an integer; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HraidConfig:
     """Geometry and redundancy apportionment of an HRAID k/l array.
@@ -38,9 +44,7 @@ class HraidConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_nodes", "disks_per_node", "inter_tolerance", "intra_tolerance"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            check_integer(name, getattr(self, name))
         n, m = self.n_nodes, self.disks_per_node
         k, ell = self.inter_tolerance, self.intra_tolerance
         if n < 1:

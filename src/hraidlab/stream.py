@@ -4,15 +4,15 @@ Every Monte Carlo trial draws from its own stream, keyed by (seed, trial
 index) through the SplitMix64 finalizer.  A draw is addressed purely by
 (key, counter), so trials can run in any order, on any number of threads,
 and in either the scalar or the vectorized engine with bit-identical
-results.  Seeds are 64-bit words: ``check_seed`` rejects any other value
-rather than let it alias a seed in [0, 2**64).
+results.  Seeds are 64-bit words: ``check_seed`` rejects any other value,
+a non-integer or one that would alias a seed in [0, 2**64).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import ValidationError
+from .config import ValidationError, check_integer
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -22,14 +22,15 @@ _U64 = np.uint64
 
 
 def check_seed(seed: int) -> None:
-    """Raise ValidationError unless ``seed`` is in [0, 2**64)."""
+    """Raise ValidationError unless ``seed`` is an integer in [0, 2**64)."""
+    check_integer("seed", seed)
     if not 0 <= seed <= _MASK64:
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: bijective avalanche mix of one 64-bit word."""
-    z &= _MASK64
+    z = int(z) & _MASK64  # a numpy integer seed would wrap or overflow below
     z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
     return z ^ (z >> 31)

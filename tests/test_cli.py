@@ -1,10 +1,14 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hraidlab
 from hraidlab import (
     FailureModel,
     HraidConfig,
@@ -17,7 +21,7 @@ from hraidlab import (
     sweep,
 )
 from hraidlab.cli import main
-from hraidlab.simulator import THREADS_ENV_VAR
+from hraidlab.simulator import MAX_TRIALS, THREADS_ENV_VAR
 
 RATES = FailureModel(disk_rate=1e-6)
 
@@ -88,6 +92,15 @@ def test_invalid_geometry_is_validation_error(capsys):
         (["codec-demo", "--strip-size", str(10**20)], "the codec holds at most 134217728 bytes"),
         (["codec-demo", "--n", "12", "--m", "12", "--strip-size", "77673"],
          "the codec holds at most 134217728 bytes"),
+        (["simulate", "--n", "12", "--m", "12", "--trials", str(10**12)],
+         "trials must be at most 16777216, got 1000000000000"),
+        (["simulate", "--n", "12", "--m", "12", "--trials", str(10**30)],
+         "trials must be at most 16777216"),
+        (["simulate", "--n", "12", "--m", "12", "--trials", str(MAX_TRIALS + 1)],
+         "trials must be at most 16777216"),
+        (["sweep", "--n", "12", "--m", "12", "--trials", str(10**12)],
+         "trials must be at most 16777216"),
+        (["codec-demo", "--erase-node", "5"], "is outside the grid"),
     ],
 )
 def test_out_of_bound_flags_are_validation_errors(argv, bound, capsys):
@@ -105,6 +118,8 @@ def test_out_of_bound_flags_are_validation_errors(argv, bound, capsys):
         pytest.param({"trials": 4.5}, "trials must be an integer", id="trials-4.5"),
         pytest.param({"trials": True}, "trials must be an integer", id="trials-True"),
         pytest.param({"seed": "x"}, "seed must be an integer", id="seed-x"),
+        pytest.param({"seed": True}, "seed must be an integer, got True", id="seed-True"),
+        pytest.param({"trials": 10**12}, "trials must be at most 16777216", id="trials-10**12"),
         pytest.param({"seed": 2**64}, "seed must be in [0, 2**64)", id="seed-2**64"),
         pytest.param({"output_path": 5}, "output_path must be a string", id="output_path-5"),
         pytest.param(
@@ -117,6 +132,35 @@ def test_non_integer_config_geometry_is_validation_error(entry, bound, tmp_path,
     cfg.write_text(json.dumps({"n": 4, "m": 3, "trials": 5, **entry}))
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert bound in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        pytest.param(None, "cannot read config file", id="missing"),
+        pytest.param(b"\xff\xfe{", "cannot read config file", id="not-utf-8"),
+        pytest.param(b"{", "cannot read config file", id="truncated"),
+        pytest.param(b"[1, 2]", "must hold a JSON object", id="list"),
+        pytest.param(b'"n"', "must hold a JSON object", id="string"),
+    ],
+)
+def test_unreadable_or_non_object_config_is_validation_error(
+    command, body, message, tmp_path, capsys
+):
+    cfg = tmp_path / "run.json"
+    if body is not None:
+        cfg.write_bytes(body)
+    assert main([command, "--n", "3", "--m", "3", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"config file {cfg}" in err and message in err
+
+
+def test_flags_replace_invalid_config_values(tmp_path):
+    # a config value a flag overrides is never read, so it is never checked
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 3, "m": 3, "trials": 4.5, "seed": "x"}))
+    assert main(["simulate", "--config", str(cfg), "--trials", "5", "--seed", "1"]) == 0
 
 
 def test_internal_failure_maps_to_exit_3(monkeypatch, capsys):
@@ -407,6 +451,13 @@ def test_layout_verify_missing_file(capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_layout_verify_non_utf8_file(tmp_path, capsys):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_bytes(b"\xff\xfe{")
+    assert main(["layout", "--verify", str(grid_file)]) == 2
+    assert f"validation error: cannot read grid file {grid_file}" in capsys.readouterr().err
+
+
 def _grid_2x2(rows):
     """A 2 x 2 HRAID 0/1 grid file body with the given rows."""
     return {"n": 2, "m": 2, "k": 0, "ell": 1, "rows": rows}
@@ -583,6 +634,21 @@ def test_codec_demo_requested_erasure(capsys, tmp_path):
     assert (tmp_path / "tree" / "node2" / "disk3" / "row1.bin").exists()
 
 
+def test_codec_demo_erase_node(capsys):
+    assert main(["codec-demo", "--strip-size", "16", "--erase-node", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:] == [
+        "erased node 3",
+        "recover after requested erasure: rebuilt 16 strips, bit-exact: yes "
+        "(failed nodes restriped: (3,))",
+    ]
+    assert main(["codec-demo", "--strip-size", "16", "--erase-node", "1", "--erase-node", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "recover after requested erasure: DATA LOSS "
+        "(2 failed node(s) exceed the inter-node tolerance k=1)"
+    )
+
+
 def test_codec_demo_unwritable_dir_is_validation_error(tmp_path, capsys):
     (tmp_path / "plain").write_text("x")
     target = tmp_path / "plain" / "tree"
@@ -608,3 +674,18 @@ def test_cell_seed_used_by_sweep(tmp_path):
     by_cell = {tuple(r.split(",")[2:4]): r for r in rows}
     row = by_cell[("0", "1")]
     assert float(row.split(",")[8]) == est.mean_hours
+
+
+@pytest.mark.parametrize("n", ["12", "2"])  # an answer, and a named bound (exit 2)
+def test_python_dash_m_runs_main(n, capsys):
+    argv = ["analytic", "compare", "--n", n, "--m", "4"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    # the child imports the package these tests import
+    paths = [str(Path(hraidlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hraidlab", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, captured.out, captured.err)

@@ -15,9 +15,14 @@ from hypothesis import strategies as st
 from hraidlab import HraidConfig, generate_layout
 from hraidlab.cli import main
 from hraidlab.codec import MAX_STRIP_BYTES
+from hraidlab.simulator import MAX_TRIALS
 
 RATES = [0.0, -1e-6, 1e-320, 1e-30, 1e-6, 1.0, 1e30, 1e300, float("nan"), float("inf")]
 SEEDS = [-1, 0, 1, 2**63, 2**64 - 1, 2**64]
+#: Trial counts: small ones, and counts past the trial bound up to 1e30.
+TRIALS = st.one_of(st.integers(-3, 30), st.integers(MAX_TRIALS + 1, 10**30))
+#: Config-file values of the wrong JSON type for every key.
+WRONG_TYPES = [None, True, 4.5, "4", [], {}]
 #: Where --out, --trace and --dir point, relative to a scratch directory
 #: holding the directory existing-dir and the regular file plain: nowhere
 #: (stdout), a new file, an existing directory, or a path under a regular file.
@@ -100,7 +105,7 @@ def invocations(draw):
         argv += [f"--delta={draw(rates)!r}", f"--gamma={draw(rates)!r}"]
     if command[0] in ("simulate", "sweep"):
         argv += [
-            f"--trials={draw(st.integers(-3, 30))}",
+            f"--trials={draw(TRIALS)}",
             f"--seed={draw(st.sampled_from(SEEDS))}",
             f"--format={draw(st.sampled_from(['table', 'csv', 'json']))}",
         ]
@@ -120,6 +125,42 @@ def invocations(draw):
     if command == ["simulate"]:
         targets["--trace"] = draw(st.sampled_from(TARGETS))
     return argv, targets, files
+
+
+@st.composite
+def config_invocations(draw):
+    """argv for simulate or sweep and the body of the config file it reads:
+    each value the flag test draws goes to the file or to its flag (or, but
+    for N and M, nowhere), and one file value in eight is of a wrong type.  A
+    string output_path is a TARGETS entry under the scratch directory."""
+    command = draw(st.sampled_from(["simulate", "sweep"]))
+    flags = {
+        "n": st.one_of(st.integers(-2, 14), st.sampled_from(HUGE_N)),
+        "m": st.integers(-2, 14),
+        "delta_per_hour": st.sampled_from(RATES),
+        "gamma_per_hour": st.sampled_from(RATES),
+        "trials": TRIALS,
+        "seed": st.sampled_from(SEEDS),
+        "output_format": st.sampled_from(["table", "csv", "json"]),
+    }
+    if command == "simulate":
+        flags |= {"k": st.integers(-1, 4), "ell": st.integers(-1, 4)}
+    names = {"delta_per_hour": "delta", "gamma_per_hour": "gamma", "output_format": "format",
+             "ell": "l"}
+    argv, body = [command], {}
+    for key, values in flags.items():
+        places = ["file", "flag"] if key in ("n", "m") else ["file", "flag", "nowhere"]
+        where = draw(st.sampled_from(places))
+        if where == "file":
+            wrong = draw(st.integers(0, 7)) == 0
+            body[key] = draw(st.sampled_from(WRONG_TYPES) if wrong else values)
+        elif where == "flag":
+            argv.append(f"--{names.get(key, key)}={draw(values)}")
+    if draw(st.booleans()):
+        body["output_path"] = draw(st.sampled_from([*TARGETS[1:], *WRONG_TYPES]))
+    if draw(st.integers(0, 7)) == 0:
+        body[draw(st.sampled_from(["k", "ell", "cheese"]))] = 1  # k and l are sweep's unknowns
+    return argv, body
 
 
 @st.composite
@@ -181,6 +222,28 @@ def test_every_input_gets_an_answer_or_a_named_bound(invocation):
         assert rc in (0, 1, 2), (argv, err.getvalue())
         if rc == 0:
             written = [p.read_text() for p in root.rglob("*") if p.is_file() and p.suffix != ".bin"]
+            for text in [out.getvalue(), *written]:
+                check_answer(argv, text)
+
+
+@settings(max_examples=200, database=None, deadline=None)
+@given(config_invocations())
+def test_config_file_values_get_an_answer_or_a_named_bound(invocation):
+    argv, body = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "existing-dir").mkdir()
+        (root / "plain").write_text("x")
+        if isinstance(body.get("output_path"), str):
+            body["output_path"] = str(root / body["output_path"].format("out"))
+        config = root / "run.json"
+        config.write_text(json.dumps(body))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv + ["--config", str(config)])
+        assert rc in (0, 1, 2), (argv, body, err.getvalue())
+        if rc == 0:
+            written = [p.read_text() for p in root.rglob("*") if p.is_file()]
             for text in [out.getvalue(), *written]:
                 check_answer(argv, text)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from hraidlab import (
 )
 from hraidlab import simulator as simulator_module
 from hraidlab import stream as stream_module
-from hraidlab.simulator import CHUNK_TRIALS, THREADS_ENV_VAR
+from hraidlab.simulator import CHUNK_TRIALS, MAX_TRIALS, THREADS_ENV_VAR
 
 DISK_ONLY = FailureModel(disk_rate=1e-6)
 WITH_CONTROLLERS = FailureModel(disk_rate=1e-6, controller_rate=2e-7)
@@ -249,6 +250,62 @@ def test_seeds_outside_64_bits_are_rejected(seed):
     for call in calls:
         with pytest.raises(ValidationError, match=r"seed must be in \[0, 2\*\*64\)"):
             call()
+
+
+@pytest.mark.parametrize("value", [4.5, True, "4", None])
+def test_non_integer_trials_and_seeds_are_rejected(value):
+    cfg = HraidConfig(3, 3, 1, 1)
+    calls = {
+        "trials": [
+            lambda: run_trials(cfg, DISK_ONLY, value, 0),
+            lambda: estimate_mttdl(cfg, DISK_ONLY, value, 0),
+            lambda: sweep(3, 3, DISK_ONLY, value, 0),
+        ],
+        "seed": [
+            lambda: run_trials(cfg, DISK_ONLY, 4, value),
+            lambda: estimate_mttdl(cfg, DISK_ONLY, 4, value),
+            lambda: sweep(3, 3, DISK_ONLY, 4, value),
+            lambda: TrialStream(value),
+            lambda: random_payloads(generate_layout(cfg), value, 1),
+        ],
+    }
+    for name, name_calls in calls.items():
+        for call in name_calls:
+            message = re.escape(f"{name} must be an integer, got {value!r}")
+            with pytest.raises(ValidationError, match=message):
+                call()
+
+
+def test_numpy_integer_trials_and_seeds_are_accepted():
+    cfg = HraidConfig(3, 3, 1, 1)
+    for seed in (np.uint64(2**64 - 1), np.int64(2**63 - 1)):
+        expected = estimate_mttdl(cfg, DISK_ONLY, 9, int(seed))
+        assert estimate_mttdl(cfg, DISK_ONLY, np.int64(9), seed).mean_hours == expected.mean_hours
+        grid = sweep(3, 3, DISK_ONLY, np.int64(9), seed)
+        assert grid.cells == sweep(3, 3, DISK_ONLY, 9, int(seed)).cells
+
+
+def test_trial_count_bound(monkeypatch):
+    def no_chunk(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(simulator_module, "_simulate_chunk", no_chunk)
+    cfg = HraidConfig(12, 12)
+    calls = [
+        lambda trials: run_trials(cfg, DISK_ONLY, trials, 0),
+        lambda trials: estimate_mttdl(cfg, DISK_ONLY, trials, 0),
+        lambda trials: sweep(12, 12, DISK_ONLY, trials, 0),  # before any cell runs
+    ]
+    for call in calls:
+        for trials in (MAX_TRIALS + 1, 10**30):
+            with pytest.raises(ValidationError, match=f"trials must be at most {MAX_TRIALS}, got"):
+                call(trials)
+    # the bound itself is admitted: read at run time, it can be lowered to a cheap count
+    monkeypatch.undo()
+    monkeypatch.setattr(simulator_module, "MAX_TRIALS", 5)
+    assert run_trials(cfg, DISK_ONLY, 5, 0).trials == 5
+    with pytest.raises(ValidationError, match="trials must be at most 5, got 6"):
+        run_trials(cfg, DISK_ONLY, 6, 0)
 
 
 def test_largest_seed_is_accepted():
