@@ -69,11 +69,10 @@ from .simulator import (
     estimate_mttdl,
     resolve_thread_count,
     run_trials,
-    simulate_trial,
     sweep,
     trace_jsonl_line,
+    trace_trials,
 )
-from .stream import TrialStream
 
 __version__ = "0.1.0"
 
@@ -94,7 +93,6 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "TrialResults",
-    "TrialStream",
     "UnreliabilityPolynomial",
     "UnsupportedCodecError",
     "ValidationError",
@@ -124,10 +122,10 @@ __all__ = [
     "recover",
     "resolve_thread_count",
     "run_trials",
-    "simulate_trial",
     "small_write_cost",
     "sweep",
     "trace_jsonl_line",
+    "trace_trials",
     "verify_layout",
     "verify_parity",
     "write_strip_tree",

@@ -10,7 +10,7 @@ flat JSON object whose keys name the command's own flags), else the
 that takes them.  Rates per hour must satisfy
 1e-30 <= delta <= 1e30 and 0 <= gamma <= 1e30.  ``simulate`` and ``sweep``
 print a table, CSV or JSON view of one result record; ``simulate --trace``
-then replays every trial in the scalar engine to dump its events.  Output
+also dumps the events of every trial the estimate holds.  Output
 lands on stdout, or in the ``--out`` file; ``--out`` and ``--trace`` files
 are written atomically (temp + rename).
 """
@@ -56,11 +56,10 @@ from .simulator import (
     RunResult,
     estimate_mttdl,
     format_hours,
-    simulate_trial,
     sweep,
     trace_jsonl_line,
+    trace_trials,
 )
-from .stream import TrialStream
 
 #: Config-file keys of simulate and sweep, mapped to flag dests; a command
 #: accepts the keys of the dests its own parser defines.
@@ -204,7 +203,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument(
         "--trace",
         help="also dump per-trial event traces as JSON lines to this file "
-        "(replays every trial in the scalar engine; atomic write)",
+        "(the estimate's own trials; atomic write)",
     )
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -295,10 +294,8 @@ def _cmd_simulate(values: dict) -> int:
     trials, seed = values["trials"], values["seed"]
     est = estimate_mttdl(config, rates, trials, seed)
     if values["trace"]:
-        # streams are keyed by (seed, trial index), so each replay is
-        # bit-identical to the batch trial the estimate holds
-        replays = (simulate_trial(config, rates, TrialStream(seed, i)) for i in range(trials))
-        lines = (trace_jsonl_line(i, e) + "\n" for i, e in enumerate(replays))
+        events = trace_trials(config, rates, trials, seed)
+        lines = (trace_jsonl_line(i, e) + "\n" for i, e in enumerate(events))
         _write_output(lines, values["trace"])
     _write_view(RunResult(config, rates, seed, est), values)
     return 0

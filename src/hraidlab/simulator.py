@@ -13,12 +13,10 @@ more than k nodes have died.
 Internally time advances in units of the inverse disk rate (rates divide
 out), and hours emerge from one final division by delta.  Every trial
 draws from its own counter-based stream keyed by (seed, trial index), so
-results are bit-identical for any execution order, thread count, chunk
-size, and for the scalar and vectorized engines (the scalar engine calls
-numpy's log1p on purpose: its last-ulp rounding can differ from the C
-library's).
+results are bit-identical for any execution order, thread count and chunk
+size.
 
-The vectorized engine is table-driven over compacted live trials.  It
+The engine is table-driven over compacted live trials.  It
 holds the class counts as one float64 (l+1, live) array of exact small
 integers (N M below 2**53 keeps them exact).  One matmul against a fixed weight matrix gives the event
 thresholds: l+1 disk bins, plus l+1 controller bins only when gamma/delta
@@ -26,7 +24,9 @@ is positive (at 0 no draw reaches them).  The bin is the count of
 thresholds at or below the draw.  Two per-bin tables apply it: the
 class-count change, and the change to one int64 tally that packs the
 dead-node count above the disk-event count.  Absorbed trials are written
-out and dropped after each step.
+out and dropped after each step.  ``trace_trials`` runs the same engine
+with a recorder of each step's bins and times, and labels them with node
+ids afterwards, so a trace is the very trial the estimate holds.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ import heapq
 import json
 import math
 import os
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -46,7 +46,7 @@ import numpy as np
 from .config import (
     MAX_TOLERANCE, FailureModel, HraidConfig, ValidationError, check_exact_counts, check_integer,
 )
-from .stream import TrialStream, check_seed, trial_key, trial_keys, uniforms_at
+from .stream import check_seed, trial_key, trial_keys, uniforms_at
 
 #: Trials per work unit.  Chunking only batches the vectorized engine;
 #: results are independent of it because streams are keyed by absolute
@@ -65,10 +65,14 @@ MAX_TRIAL_EVENTS = 2**20
 #: one thread of 2 shared cores with Python 3.11.7 and numpy 2.4.6.
 MAX_TRIALS = 2**24
 
+#: Most (trial, step) entries one traced chunk records: ``trace_trials``
+#: puts this many over the event bound l N + k + 1 trials in a chunk (at
+#: least one), so its memory does not grow with the trial count.
+TRACE_CHUNK_EVENTS = 2**20
+
 #: Environment variable capping worker threads (0 means one per CPU).
 THREADS_ENV_VAR = "HRAID_LAB_THREADS"
 
-_F64 = np.float64
 _DEAD_SHIFT = 60  # tally bits: dead nodes (at most k + 1 = 4) above, disk events below
 
 
@@ -146,16 +150,17 @@ class RunResult:
     estimate: MttdlEstimate
 
     def row(self) -> dict:
-        """The run keyed by CSV column: a CSV row, or a flat JSON object."""
+        """The run keyed by CSV column: a CSV row, or a flat JSON object.
+        Numpy scalars become Python ints and floats, which both views print."""
         return {
-            "n": self.config.n,
-            "m": self.config.m,
-            "k": self.config.k,
-            "ell": self.config.ell,
-            "delta_per_hour": self.rates.disk_rate,
-            "gamma_per_hour": self.rates.controller_rate,
-            "trials": self.estimate.trials,
-            "seed": self.seed,
+            "n": int(self.config.n),
+            "m": int(self.config.m),
+            "k": int(self.config.k),
+            "ell": int(self.config.ell),
+            "delta_per_hour": float(self.rates.disk_rate),
+            "gamma_per_hour": float(self.rates.controller_rate),
+            "trials": int(self.estimate.trials),
+            "seed": int(self.seed),
             **self.estimate.fields(),
         }
 
@@ -250,68 +255,9 @@ def _unit_rho(config: HraidConfig, rates: FailureModel) -> float:
     if events > MAX_TRIAL_EVENTS:
         raise ValidationError(
             f"a trial may take l*N + k + 1 = {events} events and the simulator takes "
-            f"at most {MAX_TRIAL_EVENTS}; the closed forms (hraidlab analytic) take "
-            f"larger arrays"
+            f"at most {MAX_TRIAL_EVENTS}"
         )
     return rho
-
-
-def simulate_trial(
-    config: HraidConfig, rates: FailureModel, stream: TrialStream
-) -> DataLossEvent:
-    """Play one lifetime to data loss, recording the full event trace.
-
-    This scalar engine is the readable reference; ``run_trials`` produces
-    bit-identical times without traces.  The event is drawn over the same
-    2(l+1) bins in the same order: disk failures in classes 0..l, then
-    controller failures in classes 0..l.  Trace node ids go to the
-    lowest-index alive node of the chosen class.  A class-0 pick is then
-    always the lowest untouched node, so the untouched nodes are a suffix,
-    and the labels cost O(events) memory whatever N is.
-    """
-    n, m, k, ell = config.n, config.m, config.k, config.ell
-    delta = rates.disk_rate
-    rho = _unit_rho(config, rates)
-    counts = [n] + [0] * ell  # c_f: alive nodes with f failed disks
-    dead = 0
-    # trace labels only: the nodes from index ``untouched`` on are in class
-    # 0, and touched[f] is a heap of the alive nodes in class f >= 1
-    untouched = 0
-    touched: list[list[int]] = [[] for _ in range(ell + 1)]
-    t_unit = 0.0
-    trace: list[TraceEvent] = []
-    while True:
-        cum_w = list(accumulate(c * (m - f) for f, c in enumerate(counts)))
-        cum_c = list(accumulate(counts))
-        wtot = float(cum_w[-1])
-        total = wtot + rho * float(cum_c[-1])
-        thresholds = [float(w) for w in cum_w] + [wtot + rho * float(c) for c in cum_c]
-        u1 = stream.next_uniform()
-        u2 = stream.next_uniform()
-        t_unit += float(-np.log1p(_F64(-u1))) / total
-        x = u2 * total
-        b = next(i for i, thr in enumerate(thresholds) if x < thr)
-        kind = EventKind.DISK if b <= ell else EventKind.CONTROLLER
-        f = b % (ell + 1)
-
-        if f:
-            node = heapq.heappop(touched[f])
-        else:
-            node, untouched = untouched, untouched + 1
-        counts[f] -= 1
-        if kind is EventKind.DISK and f < ell:
-            counts[f + 1] += 1
-            heapq.heappush(touched[f + 1], node)
-        else:
-            dead += 1
-        trace.append(TraceEvent(t_unit / delta, node + 1, kind))
-        if dead > k:
-            cause = (
-                LossCause.DISK_CASCADE if kind is EventKind.DISK else LossCause.CONTROLLER
-            )
-            return DataLossEvent(
-                time_hours=t_unit / delta, cause=cause, trace=tuple(trace)
-            )
 
 
 def _bin_tables(m: int, ell: int, rho: float) -> tuple[np.ndarray, ...]:
@@ -338,11 +284,13 @@ def _simulate_chunk(
     seed: int,
     start: int,
     count: int,
+    record: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized engine: unit-time losses, disk-event counts, causes.
 
     Every per-trial array holds only the live trials; absorbed trials are
-    written out and dropped after each step.
+    written out and dropped after each step.  A ``record`` list gets one
+    (chunk trial indices, bins, unit times) entry per step, live trials only.
     """
     n, k, ell = config.n, config.k, config.ell
     nb = ell + 1
@@ -372,6 +320,8 @@ def _simulate_chunk(
         # round-to-nearest x < total, and the last threshold is total itself.
         # The thresholds never decrease, so counting those <= x finds the bin.
         b = (u2 * total >= thr).sum(axis=0)
+        if record is not None:
+            record.append((trial, b, t_unit.copy()))
         c += step.take(b, axis=1)
         tally += tally_step.take(b)
 
@@ -391,6 +341,15 @@ def _simulate_chunk(
     return out_t, out_disk, out_cause
 
 
+def _check_run(trials: int, seed: int) -> None:
+    check_integer("trials", trials)
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials}")
+    check_seed(seed)
+
+
 def run_trials(
     config: HraidConfig,
     rates: FailureModel,
@@ -401,12 +360,7 @@ def run_trials(
     """Run ``trials`` independent lifetimes; deterministic in (config, rates,
     trials, seed) regardless of thread count.  ``trials`` is an integer in
     1..``MAX_TRIALS``."""
-    check_integer("trials", trials)
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    if trials > MAX_TRIALS:
-        raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials}")
-    check_seed(seed)
+    _check_run(trials, seed)
     delta = rates.disk_rate
     rho = _unit_rho(config, rates)
     times = np.empty(trials, dtype=np.float64)
@@ -549,6 +503,57 @@ def sweep(
         for c in configs
     )
     return SweepResult(n=n, m=m, rates=rates, trials=trials, seed=seed, cells=cells)
+
+
+def trace_trials(
+    config: HraidConfig, rates: FailureModel, trials: int, seed: int
+) -> Iterator[DataLossEvent]:
+    """Trials 0..``trials``-1 of ``run_trials(config, rates, trials, seed)``
+    with their event traces, one at a time.  Bounds are checked on the call;
+    each chunk runs when its first trial is taken."""
+    _check_run(trials, seed)
+    rho = _unit_rho(config, rates)
+    events = config.ell * config.n + config.k + 1
+    per_chunk = max(1, min(CHUNK_TRIALS, TRACE_CHUNK_EVENTS // events))
+
+    def traced(start: int) -> Iterator[DataLossEvent]:
+        count = min(per_chunk, trials - start)
+        steps: list = []
+        _simulate_chunk(config, rho, seed, start, count, steps)
+        trial, bins, t_unit = (np.concatenate(column) for column in zip(*steps))
+        del steps
+        order = np.argsort(trial, kind="stable")  # by trial, each in step order
+        bins, t_unit = bins.take(order), t_unit.take(order)
+        ends = np.cumsum(np.bincount(trial, minlength=count)).tolist()
+        for lo, hi in zip([0] + ends, ends):
+            yield _label_trial(
+                config.ell, rates.disk_rate, bins[lo:hi].tolist(), t_unit[lo:hi].tolist()
+            )
+
+    return (event for start in range(0, trials, per_chunk) for event in traced(start))
+
+
+def _label_trial(
+    ell: int, delta: float, bins: list[int], t_units: list[float]
+) -> DataLossEvent:
+    """One trial's bins and unit times as events, each labelled with the
+    lowest-index alive node of its class.  A class-0 pick is then always the
+    lowest untouched node, so the labels cost O(events) whatever N is."""
+    untouched = 0  # the nodes from this index on are in class 0
+    touched: list[list[int]] = [[] for _ in range(ell + 1)]  # heaps, classes f >= 1
+    trace = []
+    for b, t_unit in zip(bins, t_units):
+        kind = EventKind.DISK if b <= ell else EventKind.CONTROLLER
+        f = b % (ell + 1)
+        if f:
+            node = heapq.heappop(touched[f])
+        else:
+            node, untouched = untouched, untouched + 1
+        if kind is EventKind.DISK and f < ell:
+            heapq.heappush(touched[f + 1], node)
+        trace.append(TraceEvent(t_unit / delta, node + 1, kind))
+    cause = LossCause.DISK_CASCADE if kind is EventKind.DISK else LossCause.CONTROLLER
+    return DataLossEvent(time_hours=trace[-1].time_hours, cause=cause, trace=tuple(trace))
 
 
 def trace_jsonl_line(trial_index: int, event: DataLossEvent) -> str:

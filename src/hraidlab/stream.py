@@ -2,10 +2,10 @@
 
 Every Monte Carlo trial draws from its own stream, keyed by (seed, trial
 index) through the SplitMix64 finalizer.  A draw is addressed purely by
-(key, counter), so trials can run in any order, on any number of threads,
-and in either the scalar or the vectorized engine with bit-identical
-results.  Seeds are 64-bit words: ``check_seed`` rejects any other value,
-a non-integer or one that would alias a seed in [0, 2**64).
+(key, counter), so trials can run in any order, in any chunk and on any
+number of threads with bit-identical results.  Seeds are 64-bit words:
+``check_seed`` rejects any other value, a non-integer or one that would
+alias a seed in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -41,15 +41,6 @@ def trial_key(seed: int, index: int) -> int:
     return mix64((mix64(seed) + index) & _MASK64)
 
 
-def uniform_at(key: int, counter: int) -> float:
-    """The ``counter``-th uniform in [0, 1) of the stream ``key``.
-
-    Counters start at 1; the top 53 bits of the mixed word form the float.
-    """
-    z = mix64((key + counter * _GOLDEN) & _MASK64)
-    return (z >> 11) * 2.0**-53
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     # unsigned arithmetic wraps modulo 2**64, matching mix64 above
     z = z ^ (z >> _U64(30))
@@ -67,22 +58,10 @@ def trial_keys(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def uniforms_at(keys: np.ndarray, counter: int) -> np.ndarray:
-    """Vectorized ``uniform_at`` over an array of stream keys."""
+    """The ``counter``-th uniform in [0, 1) of each stream in ``keys``.
+
+    Counters start at 1; the top 53 bits of the mixed word form the float.
+    """
     offset = _U64((counter * _GOLDEN) & _MASK64)
     z = _mix64_array(keys + offset)
     return (z >> _U64(11)).astype(np.float64) * 2.0**-53
-
-
-class TrialStream:
-    """Stateful scalar view over one trial's uniforms."""
-
-    __slots__ = ("key", "counter")
-
-    def __init__(self, seed: int, index: int = 0) -> None:
-        check_seed(seed)
-        self.key = trial_key(seed, index)
-        self.counter = 0
-
-    def next_uniform(self) -> float:
-        self.counter += 1
-        return uniform_at(self.key, self.counter)

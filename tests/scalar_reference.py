@@ -1,0 +1,101 @@
+"""Scalar reference engine: one trial at a time, one uniform at a time.
+
+It plays the same lumped state, thresholds, bin order and labels as the
+batch engine in ``hraidlab.simulator`` with plain Python lists, and draws
+its uniforms one by one from the same counter-based (seed, trial index)
+streams.  Tests compare the batch engine and its traces against it bit for
+bit; it calls numpy's log1p on purpose, since the C library's last-ulp
+rounding can differ.
+"""
+
+from __future__ import annotations
+
+import heapq
+from itertools import accumulate
+
+import numpy as np
+
+from hraidlab import FailureModel, HraidConfig
+from hraidlab.simulator import DataLossEvent, EventKind, LossCause, TraceEvent, _unit_rho
+from hraidlab.stream import _GOLDEN, _MASK64, check_seed, mix64, trial_key
+
+
+def uniform_at(key: int, counter: int) -> float:
+    """The ``counter``-th uniform in [0, 1) of the stream ``key``.
+
+    Counters start at 1; the top 53 bits of the mixed word form the float.
+    """
+    z = mix64((key + counter * _GOLDEN) & _MASK64)
+    return (z >> 11) * 2.0**-53
+
+
+class TrialStream:
+    """Stateful scalar view over one trial's uniforms."""
+
+    __slots__ = ("key", "counter")
+
+    def __init__(self, seed: int, index: int = 0) -> None:
+        check_seed(seed)
+        self.key = trial_key(seed, index)
+        self.counter = 0
+
+    def next_uniform(self) -> float:
+        self.counter += 1
+        return uniform_at(self.key, self.counter)
+
+
+def simulate_trial(
+    config: HraidConfig, rates: FailureModel, stream: TrialStream
+) -> DataLossEvent:
+    """Play one lifetime to data loss, recording the full event trace.
+
+    The event is drawn over the batch engine's 2(l+1) bins in the same
+    order: disk failures in classes 0..l, then controller failures in
+    classes 0..l.  Trace node ids go to the lowest-index alive node of the
+    chosen class.  A class-0 pick is then always the lowest untouched node,
+    so the untouched nodes are a suffix, and the labels cost O(events)
+    memory whatever N is.
+    """
+    n, m, k, ell = config.n, config.m, config.k, config.ell
+    delta = rates.disk_rate
+    rho = _unit_rho(config, rates)
+    counts = [n] + [0] * ell  # c_f: alive nodes with f failed disks
+    dead = 0
+    # trace labels only: the nodes from index ``untouched`` on are in class
+    # 0, and touched[f] is a heap of the alive nodes in class f >= 1
+    untouched = 0
+    touched: list[list[int]] = [[] for _ in range(ell + 1)]
+    t_unit = 0.0
+    trace: list[TraceEvent] = []
+    while True:
+        cum_w = list(accumulate(c * (m - f) for f, c in enumerate(counts)))
+        cum_c = list(accumulate(counts))
+        wtot = float(cum_w[-1])
+        total = wtot + rho * float(cum_c[-1])
+        thresholds = [float(w) for w in cum_w] + [wtot + rho * float(c) for c in cum_c]
+        u1 = stream.next_uniform()
+        u2 = stream.next_uniform()
+        t_unit += float(-np.log1p(np.float64(-u1))) / total
+        x = u2 * total
+        b = next(i for i, thr in enumerate(thresholds) if x < thr)
+        kind = EventKind.DISK if b <= ell else EventKind.CONTROLLER
+        f = b % (ell + 1)
+
+        if f:
+            node = heapq.heappop(touched[f])
+        else:
+            node, untouched = untouched, untouched + 1
+        counts[f] -= 1
+        if kind is EventKind.DISK and f < ell:
+            counts[f + 1] += 1
+            heapq.heappush(touched[f + 1], node)
+        else:
+            dead += 1
+        trace.append(TraceEvent(t_unit / delta, node + 1, kind))
+        if dead > k:
+            cause = (
+                LossCause.DISK_CASCADE if kind is EventKind.DISK else LossCause.CONTROLLER
+            )
+            return DataLossEvent(
+                time_hours=t_unit / delta, cause=cause, trace=tuple(trace)
+            )

@@ -19,8 +19,10 @@ from hraidlab.simulator import MAX_TRIALS
 
 RATES = [0.0, -1e-6, 1e-320, 1e-30, 1e-6, 1.0, 1e30, 1e300, float("nan"), float("inf")]
 SEEDS = [-1, 0, 1, 2**63, 2**64 - 1, 2**64]
-#: Trial counts: small ones, and counts past the trial bound up to 1e30.
-TRIALS = st.one_of(st.integers(-3, 30), st.integers(MAX_TRIALS + 1, 10**30))
+#: Trial counts past the trial bound, up to 1e30.
+HUGE_TRIALS = st.integers(MAX_TRIALS + 1, 10**30)
+#: Trial counts: small ones, and counts past the trial bound.
+TRIALS = st.one_of(st.integers(-3, 30), HUGE_TRIALS)
 #: Config-file values of the wrong JSON type for every key.
 WRONG_TYPES = [None, True, 4.5, "4", [], {}]
 #: Where --out, --trace and --dir point, relative to a scratch directory
@@ -166,7 +168,8 @@ def config_invocations(draw):
 @st.composite
 def valid_huge_invocations(draw):
     """argv for a command at one of HUGE_N with every flag valid on its own,
-    so only a size bound can refuse it."""
+    so only a size bound can refuse it, and whether ``simulate`` also traces
+    to a new file.  The trial count is small, or past the trial bound."""
     command = draw(st.sampled_from(VALID_HUGE_N_COMMANDS))
     m = draw(st.integers(1, 14))
     argv = command + [f"--n={draw(st.sampled_from(HUGE_N))}", f"--m={m}"]
@@ -184,11 +187,11 @@ def valid_huge_invocations(draw):
         argv += [f"--strip-size={draw(st.integers(1, 10**20))}"]
     if command[0] in ("simulate", "sweep"):
         argv += [
-            f"--trials={draw(st.integers(1, 5))}",
+            f"--trials={draw(st.one_of(st.integers(1, 5), HUGE_TRIALS))}",
             f"--seed={draw(st.integers(0, 2**64 - 1))}",
             f"--format={draw(st.sampled_from(['table', 'csv', 'json']))}",
         ]
-    return argv
+    return argv, command == ["simulate"] and draw(st.booleans())
 
 
 def evaluated_probabilities(text: str) -> list[str]:
@@ -250,10 +253,16 @@ def test_config_file_values_get_an_answer_or_a_named_bound(invocation):
 
 @settings(max_examples=200, database=None, deadline=None)
 @given(valid_huge_invocations())
-def test_valid_flags_at_huge_node_counts_answer_or_name_a_bound(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
-    assert rc in (0, 2), (argv, err.getvalue())
-    if rc == 0:
-        check_answer(argv, out.getvalue())
+def test_valid_flags_at_huge_node_counts_answer_or_name_a_bound(invocation):
+    argv, traced = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "trace.jsonl"
+        argv = argv + ["--trace", str(trace)] if traced else argv
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2), (argv, err.getvalue())
+        if rc == 0:
+            check_answer(argv, out.getvalue())
+            if traced:
+                check_answer(argv, trace.read_text())

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hraidlab import (
     FailureModel,
     HraidConfig,
     MttdlEstimate,
+    RunResult,
     SweepCell,
-    TrialStream,
     ValidationError,
     cell_seed,
     d_max,
@@ -21,13 +22,15 @@ from hraidlab import (
     random_payloads,
     resolve_thread_count,
     run_trials,
-    simulate_trial,
     sweep,
     trace_jsonl_line,
+    trace_trials,
 )
 from hraidlab import simulator as simulator_module
-from hraidlab import stream as stream_module
 from hraidlab.simulator import CHUNK_TRIALS, MAX_TRIALS, THREADS_ENV_VAR
+
+import scalar_reference
+from scalar_reference import TrialStream, simulate_trial
 
 DISK_ONLY = FailureModel(disk_rate=1e-6)
 WITH_CONTROLLERS = FailureModel(disk_rate=1e-6, controller_rate=2e-7)
@@ -105,8 +108,7 @@ def test_trace_replays_per_node(cfg):
     # the lumped state, expanded back to nodes by the trace labels, is a
     # valid per-node history
     n, k, ell = cfg.n, cfg.k, cfg.ell
-    for i in range(200):
-        event = simulate_trial(cfg, WITH_CONTROLLERS, TrialStream(13, i))
+    for i, event in enumerate(trace_trials(cfg, WITH_CONTROLLERS, 200, seed=13)):
         failed = [0] * n
         alive = [True] * n
         for e in event.trace:
@@ -129,9 +131,9 @@ def test_largest_second_uniform_picks_last_bin(monkeypatch, rates):
     # one, so disk-only trials fail one node's disks in turn and
     # controller trials lose k+1 controllers
     top = 1.0 - 2.0**-53
-    uniform_at, uniforms_at = stream_module.uniform_at, simulator_module.uniforms_at
+    uniform_at, uniforms_at = scalar_reference.uniform_at, simulator_module.uniforms_at
     monkeypatch.setattr(
-        stream_module,
+        scalar_reference,
         "uniform_at",
         lambda key, counter: top if counter % 2 == 0 else uniform_at(key, counter),
     )
@@ -159,11 +161,11 @@ def test_largest_second_uniform_picks_last_bin(monkeypatch, rates):
 
 def test_trace_is_ordered_and_consistent():
     cfg = HraidConfig(4, 4, 1, 1)
-    event = simulate_trial(cfg, WITH_CONTROLLERS, TrialStream(3, 0))
+    (event,) = trace_trials(cfg, WITH_CONTROLLERS, 1, seed=3)
     times = [e.time_hours for e in event.trace]
     assert times == sorted(times)
     assert event.time_hours == times[-1]
-    again = simulate_trial(cfg, WITH_CONTROLLERS, TrialStream(3, 0))
+    (again,) = trace_trials(cfg, WITH_CONTROLLERS, 1, seed=3)
     assert again.trace == event.trace
 
 
@@ -173,7 +175,7 @@ def test_zero_tolerance_trial_shape():
     cfg = HraidConfig(12, 12, 3, 0)
     results = run_trials(cfg, DISK_ONLY, 400, seed=5)
     assert np.all(results.disk_failures == 4)
-    event = simulate_trial(cfg, DISK_ONLY, TrialStream(5, 0))
+    event = next(trace_trials(cfg, DISK_ONLY, 1, seed=5))
     assert len(event.trace) == 4
     assert all(e.kind is EventKind.DISK for e in event.trace)
     dead_nodes = [e.node for e in event.trace]
@@ -244,7 +246,7 @@ def test_seeds_outside_64_bits_are_rejected(seed):
     calls = [
         lambda: run_trials(cfg, DISK_ONLY, 4, seed),
         lambda: sweep(3, 3, DISK_ONLY, 4, seed),
-        lambda: TrialStream(seed),
+        lambda: trace_trials(cfg, DISK_ONLY, 4, seed),
         lambda: random_payloads(generate_layout(cfg), seed, 1),
     ]
     for call in calls:
@@ -260,12 +262,13 @@ def test_non_integer_trials_and_seeds_are_rejected(value):
             lambda: run_trials(cfg, DISK_ONLY, value, 0),
             lambda: estimate_mttdl(cfg, DISK_ONLY, value, 0),
             lambda: sweep(3, 3, DISK_ONLY, value, 0),
+            lambda: trace_trials(cfg, DISK_ONLY, value, 0),
         ],
         "seed": [
             lambda: run_trials(cfg, DISK_ONLY, 4, value),
             lambda: estimate_mttdl(cfg, DISK_ONLY, 4, value),
             lambda: sweep(3, 3, DISK_ONLY, 4, value),
-            lambda: TrialStream(value),
+            lambda: trace_trials(cfg, DISK_ONLY, 4, value),
             lambda: random_payloads(generate_layout(cfg), value, 1),
         ],
     }
@@ -323,7 +326,7 @@ def test_overflowing_total_rate_is_rejected():
     with pytest.raises(ValidationError, match="total event rate finite"):
         run_trials(cfg, rates, 4, seed=0)
     with pytest.raises(ValidationError, match="total event rate finite"):
-        simulate_trial(cfg, rates, TrialStream(0, 0))
+        trace_trials(cfg, rates, 4, seed=0)
 
 
 def test_resolve_thread_count(monkeypatch):
@@ -406,7 +409,7 @@ def test_sweep_table_marks_invalid_cells():
 
 
 def test_trace_jsonl_line_is_valid_json():
-    event = simulate_trial(HraidConfig(2, 2, 0, 1), DISK_ONLY, TrialStream(0, 0))
+    event = next(trace_trials(HraidConfig(2, 2, 0, 1), DISK_ONLY, 1, seed=0))
     obj = json.loads(trace_jsonl_line(7, event))
     assert obj["trial"] == 7
     assert obj["time_hours"] == event.time_hours
@@ -420,7 +423,7 @@ def test_engines_share_the_exact_count_bound():
         cfg = HraidConfig(n, 12, 1, 0)
         for run in (
             lambda: run_trials(cfg, DISK_ONLY, 3, seed=0),
-            lambda: simulate_trial(cfg, DISK_ONLY, TrialStream(0, 0)),
+            lambda: trace_trials(cfg, DISK_ONLY, 3, seed=0),
             lambda: sweep(n, 12, DISK_ONLY, trials=3, seed=0),
         ):
             with pytest.raises(ValidationError, match=r"below 2\*\*53"):
@@ -433,13 +436,18 @@ def test_engines_share_the_exact_count_bound():
 def test_trial_event_bound():
     # a trial may take l N + k + 1 events; the bound is checked before any runs
     cfg = HraidConfig(simulator_module.MAX_TRIAL_EVENTS, 12, 1, 1)
-    for run in (
-        lambda: run_trials(cfg, DISK_ONLY, 3, seed=0),
-        lambda: simulate_trial(cfg, DISK_ONLY, TrialStream(0, 0)),
-        lambda: sweep(cfg.n, 12, DISK_ONLY, trials=3, seed=0),
+    for run, events in (
+        (lambda: run_trials(cfg, DISK_ONLY, 3, seed=0), cfg.n + 2),
+        (lambda: trace_trials(cfg, DISK_ONLY, 3, seed=0), cfg.n + 2),
+        # the sweep names its first oversized cell, 0/1
+        (lambda: sweep(cfg.n, 12, DISK_ONLY, trials=3, seed=0), cfg.n + 1),
     ):
-        with pytest.raises(ValidationError, match="events and the simulator takes at most"):
+        with pytest.raises(ValidationError) as excinfo:
             run()
+        assert str(excinfo.value) == (
+            f"a trial may take l*N + k + 1 = {events} events and the simulator takes "
+            f"at most {simulator_module.MAX_TRIAL_EVENTS}"
+        )
 
 
 @pytest.mark.parametrize(
@@ -452,8 +460,7 @@ def test_trial_event_bound():
 )
 def test_trace_labels_the_lowest_node_of_the_class(cfg, rates):
     # test-local O(N) reference: per-node classes, -1 once dead
-    for i in range(64):
-        event = simulate_trial(cfg, rates, TrialStream(31, i))
+    for i, event in enumerate(trace_trials(cfg, rates, 64, seed=31)):
         node_class = [0] * cfg.n
         for e in event.trace:
             f = node_class[e.node - 1]
@@ -464,5 +471,82 @@ def test_trace_labels_the_lowest_node_of_the_class(cfg, rates):
 
 def test_trace_labels_at_huge_node_counts():
     # the labels cost O(events), so a trace at N = 10**12 answers at once
-    event = simulate_trial(HraidConfig(10**12, 12, 3, 0), WITH_CONTROLLERS, TrialStream(1, 0))
+    (event,) = trace_trials(HraidConfig(10**12, 12, 3, 0), WITH_CONTROLLERS, 1, seed=1)
     assert [e.node for e in event.trace] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "cfg,rates",
+    [
+        (HraidConfig(4, 4, 1, 1), WITH_CONTROLLERS),
+        (HraidConfig(12, 12, 3, 3), DISK_ONLY),
+        (HraidConfig(48, 12, 3, 3), FailureModel(1e-6, 1e-7)),
+        (HraidConfig(1, 5, 0, 3), DISK_ONLY),
+    ],
+)
+def test_batch_trace_matches_scalar_reference_across_chunks(monkeypatch, cfg, rates):
+    # chunks of 2 trials, and of 1 once a chunk's event budget is below one
+    # trial's bound; every line equals the scalar reference's
+    events = cfg.ell * cfg.n + cfg.k + 1
+    spans = []
+    simulate_chunk = simulator_module._simulate_chunk
+
+    def spy(config, rho, seed, start, count, record=None):
+        spans.append((start, count))
+        return simulate_chunk(config, rho, seed, start, count, record)
+
+    monkeypatch.setattr(simulator_module, "_simulate_chunk", spy)
+    seed, trials = 6, 7
+    for budget, per_chunk in ((3 * events - 1, 2), (events - 1, 1)):
+        monkeypatch.setattr(simulator_module, "TRACE_CHUNK_EVENTS", budget)
+        spans.clear()
+        traced = trace_trials(cfg, rates, trials, seed)
+        for i, event in enumerate(traced):
+            expected = simulate_trial(cfg, rates, TrialStream(seed, i))
+            assert trace_jsonl_line(i, event) == trace_jsonl_line(i, expected), i
+        assert i == trials - 1
+        starts = range(0, trials, per_chunk)
+        assert spans == [(start, min(per_chunk, trials - start)) for start in starts]
+
+
+def test_trace_memory_does_not_grow_with_trials(monkeypatch):
+    # 200 x 12 HRAID 3/3 takes about 216 events a trial and at most 604, so
+    # chunks of 2**14 (trial, step) entries hold 27 trials.  One chunk, or
+    # five, peaks near 0.34 MiB; all 135 trials in one chunk would peak near
+    # 1.3 MiB.
+    monkeypatch.setattr(simulator_module, "TRACE_CHUNK_EVENTS", 2**14)
+    cfg = HraidConfig(200, 12, 3, 3)
+    for trials in (27, 135):
+        tracemalloc.start()
+        try:
+            traced = trace_trials(cfg, DISK_ONLY, trials, seed=0)
+            events = sum(len(event.trace) for event in traced)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert events > 200 * trials
+        assert peak < 2**19, (trials, peak)
+
+
+@pytest.mark.parametrize(
+    "geometry,rates,seed",
+    [
+        ((2, 2), FailureModel(), np.uint64(5)),
+        ((np.int64(3), np.int64(4), np.int64(1), np.int64(1)), FailureModel(), 5),
+        ((2, 2), FailureModel(np.float64(1e-6), np.float64(2e-7)), 5),
+    ],
+)
+def test_run_record_prints_numpy_scalars_as_python_values(geometry, rates, seed):
+    plain = (
+        HraidConfig(*map(int, geometry)),
+        FailureModel(float(rates.disk_rate), float(rates.controller_rate)),
+        int(seed),
+    )
+    runs = []
+    for cfg, model, run_seed in ((HraidConfig(*geometry), rates, seed), plain):
+        estimate = estimate_mttdl(cfg, model, 10, run_seed)
+        runs.append(RunResult(cfg, model, run_seed, estimate))
+        runs.append(sweep(cfg.n, cfg.m, model, 10, run_seed))
+    for given, expected in zip(runs[:2], runs[2:]):
+        assert given.to_csv() == expected.to_csv()
+        assert json.loads(given.to_json()) == json.loads(expected.to_json())

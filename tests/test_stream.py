@@ -1,13 +1,13 @@
 import numpy as np
 
 from hraidlab.stream import (
-    TrialStream,
     mix64,
     trial_key,
     trial_keys,
-    uniform_at,
     uniforms_at,
 )
+
+from scalar_reference import TrialStream, uniform_at
 
 GOLDEN = 0x9E3779B97F4A7C15
 
