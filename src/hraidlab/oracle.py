@@ -14,12 +14,14 @@ disks (symmetry lumping), failures only accumulate, so expected absorption
 times evaluate in one bottom-up pass over dead-node levels, without a
 linear solver.  The pass is vectorized with numpy: a state is ranked by
 the colex rank of its partial class sums, which is the same at every
-level, so every event's target is an index array; a level is evaluated in
-waves of equal failed-disk total, from the highest down, each wave a few
-gathers from finished waves and the level below.  The chain's states and
-waves are bounded by ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``.  The
-ranks, event targets and wave order are built once for the top level and
-sliced for each level below it.
+level, and placed by wave, equal failed-disk total from the highest down,
+so every event's target is an index array; a level is evaluated one wave
+at a time, each wave a few gathers from finished waves and the level
+below.  The chain's states and waves are bounded by ``MAX_CHAIN_STATES``
+and ``MAX_CHAIN_WAVES``.  The states, event targets and wave bounds are
+built once, for the top level, and every level reads them.  They and each
+level's terms are built in blocks of states, so besides them a level
+keeps only its terms and two levels' values.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ MAX_ENUM_DISKS = 64
 #: dead-node levels, and waves (one per failed-disk total per level).
 MAX_CHAIN_STATES = 2**21
 MAX_CHAIN_WAVES = 2**17
+
+#: States per block when ``markov_mttdl`` builds its tables and a level's
+#: terms: no array of a whole level's size is made but the ones kept.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -135,114 +141,144 @@ def _binom(x: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
+def _blocks(lo: int, hi: int) -> list[slice]:
+    """[lo, hi) in ``_BLOCK``-sized slices."""
+    return [slice(b, min(b + _BLOCK, hi)) for b in range(lo, hi, _BLOCK)]
+
+
 def _colex_states(n: int, ell: int) -> np.ndarray:
     """Every (T_1..T_l) with 0 <= T_1 <= ... <= T_l <= n as the columns of an
     (l, C(n+l, l)) int32 array, in rank order.
 
-    Rank j coordinates at a time: the states with T_j = v follow those with
-    T_j < v, and are the first C(v+j-1, j-1) states of j-1 coordinates (those
-    with T_{j-1} <= v), each extended by T_j = v.
+    Rank j coordinates at a time, in place: the states with T_j = v follow
+    those with T_j < v, from column C(v+j-1, j) on, and are the first
+    C(v+j-1, j-1) states of j-1 coordinates (those with T_{j-1} <= v), each
+    extended by T_j = v.  Blocks are filled from the last down, so a block
+    reads only columns not yet overwritten.
     """
-    t = np.zeros((0, 1), dtype=np.int32)
+    t = np.zeros((ell, comb(n + ell, ell)), dtype=np.int32)
     for j in range(1, ell + 1):
-        values = np.arange(n + 1)
-        sizes = _binom(values + j - 1, j - 1)
-        col = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        t = np.vstack((t[:, col], np.repeat(values, sizes)), dtype=np.int32)
+        first = _binom(np.arange(n + 2, dtype=np.int64) + j - 1, j)  # column of T_j = v
+        for cols in reversed(_blocks(0, comb(n + j, j))):
+            col = np.arange(cols.start, cols.stop)
+            v = np.searchsorted(first, col, side="right") - 1
+            t[: j - 1, cols] = t[: j - 1, col - first[v]]
+            t[j - 1, cols] = v
     return t
 
 
 def _chain_tables(n: int, ell: int) -> tuple[np.ndarray, ...]:
-    """The top level's tables, which every level slices to its prefix of
-    states, since neither ranks nor targets depend on ``alive``.
+    """The top level's tables in wave order, which every level shares,
+    since neither ranks nor targets depend on ``alive``.
 
-    Returns the states T (``_colex_states``); the target rank of a kill in
-    class f = 0..l (in the level below) and of a disk move out of class
-    f = 0..l-1 (in the same level), as int32 rows; each state's failed-disk
-    total D; and the ranks in wave order, D falling and rank rising.  Where
-    a class is empty its targets are meaningless and never read.
+    A state's position is its place in the waves: failed-disk total
+    D = sum_f f c_f falling, rank rising within a wave.  Returns, by
+    position, the states T (``_colex_states``) and, as int32 positions, the
+    target of a kill in class f = 1..l (in the level below; a class-0 kill
+    leaves T, so its position, unchanged) and of a disk move out of class
+    f = 0..l-1 (in the same level); and the wave bounds, D = lN down to 0.
+    Where a class is empty its target is any real state, whose value is
+    read and multiplied by zero.  Built over blocks of ranks.
     """
     t = _colex_states(n, ell)
     s = t.shape[1]
-    rank = np.arange(s)
+    d = np.empty(s, dtype=np.int32)
+    for r in _blocks(0, s):
+        d[r] = ell * t[-1, r] - t[:-1, r].sum(axis=0) if ell else 0
+    # counting sort by D falling, stable: a rank's position is the states of
+    # higher D plus those of its D at lower ranks
+    sizes = np.bincount(d, minlength=ell * n + 1)[::-1]
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    cursor = bounds[-2::-1].copy()  # by D: where its next state goes
+    pos = np.empty(s, dtype=np.int32)
+    for r in _blocks(0, s):
+        sub = np.argsort(-d[r], kind="stable")
+        ds = d[r][sub]
+        per_d = np.bincount(ds, minlength=ell * n + 1)
+        run = np.cumsum(per_d[::-1])[::-1] - per_d  # in ``ds``, where D's run starts
+        pos[r.start + sub] = cursor[ds] + np.arange(sub.size) - run[ds]
+        cursor += per_d
+    del d
 
-    def step(j: int, down: int) -> np.ndarray:
-        """The rank change when T_j rises by one (down = 0) or falls by one
-        (down = 1): C(T_j + j - 1 - down, j - 1)."""
-        return _binom(t[j - 1].astype(np.int64) + (j - 1 - down), j - 1)
+    def at(rank: np.ndarray) -> np.ndarray:
+        """Each rank's position.  The target of an empty class can be rank
+        -1 or past the last; both index the last state instead."""
+        return pos[np.minimum(rank, s - 1)]
 
-    kill = np.empty((ell + 1, s), dtype=np.int32)
-    kill[0] = rank  # a class-0 kill leaves T unchanged
-    drop = 0
-    for f in range(ell, 0, -1):
-        drop = drop + step(f, 1)  # a kill in class f >= 1 lowers T_f..T_l
-        kill[f] = rank - drop
+    waved = np.empty_like(t)
+    kill = np.empty((ell, s), dtype=np.int32)
     move = np.empty((ell, s), dtype=np.int32)
-    for f in range(ell):
-        # out of class 0 every T_j rises; out of class f >= 1 T_f falls
-        if f == 0:
-            move[f] = rank + sum(step(j, 0) for j in range(1, ell + 1))
-        else:
-            move[f] = rank - step(f, 1)
-    # a disk move raises D = sum_f f c_f by one, so waves of high D go first
-    d = ell * t[-1] - t[:-1].sum(axis=0, dtype=np.int32) if ell else np.zeros(s, dtype=np.int32)
-    order = np.argsort(-d, kind="stable").astype(np.int32)
-    return t, kill, move, d, order
+    for r in _blocks(0, s):
+        p = pos[r]
+        waved[:, p] = t[:, r]
+        rank = np.arange(r.start, r.stop)
+        tr = t[:, r].astype(np.int64)
+        # the rank change when T_j rises by one, C(T_j + j - 1, j - 1), or
+        # falls by one, C(T_j + j - 2, j - 1), for j = 1..l
+        up = [_binom(tr[j - 1] + (j - 1), j - 1) for j in range(1, ell + 1)]
+        down = [_binom(tr[j - 1] + (j - 2), j - 1) for j in range(1, ell + 1)]
+        drop = 0
+        for f in range(ell, 0, -1):
+            drop = drop + down[f - 1]  # a kill in class f >= 1 lowers T_f..T_l
+            kill[f - 1, p] = at(rank - drop)
+        for f in range(ell):
+            # out of class 0 every T_j rises; out of class f >= 1 T_f falls
+            move[f, p] = at(rank + sum(up) if f == 0 else rank - down[f - 1])
+    return waved, kill, move, bounds
 
 
 def _level(
     tables: tuple[np.ndarray, ...], alive: int, m: int, delta: float, gamma: float,
     below: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """One dead-node level's terms, given the top level's ``_chain_tables``
-    and ``below``, the expected hours of the level with one more dead node,
-    by rank.
+) -> np.ndarray:
+    """Expected hours from every state of one dead-node level, by position,
+    given the top level's ``_chain_tables`` and ``below``, the level with one
+    more dead node.
 
-    Returns the states' rank order by wave, the wave ends, and in that order
-    each state's 1/total plus its kills' share of ``below``, and its disk
-    moves' rate/total and target rank (class f = 0..l-1).
+    The level's states are those with T_l <= alive; its waves are the last
+    l alive + 1 of the top level's, D = l alive down to 0.  Each state's
+    1/total plus its kills' share of ``below``, and its disk moves'
+    rate/total, are built over blocks of positions.  A position of those
+    waves that is not in the level (T_l > alive) is evaluated as if c_0 were
+    0: its value is finite and never read by a state of the level.
     """
-    t, kill, move, d, order = tables
-    ell = t.shape[0]
-    s = comb(alive + ell, ell)
-    t = t[:, :s]
-
-    def count(f: int) -> np.ndarray:
-        """c_f of every state: c_0 = alive - T_l, c_f = T_f - T_{f-1}."""
-        if f == 0:
-            c = alive - t[-1] if ell else np.full(s, alive)
-        else:
-            c = t[f - 1] - t[f - 2] if f > 1 else t[0]
-        return c.astype(np.float64)
-
-    inv = 1.0 / sum(count(f) * ((m - f) * delta + gamma) for f in range(ell + 1))
-    head = inv.copy()
-    for f in range(ell, -1, -1):
-        share = count(f) * (gamma + (m - ell) * delta if f == ell else gamma) * inv
-        if share.any():
-            head += share * below[np.where(share > 0, kill[f, :s], 0)]
-
-    # the top level's stable order, restricted to this level, is this level's
-    order = order[order < s].astype(np.intp)
-    ends = np.cumsum(np.bincount(d[:s])[::-1])
+    t, kill, move, bounds = tables
+    ell, s = t.shape
+    bounds = bounds[-(ell * alive + 2) :]
+    head = np.empty(s)
     moves = np.empty((ell, s))
-    to = np.empty((ell, s), dtype=np.int32)
-    for f in range(ell):
-        share = count(f) * ((m - f) * delta) * inv
-        moves[f] = share[order]
-        to[f] = np.where(share > 0, move[f, :s], 0)[order]
-    return order, ends, head[order], moves, to
+    for p in _blocks(bounds[0], s):
+        tp = t[:, p]
+
+        def count(f: int) -> np.ndarray:
+            """c_f of every state: c_0 = alive - T_l, c_f = T_f - T_{f-1}."""
+            if f == 0:
+                c = np.maximum(alive - tp[-1], 0) if ell else np.full(tp.shape[1], alive)
+            else:
+                c = tp[f - 1] - tp[f - 2] if f > 1 else tp[0]
+            return c.astype(np.float64)
+
+        inv = 1.0 / sum(count(f) * ((m - f) * delta + gamma) for f in range(ell + 1))
+        h = head[p]
+        h[:] = inv
+        for f in range(ell, -1, -1):
+            share = count(f) * (gamma + (m - ell) * delta if f == ell else gamma) * inv
+            if share.any():
+                h += share * below[kill[f - 1, p] if f else p]
+        for f in range(ell):
+            moves[f, p] = count(f) * ((m - f) * delta) * inv
+    return _waves(bounds, head, moves, move)
 
 
 def _waves(
-    order: np.ndarray, ends: np.ndarray, head: np.ndarray, moves: np.ndarray, to: np.ndarray
+    bounds: np.ndarray, head: np.ndarray, moves: np.ndarray, to: np.ndarray
 ) -> np.ndarray:
-    """Expected hours from every state of a level, by rank, one wave at a time."""
-    e = np.zeros(order.size)
-    start = 0
-    for end in ends:
+    """A level's expected hours by position, one wave at a time."""
+    e = np.zeros(head.size)
+    start = bounds[0]
+    for end in bounds[1:]:
         wave = slice(start, end)
-        e[order[wave]] = head[wave] + (moves[:, wave] * e[to[:, wave]]).sum(axis=0)
+        e[wave] = head[wave] + (moves[:, wave] * e[to[:, wave]]).sum(axis=0)
         start = end
     return e
 
@@ -262,20 +298,22 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
     A level's state is stored as its partial sums T_j = c_1 + ... + c_j,
     0 <= T_1 <= ... <= T_l <= alive, and ranked by the colex rank
     sum_j C(T_j + j - 1, j).  The rank does not depend on ``alive``, so each
-    level's states are a prefix of the next level's, and the ranks, event
+    level's states are a prefix of the next level's, and the states, event
     targets and wave order are built once for the top level
-    (``_chain_tables``) and sliced for each level.  Within a level the
-    states are evaluated in waves of equal failed-disk total
-    D = sum_f f c_f, from the highest down: a disk move raises D by one, so
-    a wave reads only finished waves and the level below.
+    (``_chain_tables``), in blocks of states.  The states are evaluated in
+    waves of equal failed-disk total D = sum_f f c_f, from the highest down:
+    a disk move raises D by one, so a wave reads only finished waves and the
+    level below.  A level's waves are the top level's of D <= l alive; it
+    evaluates their states that it lacks too, and never reads them.
 
     The work is (k+1) C(N+l, l) states in (k+1)(lN+1) waves, bounded by
     ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``; past either, or when N M
     is not below 2**53, this raises ValidationError.  The largest admitted
-    chain of each (k, l) answered in at most 1.5 s and 309 MB peak RSS
-    (0/3 at N = 230 is the largest: 1.0 s, 309 MB; 3/3 at N = 144: 0.6 s,
-    126 MB; l = 1 at the wave bound, one state per wave, is the slowest:
-    0.9-1.4 s), on 2 shared cores with Python 3.11.7 and numpy 2.4.6.
+    chain of each (k, l) answered in at most 1.3 s and 191 MB peak RSS
+    (0/3 at N = 230 is the largest: 0.6-0.7 s, 191 MB; 3/3 at N = 144:
+    0.4 s, 72 MB; l = 1 at the wave bound, one state per wave, is the
+    slowest: 0.7-1.2 s), each in a fresh process on 2 shared cores with
+    Python 3.11.7 and numpy 2.4.6.
     """
     check_exact_counts(config)
     n, m, k, ell = config.n, config.m, config.k, config.ell
@@ -285,11 +323,10 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
         raise ValidationError(
             f"the exact chain takes at most {MAX_CHAIN_STATES} states and "
             f"{MAX_CHAIN_WAVES} waves, got {states} states and {waves} waves for "
-            f"N={n}, k={k}, l={ell}; the closed forms (hraidlab analytic) take larger arrays"
+            f"N={n}, k={k}, l={ell}"
         )
     tables = _chain_tables(n, ell)
-    below = np.zeros(comb(n - k - 1 + ell, ell))  # past k dead every state is lost: 0 h
+    below = np.zeros(tables[0].shape[1])  # past k dead every state is lost: 0 h
     for dead in range(k, -1, -1):
-        terms = _level(tables, n - dead, m, rates.disk_rate, rates.controller_rate, below)
-        below = _waves(*terms)
-    return float(below[0])
+        below = _level(tables, n - dead, m, rates.disk_rate, rates.controller_rate, below)
+    return float(below[-1])  # no failed disk (rank 0) is the last wave

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 
@@ -13,6 +14,7 @@ from hraidlab import (
     hraid_unreliability,
     markov_mttdl,
 )
+from hraidlab import oracle
 from hraidlab.oracle import MAX_CHAIN_STATES, MAX_CHAIN_WAVES
 
 
@@ -303,7 +305,8 @@ def test_markov_size_bound():
     assert 4 * comb(131, 3) <= MAX_CHAIN_STATES and 4 * (1000 + 1) <= MAX_CHAIN_WAVES
     rates = FailureModel(disk_rate=1e-6)
     for cfg in (HraidConfig(100_000, 12, 3, 3), HraidConfig(10**6, 12, 0, 1)):
-        with pytest.raises(ValidationError, match="exact chain takes at most .* analytic"):
+        bound = r"exact chain takes at most 2097152 states and 131072 waves, got .* waves"
+        with pytest.raises(ValidationError, match=rf"{bound} for N=\d+, k=\d, l=\d$"):
             markov_mttdl(cfg, rates)
     # l = 0 keeps one state per level, so any N below the count bound answers
     n = 10**12
@@ -326,3 +329,40 @@ def test_markov_pinned_bit_for_bit():
     }
     for (n, ell), want in pinned.items():
         assert markov_mttdl(HraidConfig(n, 12, 3, ell), rates) == want, (n, ell)
+
+
+@pytest.mark.parametrize("block, max_n", [(1, 24), (7, 48)])
+def test_markov_block_edges(monkeypatch, block, max_n):
+    # the default block holds a whole level at small N; with blocks of 1
+    # state (N <= 24, as N = 48 takes 8 s) and of an odd 7 states, these
+    # chains cross block edges in every table and every level
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    rates = FailureModel(1e-6, 1e-7)
+    pinned = {  # test_markov_pinned_bit_for_bit's values for N <= 48
+        (12, 3): 259667.4760380747, (24, 3): 188973.89652085624,
+        (48, 3): 142158.46394855087, (12, 0): 31847.399615994655,
+        (24, 0): 14728.80335618388, (48, 0): 7113.329069009836,
+    }
+    for (n, ell), want in pinned.items():
+        if n <= max_n:
+            assert markov_mttdl(HraidConfig(n, 12, 3, ell), rates) == want, (n, ell)
+    for ell, gamma in product(range(4), (0.0, 1e-6)):
+        for n, k in ((5, 1), (12, 3)):
+            cfg = HraidConfig(n, 12, k, ell)
+            rates = FailureModel(disk_rate=1e-6, controller_rate=gamma)
+            want = _reference_chain(cfg, rates)
+            assert markov_mttdl(cfg, rates) == pytest.approx(want, rel=1e-13), (cfg, gamma)
+
+
+def test_markov_memory_bound():
+    # 96x12 3/3 holds 156,849 states a level: its tables and one level's
+    # terms take about 13 MiB, and the bound leaves room for blocks of
+    # states but not for a few more arrays of a whole level
+    cfg, rates = HraidConfig(96, 12, 3, 3), FailureModel(1e-6, 1e-7)
+    tracemalloc.start()
+    try:
+        markov_mttdl(cfg, rates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
