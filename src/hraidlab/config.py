@@ -97,8 +97,7 @@ def check_exact_counts(config: HraidConfig) -> None:
     if config.total_disks >= MAX_EXACT_COUNT:
         raise ValidationError(
             f"n_nodes * disks_per_node must be below 2**53 for the simulator and "
-            f"the exact chain, got N*M of {len(str(config.total_disks))} digits; "
-            f"the closed forms (hraidlab analytic) take up to 1e308 nodes"
+            f"the exact chain, got N*M of {len(str(config.total_disks))} digits"
         )
 
 

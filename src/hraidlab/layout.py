@@ -4,13 +4,15 @@ small-write cost model.
 A layout places, for every stripe row and every node, l intra-node check
 strips (P-class) and k inter-node check strips (Q/R-class) among the M disk
 positions of that node.  Check strips rotate across rows and nodes in the
-left-symmetric RAID5 style so that load balances over disks.
+left-symmetric RAID5 style so that load balances over disks.  A grid is one
+array of role codes, built and checked by array expressions.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,8 +25,8 @@ CHECK_LETTERS = "PQRSTU"
 
 #: Largest layout grid, in cells: M stripe rows of N nodes of M disks.  At
 #: the bound (262144 x 1, 64 x 64, 16 x 128 and 1 x 512) ``layout`` took at
-#: most 2.0 s and 104 MB peak RSS (262144 x 1 as JSON), ``layout --verify``
-#: 2.6 s and 64 MB, and ``codec-demo`` at 1-byte strips 4.6 s and 144 MB
+#: most 1.5 s and 105 MB peak RSS (262144 x 1 as JSON), ``layout --verify``
+#: 1.1 s and 64 MB, and ``codec-demo`` at 1-byte strips 4.6 s and 144 MB
 #: (1 x 512), on 2 shared cores with Python 3.11.7 and numpy 2.4.6.
 MAX_GRID_CELLS = 2**18
 
@@ -40,14 +42,20 @@ def _check_grid_cells(config: HraidConfig) -> None:
         )
 
 
-def anchor_position(row: int, node: int, m: int) -> int:
-    """1-based position where the check run of (row, node) starts.
+def anchor_position(row, node, m: int):
+    """1-based position where the check run of (row, node) starts, for
+    integers or broadcasting integer arrays.
 
     The run occupies consecutive cyclic positions; shifting by one position
     per row and per node balances check strips over disks and, for N = M,
     over stripe columns.
     """
     return ((-(row + node)) % m) + 1
+
+
+def _alphabet(config: HraidConfig) -> tuple[str, ...]:
+    """Letters of codes 0..k+l: ``D`` for data, then ``CHECK_LETTERS``."""
+    return ("D", *CHECK_LETTERS[: config.k + config.ell])
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,18 +65,24 @@ class LayoutGrid:
     ``codes[i-1, n-1, j-1]`` encodes the role of stripe row i, node n,
     position j (all 1-based, matching the usual layout-figure convention):
     0 is data, 1..l are the intra-check classes, l+1..l+k the inter-check
-    classes.  Rows beyond M repeat this pattern with period M.
+    classes.  Rows beyond M repeat this pattern with period M.  The codes
+    are decoded to letters once, on first use.
     """
 
     config: HraidConfig
     codes: np.ndarray
 
     def __post_init__(self) -> None:
-        m, n = self.config.m, self.config.n
-        if self.codes.shape != (m, n, m):
+        shape = (self.config.m, self.config.n, self.config.m)
+        if self.codes.shape != shape:
             raise ValidationError(
-                f"grid shape {self.codes.shape} does not match config "
-                f"(expected {(m, n, m)})"
+                f"grid shape {self.codes.shape} does not match config (expected {shape})"
+            )
+        codes, top = self.codes, self.config.k + self.config.ell
+        if codes.dtype.kind not in "iu" or not 0 <= codes.min() <= codes.max() <= top:
+            raise ValidationError(
+                f"grid codes must be integers in 0..{top} (k+l check classes), got "
+                f"{codes.dtype} values in {codes.min()}..{codes.max()}"
             )
 
     def role_masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -76,58 +90,46 @@ class LayoutGrid:
         codes, ell = self.codes, self.config.ell
         return codes == 0, (codes >= 1) & (codes <= ell), codes > ell
 
+    def letters(self) -> np.ndarray:
+        """Role letters shaped like ``codes`` (read-only)."""
+        return self._letters
+
+    @cached_property
+    def _letters(self) -> np.ndarray:
+        letters = np.array(_alphabet(self.config))[self.codes]
+        letters.flags.writeable = False
+        return letters
+
     def letter_at(self, row: int, node: int, pos: int) -> str:
-        code = int(self.codes[row - 1, node - 1, pos - 1])
-        return "D" if code == 0 else CHECK_LETTERS[code - 1]
+        return str(self.letters()[row - 1, node - 1, pos - 1])
 
     def node_row_letters(self, row: int, node: int) -> str:
         """Role letters of one node's row, e.g. ``\"DDPQ\"``."""
-        return "".join(
-            self.letter_at(row, node, j) for j in range(1, self.config.m + 1)
-        )
+        return "".join(self.letters()[row - 1, node - 1].tolist())
 
     def as_text(self) -> str:
         """Figure-style table: cell tokens ``X{row},{pos}^{node}``."""
         cfg = self.config
-        width = max(
-            len(f"D{cfg.m},{cfg.m}^{cfg.n}"),
-            6,
-        )
+        width = max(len(f"D{cfg.m},{cfg.m}^{cfg.n}"), 6)
         lines = [
             f"HRAID {cfg.k}/{cfg.ell} layout: N={cfg.n} nodes x M={cfg.m} disks, "
-            f"stripe rows 1..{cfg.m} (pattern repeats with period {cfg.m})"
+            f"stripe rows 1..{cfg.m} (pattern repeats with period {cfg.m})",
+            "        " + " | ".join(
+                f"SN {n}".center(width * cfg.m + cfg.m - 1) for n in range(1, cfg.n + 1)
+            ),
         ]
-        header = "        " + " | ".join(
-            f"SN {n}".center(width * cfg.m + cfg.m - 1) for n in range(1, cfg.n + 1)
-        )
-        lines.append(header)
-        for i in range(1, cfg.m + 1):
-            blocks = []
-            for n in range(1, cfg.n + 1):
-                cells = [
-                    f"{self.letter_at(i, n, j)}{i},{j}^{n}".ljust(width)
-                    for j in range(1, cfg.m + 1)
-                ]
-                blocks.append(" ".join(cells))
+        for i, row in enumerate(self.letters(), start=1):
+            blocks = (
+                " ".join(f"{c}{i},{j}^{n}".ljust(width) for j, c in enumerate(cells.tolist(), 1))
+                for n, cells in enumerate(row, start=1)
+            )
             lines.append(f"row {i:<3} " + " | ".join(blocks))
         return "\n".join(lines)
 
     def to_json(self) -> str:
         """Machine-readable grid: letters nested as rows -> nodes -> positions."""
         cfg = self.config
-        obj = {
-            "n": cfg.n,
-            "m": cfg.m,
-            "k": cfg.k,
-            "ell": cfg.ell,
-            "rows": [
-                [
-                    [self.letter_at(i, n, j) for j in range(1, cfg.m + 1)]
-                    for n in range(1, cfg.n + 1)
-                ]
-                for i in range(1, cfg.m + 1)
-            ],
-        }
+        obj = {"n": cfg.n, "m": cfg.m, "k": cfg.k, "ell": cfg.ell, "rows": self.letters().tolist()}
         return json.dumps(obj, indent=2)
 
     @classmethod
@@ -148,7 +150,7 @@ class LayoutGrid:
             intra_tolerance=obj["ell"],
         )
         _check_grid_cells(cfg)
-        letters = ("D", *CHECK_LETTERS[: cfg.k + cfg.ell])
+        letters = _alphabet(cfg)
 
         def items(value, count: int, what: str) -> list:
             if isinstance(value, list) and len(value) == count:
@@ -156,6 +158,7 @@ class LayoutGrid:
             found = f"a list of {len(value)}" if isinstance(value, list) else type(value).__name__
             raise ValidationError(f"{what} must be a list of {count}, got {found}")
 
+        # a per-cell walk, so that the first malformed cell is the one named
         codes = np.zeros((cfg.m, cfg.n, cfg.m), dtype=np.int8)
         for i, row in enumerate(items(obj["rows"], cfg.m, "rows")):
             for n, cells in enumerate(items(row, cfg.n, f"row {i + 1}")):
@@ -174,27 +177,32 @@ def generate_layout(config: HraidConfig) -> LayoutGrid:
     """Generate the rotating check-strip layout for ``config``.
 
     For stripe row i and node n the k+l check strips occupy consecutive
-    cyclic positions starting at ``anchor_position(i, n, M)``: the l
-    intra-node checks first, then the k inter-node checks.  A grid of more
-    than ``MAX_GRID_CELLS`` cells raises ValidationError.
+    cyclic positions from a = ``anchor_position(i, n, M)``, the l intra-node
+    checks first: position j holds code (j - a) mod M + 1 when that offset
+    is below k+l, else data.  A grid of more than ``MAX_GRID_CELLS`` cells
+    raises ValidationError.
     """
     _check_grid_cells(config)
     m, n_nodes = config.m, config.n
-    k, ell = config.k, config.ell
-    codes = np.zeros((m, n_nodes, m), dtype=np.int8)
-    for i in range(1, m + 1):
-        for n in range(1, n_nodes + 1):
-            a = anchor_position(i, n, m)
-            for c in range(k + ell):
-                pos = ((a - 1 + c) % m) + 1
-                codes[i - 1, n - 1, pos - 1] = c + 1
+    rows = np.arange(1, m + 1).reshape(m, 1, 1)
+    nodes = np.arange(1, n_nodes + 1).reshape(1, n_nodes, 1)
+    anchors = anchor_position(rows, nodes, m).astype(np.int16)  # M <= 512 within the bound
+    offset = (np.arange(1, m + 1, dtype=np.int16) - anchors) % m
+    codes = np.where(offset < config.k + config.ell, offset + 1, 0).astype(np.int8)
     return LayoutGrid(config=config, codes=codes)
+
+
+def _mismatches(counts: np.ndarray, expected: tuple[int, ...], describe) -> list[str]:
+    """``describe(a, b, *found)`` for every 1-based cell (a, b) whose counts
+    along the last axis differ from ``expected``, in row-major order."""
+    bad = np.argwhere((counts != expected).any(axis=-1)).tolist()
+    return [describe(a + 1, b + 1, *counts[a, b].tolist()) for a, b in bad]
 
 
 def verify_layout(grid: LayoutGrid, config: HraidConfig | None = None) -> list[str]:
     """Check every layout invariant; return violations (empty when valid).
 
-    Verified invariants:
+    Verified invariants, each one count array against its expected value:
 
     - each (row, node) pair holds exactly l intra-check and k inter-check
       strips;
@@ -211,41 +219,32 @@ def verify_layout(grid: LayoutGrid, config: HraidConfig | None = None) -> list[s
         raise ValidationError(
             f"grid was built for {grid.config}, verification requested for {config}"
         )
-    m, n_nodes, k, ell = cfg.m, cfg.n, cfg.k, cfg.ell
+    m, k, ell = cfg.m, cfg.k, cfg.ell
     data, intra, inter = grid.role_masks()
-    violations: list[str] = []
 
-    for i in range(m):
-        for n in range(n_nodes):
-            ni = int(intra[i, n].sum())
-            nq = int(inter[i, n].sum())
-            if ni != ell or nq != k:
-                violations.append(
-                    f"row {i + 1}, node {n + 1}: expected {ell} intra and {k} "
-                    f"inter check strips, found {ni} intra and {nq} inter"
-                )
+    def classes(axis: int) -> np.ndarray:
+        return np.stack([intra.sum(axis=axis), inter.sum(axis=axis)], axis=-1)
 
-    per_disk = (~data).sum(axis=0)
-    for n in range(n_nodes):
-        for j in range(m):
-            cnt = int(per_disk[n, j])
-            if cnt != k + ell:
-                violations.append(
-                    f"disk (node {n + 1}, position {j + 1}): expected {k + ell} "
-                    f"check strips over {m} rows, found {cnt}"
-                )
-
-    if n_nodes == m:
-        for i in range(m):
-            for j in range(m):
-                ci = int(intra[i, :, j].sum())
-                cq = int(inter[i, :, j].sum())
-                if ci != ell or cq != k:
-                    violations.append(
-                        f"column (row {i + 1}, position {j + 1}): expected {ell} "
-                        f"intra and {k} inter check strips across nodes, found "
-                        f"{ci} intra and {cq} inter"
-                    )
+    violations = _mismatches(
+        classes(2),
+        (ell, k),
+        lambda i, n, ni, nq: f"row {i}, node {n}: expected {ell} intra and {k} "
+        f"inter check strips, found {ni} intra and {nq} inter",
+    )
+    violations += _mismatches(
+        (~data).sum(axis=0)[..., np.newaxis],
+        (k + ell,),
+        lambda n, j, cnt: f"disk (node {n}, position {j}): expected {k + ell} "
+        f"check strips over {m} rows, found {cnt}",
+    )
+    if cfg.n == m:
+        violations += _mismatches(
+            classes(1),
+            (ell, k),
+            lambda i, j, ci, cq: f"column (row {i}, position {j}): expected {ell} "
+            f"intra and {k} inter check strips across nodes, found "
+            f"{ci} intra and {cq} inter",
+        )
     return violations
 
 

@@ -233,31 +233,28 @@ def resolve_thread_count(threads: int | None = None) -> int:
     return threads
 
 
+def _trial_events(config: HraidConfig) -> int:
+    """The event bound of one trial, l N + k + 1."""
+    return config.ell * config.n + config.k + 1
+
+
 def _unit_rho(config: HraidConfig, rates: FailureModel) -> float:
     """The controller rate in units of the disk rate, rho = gamma / delta,
     once both engines' bounds hold.
 
-    Raises ValidationError when the total event rate N M + rho N is not a
-    finite float (no event could then be drawn), when N M is not below
-    2**53, or when a trial may take more than ``MAX_TRIAL_EVENTS`` events.
+    Raises ValidationError when N M is not below 2**53 or when a trial may
+    take more than ``MAX_TRIAL_EVENTS`` events.  Within the count bound and
+    the rate domain (rho <= 1e60) the total event rate N M + rho N stays
+    below 1e76, a finite float.
     """
-    rho = rates.controller_rate / rates.disk_rate
-    try:
-        finite = math.isfinite(config.n * config.m + rho * config.n)
-    except OverflowError:  # N past the float range; the count bound names it
-        finite = True
-    if not finite:
-        raise ValidationError(
-            f"controller_rate / disk_rate must keep the total event rate finite, got {rho}"
-        )
     check_exact_counts(config)
-    events = config.ell * config.n + config.k + 1
+    events = _trial_events(config)
     if events > MAX_TRIAL_EVENTS:
         raise ValidationError(
             f"a trial may take l*N + k + 1 = {events} events and the simulator takes "
             f"at most {MAX_TRIAL_EVENTS}"
         )
-    return rho
+    return rates.controller_rate / rates.disk_rate
 
 
 def _bin_tables(m: int, ell: int, rho: float) -> tuple[np.ndarray, ...]:
@@ -513,8 +510,7 @@ def trace_trials(
     each chunk runs when its first trial is taken."""
     _check_run(trials, seed)
     rho = _unit_rho(config, rates)
-    events = config.ell * config.n + config.k + 1
-    per_chunk = max(1, min(CHUNK_TRIALS, TRACE_CHUNK_EVENTS // events))
+    per_chunk = max(1, min(CHUNK_TRIALS, TRACE_CHUNK_EVENTS // _trial_events(config)))
 
     def traced(start: int) -> Iterator[DataLossEvent]:
         count = min(per_chunk, trials - start)

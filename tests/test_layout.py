@@ -107,6 +107,131 @@ def test_verifier_catches_single_mutation():
     assert any("row 1, position 1" in v for v in violations)
 
 
+def _loop_generate_layout(config):
+    """The cell-by-cell generator the array expression replaced, as the reference."""
+    m, n_nodes = config.m, config.n
+    k, ell = config.k, config.ell
+    codes = np.zeros((m, n_nodes, m), dtype=np.int8)
+    for i in range(1, m + 1):
+        for n in range(1, n_nodes + 1):
+            a = anchor_position(i, n, m)
+            for c in range(k + ell):
+                pos = ((a - 1 + c) % m) + 1
+                codes[i - 1, n - 1, pos - 1] = c + 1
+    return LayoutGrid(config=config, codes=codes)
+
+
+def _loop_verify_layout(grid):
+    """The cell-by-cell verifier the count arrays replaced, as the reference."""
+    cfg = grid.config
+    m, n_nodes, k, ell = cfg.m, cfg.n, cfg.k, cfg.ell
+    data, intra, inter = grid.role_masks()
+    violations = []
+    for i in range(m):
+        for n in range(n_nodes):
+            ni = int(intra[i, n].sum())
+            nq = int(inter[i, n].sum())
+            if ni != ell or nq != k:
+                violations.append(
+                    f"row {i + 1}, node {n + 1}: expected {ell} intra and {k} "
+                    f"inter check strips, found {ni} intra and {nq} inter"
+                )
+    per_disk = (~data).sum(axis=0)
+    for n in range(n_nodes):
+        for j in range(m):
+            cnt = int(per_disk[n, j])
+            if cnt != k + ell:
+                violations.append(
+                    f"disk (node {n + 1}, position {j + 1}): expected {k + ell} "
+                    f"check strips over {m} rows, found {cnt}"
+                )
+    if n_nodes == m:
+        for i in range(m):
+            for j in range(m):
+                ci = int(intra[i, :, j].sum())
+                cq = int(inter[i, :, j].sum())
+                if ci != ell or cq != k:
+                    violations.append(
+                        f"column (row {i + 1}, position {j + 1}): expected {ell} "
+                        f"intra and {k} inter check strips across nodes, found "
+                        f"{ci} intra and {cq} inter"
+                    )
+    return violations
+
+
+def _valid_configs(limit):
+    return [
+        HraidConfig(n, m, k, ell)
+        for n in range(1, limit + 1)
+        for m in range(1, limit + 1)
+        for k in range(4)
+        for ell in range(4)
+        if k < n and k + ell < m
+    ]
+
+
+def test_array_layout_matches_loop_reference():
+    # every valid config with N, M <= 12: equal codes, then equal violation
+    # lists on the grid and on seeded two-cell mutations of it
+    rng = np.random.default_rng(19)
+    configs = _valid_configs(12)
+    assert len(configs) == 1532
+    for cfg in configs:
+        grid, reference = generate_layout(cfg), _loop_generate_layout(cfg)
+        assert grid.codes.dtype == reference.codes.dtype
+        assert np.array_equal(grid.codes, reference.codes), cfg
+        assert verify_layout(grid) == _loop_verify_layout(reference) == []
+        for _ in range(2):
+            codes = grid.codes.copy()
+            for _ in range(2):
+                cell = tuple(int(rng.integers(size)) for size in codes.shape)
+                codes[cell] = rng.integers(cfg.k + cfg.ell + 1)
+            mutated = LayoutGrid(cfg, codes)
+            assert verify_layout(mutated) == _loop_verify_layout(mutated), cfg
+
+
+@pytest.mark.parametrize(
+    "n, m, k, ell", [(262144, 1, 0, 0), (64, 64, 3, 3), (16, 128, 3, 3), (1, 512, 0, 3)]
+)
+def test_array_layout_matches_loop_reference_at_the_cell_bound(n, m, k, ell):
+    cfg = HraidConfig(n, m, k, ell)
+    grid, reference = generate_layout(cfg), _loop_generate_layout(cfg)
+    assert grid.codes.size == layout_module.MAX_GRID_CELLS
+    assert np.array_equal(grid.codes, reference.codes)
+    assert verify_layout(grid) == _loop_verify_layout(reference) == []
+    if k + ell:  # move row 1, node 1's check run one position on
+        codes = grid.codes.copy()
+        codes[0, 0] = np.roll(codes[0, 0], 1)
+        mutated = LayoutGrid(cfg, codes)
+        violations = verify_layout(mutated)
+        assert violations and violations == _loop_verify_layout(mutated)
+
+
+def test_grid_refuses_codes_outside_its_classes():
+    # HRAID1/1 has codes 0..2: a 9 once built and then failed in letter_at
+    # and to_json with IndexError, and a 3..6 was written as a letter that
+    # from_json refuses
+    cfg = HraidConfig(4, 4, 1, 1)
+    bound = r"grid codes must be integers in 0\.\.2 \(k\+l check classes\)"
+    for code in (9, 3, 6, -1):
+        codes = generate_layout(cfg).codes.copy()
+        codes[0, 0, 0] = code
+        with pytest.raises(ValidationError, match=rf"{bound}, got int8 values in \S+$"):
+            LayoutGrid(cfg, codes)
+    for dtype in (float, bool):
+        with pytest.raises(ValidationError, match=rf"{bound}, got {np.dtype(dtype)} values"):
+            LayoutGrid(cfg, generate_layout(cfg).codes.astype(dtype))
+
+
+def test_letters_array_backs_every_letter_view():
+    grid = generate_layout(HraidConfig(4, 5, 1, 2))
+    letters = grid.letters()
+    assert letters.shape == grid.codes.shape and not letters.flags.writeable
+    assert json.loads(grid.to_json())["rows"] == letters.tolist()
+    assert grid.node_row_letters(2, 3) == "".join(letters[1, 2])
+    assert grid.letter_at(2, 3, 4) == letters[1, 2, 3]
+
+
 def test_verifier_rejects_mismatched_config():
     grid = generate_layout(HraidConfig(4, 4, 1, 1))
     with pytest.raises(ValidationError):

@@ -319,13 +319,15 @@ def test_overflowing_total_rate_is_rejected():
     with pytest.raises(ValidationError, match=r"controller_rate must be in \[0, 1e\+30\]"):
         FailureModel(disk_rate=1e-10, controller_rate=1e300)
     # at the edge rates gamma / delta = 1e60, so the total event rate
-    # N M + rho N overflows only near N = 10**249; the check raises before
-    # any per-trial or per-node allocation
+    # N M + rho N overflows only near N = 10**249, far past the count bound
+    # N M < 2**53 that refuses it first, before any per-trial or per-node
+    # allocation
     cfg = HraidConfig(10**249, 4, 1, 1)
     rates = FailureModel(disk_rate=1e-30, controller_rate=1e30)
-    with pytest.raises(ValidationError, match="total event rate finite"):
+    bound = r"must be below 2\*\*53 for the simulator and the exact chain, got N\*M of 250 digits$"
+    with pytest.raises(ValidationError, match=bound):
         run_trials(cfg, rates, 4, seed=0)
-    with pytest.raises(ValidationError, match="total event rate finite"):
+    with pytest.raises(ValidationError, match=bound):
         trace_trials(cfg, rates, 4, seed=0)
 
 
