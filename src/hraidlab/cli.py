@@ -10,9 +10,10 @@ flat JSON object whose keys name the command's own flags), else the
 that takes them.  Rates per hour must satisfy
 1e-30 <= delta <= 1e30 and 0 <= gamma <= 1e30.  ``simulate`` and ``sweep``
 print a table, CSV or JSON view of one result record; ``simulate --trace``
-also dumps the events of every trial the estimate holds.  Output
-lands on stdout, or in the ``--out`` file; ``--out`` and ``--trace`` files
-are written atomically (temp + rename).
+also dumps the events of every trial the estimate holds.  Each command
+returns its exit code and text, and ``main`` writes the text to stdout or
+to the ``--out`` file; ``--out`` and ``--trace`` files are written
+atomically (temp + rename).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 import numpy as np
@@ -129,12 +130,17 @@ def _write_output(pieces: Iterable[str], out: str | None) -> None:
             os.unlink(tmp)
 
 
+def _read(path: str, what: str, parse: Callable):
+    """Parse the text of the ``what`` file at ``path``."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+
+
 def _load_config_file(path: str, dests: Iterable[str]) -> dict:
     accepted = sorted(key for key, dest in _CONFIG_KEYS.items() if dest in dests)
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
+    raw = _read(path, "config", json.loads)
     if not isinstance(raw, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(raw) - set(accepted))
@@ -283,12 +289,12 @@ def _rates(values: dict) -> FailureModel:
     return FailureModel(disk_rate=values["delta"], controller_rate=values["gamma"])
 
 
-def _write_view(result, values: dict) -> None:
-    """Write the result view that ``--format`` names."""
-    _write_output([getattr(result, _VIEWS[values["format"]])()], values["out"])
+def _view(result, values: dict) -> str:
+    """The view of a result record that ``--format`` names."""
+    return getattr(result, _VIEWS[values["format"]])()
 
 
-def _cmd_simulate(values: dict) -> int:
+def _cmd_simulate(values: dict) -> tuple[int, str]:
     config = _geometry(values)
     rates = _rates(values)
     trials, seed = values["trials"], values["seed"]
@@ -297,22 +303,20 @@ def _cmd_simulate(values: dict) -> int:
         events = trace_trials(config, rates, trials, seed)
         lines = (trace_jsonl_line(i, e) + "\n" for i, e in enumerate(events))
         _write_output(lines, values["trace"])
-    _write_view(RunResult(config, rates, seed, est), values)
-    return 0
+    return 0, _view(RunResult(config, rates, seed, est), values)
 
 
-def _cmd_sweep(values: dict) -> int:
+def _cmd_sweep(values: dict) -> tuple[int, str]:
     _require(values, "n", "m")
     result = sweep(values["n"], values["m"], _rates(values), values["trials"], values["seed"])
-    _write_view(result, values)
-    return 0
+    return 0, _view(result, values)
 
 
-def _cmd_analytic_compare(values: dict) -> int:
+def _cmd_analytic_compare(values: dict) -> tuple[int, str]:
     _require(values, "n", "m")
     n, m = values["n"], values["m"]
     cmp_result = compare_apportionments(n, m)
-    text = (
+    return 0, (
         f"HRAID1/2 vs HRAID2/1 on N={n} nodes x M={m} disks\n"
         f"  minimal fatal sets (6 failures): "
         f"1/2 -> {cmp_result.coeff_12}, 2/1 -> {cmp_result.coeff_21}\n"
@@ -320,8 +324,6 @@ def _cmd_analytic_compare(values: dict) -> int:
         f"  threshold form: N > 2 + 3C(M,3)^2/C(M,2)^3 = "
         f"{cmp_result.threshold_n} ~= {float(cmp_result.threshold_n):.6g}"
     )
-    _write_output([text], values["out"])
-    return 0
 
 
 def _approximation(p: float) -> str:
@@ -331,7 +333,7 @@ def _approximation(p: float) -> str:
     return "n/a (approximation outside [0, 1] at this eps)"
 
 
-def _cmd_analytic_report(values: dict) -> int:
+def _cmd_analytic_report(values: dict) -> tuple[int, str]:
     config = _geometry(values)
     leading = leading_term(config)
     lines = [
@@ -367,53 +369,38 @@ def _cmd_analytic_report(values: dict) -> int:
             f"    leading-term approximation           : "
             f"{_approximation(leading.evaluate(eps))}",
         ]
-    _write_output(["\n".join(lines)], values["out"])
-    return 0
+    return 0, "\n".join(lines)
 
 
-def _cmd_oracle_enum(values: dict) -> int:
+def _cmd_oracle_enum(values: dict) -> tuple[int, str]:
     poly = exact_reliability_enum(_geometry(values))
     text = poly.to_csv()
     eps = values["eps"]
     if eps is not None:
         text += f"# unreliability at eps={eps:g}: {poly.unreliability(eps):.15g}\n"
-    _write_output([text], values["out"])
-    return 0
+    return 0, text
 
 
-def _cmd_oracle_markov(values: dict) -> int:
+def _cmd_oracle_markov(values: dict) -> tuple[int, str]:
     config = _geometry(values)
     rates = _rates(values)
     hours = markov_mttdl(config, rates)
-    text = (
+    return 0, (
         f"exact MTTDL for HRAID {config.k}/{config.ell}: N={config.n}, M={config.m}, "
         f"delta={rates.disk_rate:g}/h, gamma={rates.controller_rate:g}/h\n"
         f"  {hours:.15g} hours ({format_hours(hours, 1000.0, '.4f')} thousand hours)"
     )
-    _write_output([text], values["out"])
-    return 0
 
 
-def _cmd_layout(values: dict) -> int:
-    out, verify = values["out"], values["verify"]
+def _cmd_layout(values: dict) -> tuple[int, str]:
+    verify = values["verify"]
     if verify:
-        try:
-            grid = LayoutGrid.from_json(Path(verify).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read grid file {verify}: {exc}") from exc
-        violations = verify_layout(grid)
+        violations = verify_layout(_read(verify, "grid", LayoutGrid.from_json))
         if violations:
-            text = "\n".join(
-                [f"layout INVALID: {len(violations)} violation(s)"] + violations
-            )
-            _write_output([text], out)
-            return 2
-        _write_output(["layout valid: all balance invariants hold"], out)
-        return 0
+            return 2, "\n".join([f"layout INVALID: {len(violations)} violation(s)"] + violations)
+        return 0, "layout valid: all balance invariants hold"
     grid = generate_layout(_geometry(values))
-    text = grid.to_json() if values["format"] == "json" else grid.as_text()
-    _write_output([text], out)
-    return 0
+    return 0, grid.to_json() if values["format"] == "json" else grid.as_text()
 
 
 def _recovery_line(content: StripeContent, label: str, cells: set[Cell]) -> str:
@@ -430,7 +417,7 @@ def _recovery_line(content: StripeContent, label: str, cells: set[Cell]) -> str:
     )
 
 
-def _cmd_codec_demo(values: dict) -> int:
+def _cmd_codec_demo(values: dict) -> tuple[int, str]:
     config = _geometry(values)
     seed, strip_size, tree = values["seed"], values["strip_size"], values["dir"]
     grid = generate_layout(config)
@@ -477,15 +464,17 @@ def _cmd_codec_demo(values: dict) -> int:
                 ("two whole nodes (1 and 2)", node_cells(config, 1) | node_cells(config, 2))
             )
     lines += [_recovery_line(content, label, cells) for label, cells in scenarios]
-    _write_output(["\n".join(lines)], None)
-    return 0
+    return 0, "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(_values(args))
+        values = _values(args)
+        code, text = args.func(values)
+        _write_output([text], values.get("out"))
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

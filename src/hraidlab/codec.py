@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .config import HraidConfig, UnsupportedCodecError, ValidationError
+from .config import HraidConfig, UnsupportedCodecError, ValidationError, check_integer
 from .layout import LayoutGrid, generate_layout
 from .stream import check_seed
 
@@ -120,6 +120,7 @@ def random_payloads(
 ) -> dict[Cell, bytes]:
     """Seeded random payload bytes for every DATA cell; the grid's strip
     array at ``strip_size`` must fit ``MAX_STRIP_BYTES``."""
+    check_integer("strip_size", strip_size)
     if strip_size < 1:
         raise ValidationError(f"strip_size must be >= 1, got {strip_size}")
     _check_strip_bytes(grid.config, strip_size)

@@ -26,6 +26,13 @@ def check_integer(name: str, value) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def check_tolerance(name: str, value) -> None:
+    """Raise ValidationError unless ``value`` is an integer in 0..``MAX_TOLERANCE``."""
+    check_integer(name, value)
+    if not 0 <= value <= MAX_TOLERANCE:
+        raise ValidationError(f"{name} must be in 0..{MAX_TOLERANCE}, got {value}")
+
+
 @dataclass(frozen=True)
 class HraidConfig:
     """Geometry and redundancy apportionment of an HRAID k/l array.
@@ -51,9 +58,8 @@ class HraidConfig:
             raise ValidationError(f"n_nodes must be >= 1, got {n}")
         if m < 1:
             raise ValidationError(f"disks_per_node must be >= 1, got {m}")
-        for name, value in (("inter_tolerance", k), ("intra_tolerance", ell)):
-            if not 0 <= value <= MAX_TOLERANCE:
-                raise ValidationError(f"{name} must be in 0..{MAX_TOLERANCE}, got {value}")
+        check_tolerance("inter_tolerance", k)
+        check_tolerance("intra_tolerance", ell)
         if k >= n:
             raise ValidationError(
                 f"inter_tolerance must be below n_nodes, got k={k} with N={n}"

@@ -45,8 +45,9 @@ import numpy as np
 
 from .config import (
     MAX_TOLERANCE, FailureModel, HraidConfig, ValidationError, check_exact_counts, check_integer,
+    check_tolerance,
 )
-from .stream import check_seed, trial_key, trial_keys, uniforms_at
+from .stream import check_seed, trial_keys, uniforms_at
 
 #: Trials per work unit.  Chunking only batches the vectorized engine;
 #: results are independent of it because streams are keyed by absolute
@@ -226,6 +227,7 @@ def resolve_thread_count(threads: int | None = None) -> int:
             raise ValidationError(
                 f"{THREADS_ENV_VAR} must be an integer, got {raw!r}"
             ) from exc
+    check_integer("threads", threads)
     if threads == 0:
         return os.cpu_count() or 1
     if threads < 0:
@@ -399,8 +401,13 @@ def estimate_mttdl(
 
 
 def cell_seed(seed: int, k: int, ell: int) -> int:
-    """The seed of cell (k, l) in a sweep at ``seed``."""
-    return trial_key(seed, (k << 16) | ell)
+    """The seed of cell (k, l) in a sweep at ``seed``: the stream key of
+    trial 65536 k + l.  ``seed`` is in [0, 2**64) and k, l in
+    0..``MAX_TOLERANCE``, so no two cells share a seed."""
+    check_seed(seed)
+    check_tolerance("k", k)
+    check_tolerance("ell", ell)
+    return int(trial_keys(seed, (k << 16) | ell, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -485,7 +492,7 @@ def sweep(
     seed.  Every cell's bounds are checked before any cell runs.
     """
     HraidConfig(n, m)  # N and M alone must be a valid geometry
-    check_seed(seed)  # cell_seed would map any integer into range
+    check_seed(seed)  # before any cell runs
     tolerances = range(MAX_TOLERANCE + 1)
     configs = [
         HraidConfig(n, m, k, ell)

@@ -28,21 +28,12 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be in [0, 2**64), got {seed}")
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer: bijective avalanche mix of one 64-bit word."""
-    z = int(z) & _MASK64  # a numpy integer seed would wrap or overflow below
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-    return z ^ (z >> 31)
-
-
-def trial_key(seed: int, index: int) -> int:
-    """64-bit stream key for trial ``index`` under ``seed``."""
-    return mix64((mix64(seed) + index) & _MASK64)
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # unsigned arithmetic wraps modulo 2**64, matching mix64 above
+    """SplitMix64 finalizer: bijective avalanche mix of each 64-bit word.
+
+    Array arithmetic wraps modulo 2**64 silently; a ``uint64`` scalar would
+    warn on the wrap, so a single word goes in as a one-element array.
+    """
     z = z ^ (z >> _U64(30))
     z = z * _U64(_MIX_A)
     z = z ^ (z >> _U64(27))
@@ -52,7 +43,7 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 def trial_keys(seed: int, start: int, count: int) -> np.ndarray:
     """Vector of stream keys for trials start .. start+count-1."""
-    base = _U64(mix64(seed))
+    base = _mix64_array(np.array([seed], dtype=np.uint64))
     idx = np.arange(start, start + count, dtype=np.uint64)
     return _mix64_array(base + idx)
 

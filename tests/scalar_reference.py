@@ -3,9 +3,10 @@
 It plays the same lumped state, thresholds, bin order and labels as the
 batch engine in ``hraidlab.simulator`` with plain Python lists, and draws
 its uniforms one by one from the same counter-based (seed, trial index)
-streams.  Tests compare the batch engine and its traces against it bit for
-bit; it calls numpy's log1p on purpose, since the C library's last-ulp
-rounding can differ.
+streams through a scalar SplitMix64 (``mix64``, ``trial_key``), the
+reference for ``hraidlab.stream``'s array mixer.  Tests compare the batch
+engine and its traces against it bit for bit; it calls numpy's log1p on
+purpose, since the C library's last-ulp rounding can differ.
 """
 
 from __future__ import annotations
@@ -17,7 +18,20 @@ import numpy as np
 
 from hraidlab import FailureModel, HraidConfig
 from hraidlab.simulator import DataLossEvent, EventKind, LossCause, TraceEvent, _unit_rho
-from hraidlab.stream import _GOLDEN, _MASK64, check_seed, mix64, trial_key
+from hraidlab.stream import _GOLDEN, _MASK64, _MIX_A, _MIX_B, check_seed
+
+
+def mix64(z: int) -> int:
+    """SplitMix64 finalizer: bijective avalanche mix of one 64-bit word."""
+    z = int(z) & _MASK64  # a numpy integer seed would wrap or overflow below
+    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+    return z ^ (z >> 31)
+
+
+def trial_key(seed: int, index: int) -> int:
+    """64-bit stream key for trial ``index`` under ``seed``."""
+    return mix64((mix64(seed) + index) & _MASK64)
 
 
 def uniform_at(key: int, counter: int) -> float:

@@ -78,6 +78,19 @@ def test_series_at_full_tolerance_is_zero():
     assert raid_series_approx(5, 5, 1e-3) == 0.0
 
 
+def test_series_refuses_a_negative_tolerance():
+    with pytest.raises(ValidationError, match=r"^tolerance must be >= 0, got -1$"):
+        raid_series_approx(12, -1, 1e-3)
+
+
+def test_certain_node_loss_gives_zero_reliability():
+    # a node of 10**6 l = 0 disks at eps = 0.9 survives with probability
+    # 0.1**(10**6), which rounds to zero: every node is lost
+    cfg = HraidConfig(3, 10**6, 1, 0)
+    assert hraid_reliability(cfg, 0.9) == 0.0
+    assert hraid_unreliability(cfg, 0.9) == 1.0
+
+
 def test_series_truncation_error_against_exact_rational():
     # exact unreliability via rational arithmetic, independent of the
     # float implementation under test

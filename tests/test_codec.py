@@ -80,6 +80,9 @@ def test_rejects_a_config_the_grid_was_not_built_for():
 def test_rejects_wrong_payload_cells_and_sizes():
     grid = generate_layout(CFG)
     payloads = random_payloads(grid, 1, 16)
+    empty = dict.fromkeys(payloads, b"")
+    with pytest.raises(ValidationError, match="^strip payloads must be non-empty$"):
+        encode_stripes(empty, CFG, grid)
     incomplete = dict(payloads)
     incomplete.pop(next(iter(incomplete)))
     with pytest.raises(ValidationError, match="missing"):
@@ -88,6 +91,20 @@ def test_rejects_wrong_payload_cells_and_sizes():
     ragged[next(iter(ragged))] = bytes(8)
     with pytest.raises(ValidationError, match="length"):
         encode_stripes(ragged, CFG, grid)
+
+
+@pytest.mark.parametrize("size", [2.5, True, "8", np.float64(8)])
+def test_random_payloads_refuses_a_non_integer_strip_size(size):
+    # each once raised numpy's TypeError, or drew payloads for True
+    with pytest.raises(ValidationError, match=r"^strip_size must be an integer, got "):
+        random_payloads(generate_layout(CFG), 1, size)
+
+
+def test_strip_array_must_match_its_grid():
+    grid = generate_layout(CFG)
+    for shape in ((4, 4, 4), (4, 4, 3, 8), (4, 3, 4, 8)):
+        with pytest.raises(ValidationError, match=r"does not match the \(4, 4, 4\) grid$"):
+            StripeContent(grid, np.zeros(shape, dtype=np.uint8))
 
 
 def test_single_strip_erasure_recovers():

@@ -223,6 +223,14 @@ def test_grid_refuses_codes_outside_its_classes():
             LayoutGrid(cfg, generate_layout(cfg).codes.astype(dtype))
 
 
+def test_grid_refuses_codes_of_another_shape():
+    cfg = HraidConfig(4, 4, 1, 1)
+    codes = generate_layout(cfg).codes
+    for bad in (codes[:3], codes[:, :, :3], codes[0]):
+        with pytest.raises(ValidationError, match=r"expected \(4, 4, 4\)\)$"):
+            LayoutGrid(cfg, bad)
+
+
 def test_letters_array_backs_every_letter_view():
     grid = generate_layout(HraidConfig(4, 5, 1, 2))
     letters = grid.letters()
@@ -294,3 +302,6 @@ def test_workload_validation():
         WorkloadParams(0.5, 0.5, 0.0)
     with pytest.raises(ValidationError):
         WorkloadParams(-0.1, 1.1, 1.0)
+    for write in (1.5, -0.5):
+        with pytest.raises(ValidationError, match=r"^write_fraction must be in \[0, 1\]"):
+            WorkloadParams(0.5, write, 1.0)

@@ -346,6 +346,39 @@ def test_resolve_thread_count(monkeypatch):
         resolve_thread_count(-2)
 
 
+@pytest.mark.parametrize("threads", [2.5, True, "2"])
+def test_thread_count_must_be_an_integer(threads, monkeypatch):
+    # 2.5 and True once ran, and "2" raised a TypeError
+    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    bound = rf"^threads must be an integer, got {re.escape(repr(threads))}$"
+    with pytest.raises(ValidationError, match=bound):
+        resolve_thread_count(threads)
+    with pytest.raises(ValidationError, match=bound):
+        run_trials(HraidConfig(4, 4, 1, 1), DISK_ONLY, 8, seed=0, threads=threads)
+
+
+@pytest.mark.parametrize(
+    "seed,k,ell,bound",
+    [
+        # a seed past 2**64 once aliased seed 5, and -1 and 2.5 gave keys
+        (2**64 + 5, 1, 1, r"seed must be in \[0, 2\*\*64\), got 18446744073709551621"),
+        (-1, 0, 0, r"seed must be in \[0, 2\*\*64\), got -1"),
+        (2.5, 0, 0, r"seed must be an integer, got 2\.5"),
+        # l = 65536 once gave cell (1, 0)'s seed
+        (5, 0, 65536, r"ell must be in 0\.\.3, got 65536"),
+        (5, 4, 0, r"k must be in 0\.\.3, got 4"),
+        (5, -1, 0, r"k must be in 0\.\.3, got -1"),
+        (5, True, 0, r"k must be an integer, got True"),
+        (5, 0, 1.0, r"ell must be an integer, got 1\.0"),
+    ],
+    ids=["seed-past-64-bits", "negative-seed", "float-seed", "ell-65536", "k-4", "negative-k",
+         "bool-k", "float-ell"],
+)
+def test_cell_seed_refuses_values_outside_its_domain(seed, k, ell, bound):
+    with pytest.raises(ValidationError, match=rf"^{bound}$"):
+        cell_seed(seed, k, ell)
+
+
 def test_sweep_cells_match_standalone_runs():
     res = sweep(3, 3, DISK_ONLY, trials=64, seed=99)
     for c in res.cells:

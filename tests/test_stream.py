@@ -1,13 +1,12 @@
 import numpy as np
 
+from hraidlab import cell_seed
 from hraidlab.stream import (
-    mix64,
-    trial_key,
     trial_keys,
     uniforms_at,
 )
 
-from scalar_reference import TrialStream, uniform_at
+from scalar_reference import TrialStream, mix64, trial_key, uniform_at
 
 GOLDEN = 0x9E3779B97F4A7C15
 
@@ -29,6 +28,29 @@ def test_trial_keys_match_scalar():
     keys = trial_keys(seed=987, start=13, count=40)
     for i in range(40):
         assert int(keys[i]) == trial_key(987, 13 + i)
+
+
+def test_trial_keys_match_scalar_across_seeds_and_starts():
+    # the array mixer computes the seed's own mix on a one-element array;
+    # the seeds run past 2**63 and up to 2**64 - 1, where a signed or
+    # truncated word would differ
+    seeds = [0, 1, 2**63 - 1, 2**63, 2**64 - 1] + [
+        (i * 0x9E3779B97F4A7C15 + 12345) % 2**64 for i in range(52)
+    ]
+    for seed in seeds:
+        for start in (0, 4096, 196611):
+            keys = trial_keys(seed, start, 3)
+            assert [int(k) for k in keys] == [trial_key(seed, start + i) for i in range(3)]
+
+
+def test_cell_seed_is_the_stream_key_of_its_cell():
+    for seed in (0, 6, 2**64 - 1):
+        seeds = {cell_seed(seed, k, ell) for k in range(4) for ell in range(4)}
+        assert len(seeds) == 16
+        for k in range(4):
+            for ell in range(4):
+                assert cell_seed(seed, k, ell) == trial_key(seed, (k << 16) | ell)
+                assert type(cell_seed(seed, k, ell)) is int
 
 
 def test_uniforms_match_scalar_and_range():
