@@ -3,7 +3,8 @@
 Inter-node check strips are the XOR of the data strips at the same (row,
 position) in the other nodes; intra-node check strips are the XOR of all
 other strips in their (row, node), inter-node checks included.  Encoding
-therefore runs inter first, then intra.  Higher tolerances need a
+rebuilds every check strip the way ``recover`` rebuilds a failed node:
+inter checks first, then intra checks.  Higher tolerances need a
 Reed-Solomon style codec and are out of scope; reliability for k, l > 1 is
 modeled combinatorially elsewhere in the package.
 
@@ -149,6 +150,23 @@ def _column_data(strips: np.ndarray, data: np.ndarray, i: int, j: int) -> np.nda
     return acc
 
 
+def _rebuild(strips: np.ndarray, grid: LayoutGrid, lost: np.ndarray, failed: np.ndarray) -> None:
+    """Write each ``lost`` strip, zero on entry: on a healthy node from its row's
+    XOR; on a ``failed`` node data and inter checks from their columns (data
+    through the first surviving inter check), then intra checks from the rows."""
+    data, intra, inter = grid.role_masks()
+    on_failed = lost & failed[None, :, None]
+    for i, n, j in zip(*np.nonzero(lost & ~on_failed)):
+        strips[i, n, j] = _row_xor(strips, i, n)
+    for i, n, j in zip(*np.nonzero(on_failed & ~intra)):
+        acc = _column_data(strips, data, i, j)
+        if data[i, n, j]:
+            acc ^= strips[i, np.argmax(inter[i, :, j] & ~failed), j]
+        strips[i, n, j] = acc
+    for i, n, j in zip(*np.nonzero(on_failed & intra)):
+        strips[i, n, j] = _row_xor(strips, i, n)
+
+
 def encode_stripes(
     data: Mapping[Cell, bytes], config: HraidConfig, grid: LayoutGrid
 ) -> StripeContent:
@@ -184,12 +202,8 @@ def encode_stripes(
     for (i, n, j), payload in data.items():
         strips[i - 1, n - 1, j - 1] = np.frombuffer(payload, dtype=np.uint8)
 
-    data_mask, intra, inter = grid.role_masks()
-    for i, n, j in zip(*np.nonzero(inter)):
-        strips[i, n, j] = _column_data(strips, data_mask, i, j)
-    # the intra checks are still zero, so the row XOR is the XOR of the rest
-    for i, n, j in zip(*np.nonzero(intra)):
-        strips[i, n, j] = _row_xor(strips, i, n)
+    # encoding rebuilds every check strip, still zero, as if every node failed
+    _rebuild(strips, grid, grid.codes != 0, np.ones(config.n, dtype=bool))
     return StripeContent(grid=grid, strips=strips)
 
 
@@ -223,18 +237,24 @@ def recover(content: StripeContent, erased: Iterable[Cell]) -> RecoveryResult:
     cfg = grid.config
     _require_xor_codec(cfg)
     lost = np.zeros(grid.codes.shape, dtype=bool)
-    for cell in set(erased):
-        i, n, j = cell
+    for cell in erased:
+        try:
+            i, n, j = cell
+            for index in cell:
+                check_integer("a cell index", index)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"erased cell {cell!r} is not a (row, node, position) triple of integers"
+            ) from None
         if not (1 <= i <= cfg.m and 1 <= n <= cfg.n and 1 <= j <= cfg.m):
             raise ValidationError(f"erased cell {cell} is outside the grid")
         lost[i - 1, n - 1, j - 1] = True
 
     failed = (lost.sum(axis=2) > cfg.ell).any(axis=0)
     failed_nodes = tuple(int(n) + 1 for n in np.flatnonzero(failed))
-    data, intra, inter = grid.role_masks()
-    surviving_inter = inter & ~failed[None, :, None]
-    on_failed = lost & failed[None, :, None]
-    uncovered = np.argwhere(on_failed & data & ~surviving_inter.any(axis=1)[:, None, :]) + 1
+    data, _, inter = grid.role_masks()
+    covered = (inter & ~failed[None, :, None]).any(axis=1)[:, None, :]
+    uncovered = np.argwhere(lost & failed[None, :, None] & data & ~covered) + 1
     message = None
     if len(failed_nodes) > cfg.k:
         message = f"{len(failed_nodes)} failed node(s) exceed the inter-node tolerance k={cfg.k}"
@@ -242,26 +262,12 @@ def recover(content: StripeContent, erased: Iterable[Cell]) -> RecoveryResult:
         i, _, j = uncovered[0]
         message = f"no surviving inter-node check covers row {i}, position {j}"
     if message:
-        return RecoveryResult(
-            data_loss=True, failed_nodes=failed_nodes, content=None, message=message
-        )
+        return RecoveryResult(True, failed_nodes, None, message)
 
     strips = content.strips.copy()
     # drop the stale bytes so every erased strip is genuinely rebuilt
     strips[lost] = 0
-    # within-tolerance erasures at healthy nodes: one per row, via intra parity
-    for i, n, j in zip(*np.nonzero(lost & ~on_failed)):
-        strips[i, n, j] = _row_xor(strips, i, n)
-    # failed nodes: data and inter checks from their columns (data through the
-    # first surviving inter check), then intra checks from the rebuilt rows
-    for i, n, j in zip(*np.nonzero(on_failed & ~intra)):
-        acc = _column_data(strips, data, i, j)
-        if data[i, n, j]:
-            acc ^= strips[i, np.argmax(surviving_inter[i, :, j]), j]
-        strips[i, n, j] = acc
-    for i, n, j in zip(*np.nonzero(on_failed & intra)):
-        strips[i, n, j] = _row_xor(strips, i, n)
-
+    _rebuild(strips, grid, lost, failed)
     rebuilt = StripeContent(grid=grid, strips=strips)
     return RecoveryResult(False, failed_nodes, rebuilt, "all erased strips rebuilt")
 

@@ -158,18 +158,31 @@ class LayoutGrid:
             found = f"a list of {len(value)}" if isinstance(value, list) else type(value).__name__
             raise ValidationError(f"{what} must be a list of {count}, got {found}")
 
-        # a per-cell walk, so that the first malformed cell is the one named
-        codes = np.zeros((cfg.m, cfg.n, cfg.m), dtype=np.int8)
-        for i, row in enumerate(items(obj["rows"], cfg.m, "rows")):
-            for n, cells in enumerate(items(row, cfg.n, f"row {i + 1}")):
-                where = f"row {i + 1}, node {n + 1}"
-                for j, letter in enumerate(items(cells, cfg.m, where)):
-                    if letter not in letters:
-                        raise ValidationError(
-                            f"letter {letter!r} at {where}, position {j + 1} is not one "
-                            f"of {', '.join(letters)} (k+l={cfg.k + cfg.ell} check classes)"
-                        )
-                    codes[i, n, j] = letters.index(letter)
+        # a row at a time: the letters before a row's first mis-shaped node
+        # list are checked before its shape, as a per-cell walk would name them
+        code_of = {letter: code for code, letter in enumerate(letters)}
+        flat: list[int] = []
+        for i, row in enumerate(items(obj["rows"], cfg.m, "rows"), start=1):
+            row = items(row, cfg.n, f"row {i}")
+            shaped = next(
+                (n for n, cells in enumerate(row) if not isinstance(cells, list)
+                 or len(cells) != cfg.m),
+                cfg.n,
+            )
+            try:
+                flat += [code_of[letter] for cells in row[:shaped] for letter in cells]
+            except (KeyError, TypeError):
+                for n, cells in enumerate(row[:shaped], start=1):
+                    for j, letter in enumerate(cells, start=1):
+                        if letter not in letters:
+                            raise ValidationError(
+                                f"letter {letter!r} at row {i}, node {n}, position {j} is "
+                                f"not one of {', '.join(letters)} (k+l={cfg.k + cfg.ell} "
+                                "check classes)"
+                            ) from None
+            if shaped < cfg.n:
+                items(row[shaped], cfg.m, f"row {i}, node {shaped + 1}")
+        codes = np.array(flat, dtype=np.int8).reshape(cfg.m, cfg.n, cfg.m)
         return cls(config=cfg, codes=codes)
 
 

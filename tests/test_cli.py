@@ -477,6 +477,19 @@ def _grid_2x2(rows):
          "row 1 must be a list of 2, got a list of 1"),
         (_grid_2x2([[["D", "P"], "PD"], [["P", "D"], ["D", "P"]]]),
          "row 1, node 2 must be a list of 2, got str"),
+        (_grid_2x2([[["D", "P"], ["P", "D"]], [["P", 3], ["D", "P"]]]),
+         "letter 3 at row 2, node 1, position 2 is not one of D, P"),
+        (_grid_2x2([[["D", "P"], ["P", "D"]], [["P", "D"], [["D"], "P"]]]),
+         "letter ['D'] at row 2, node 2, position 1 is not one of D, P"),
+        (_grid_2x2([[["D", None], ["P", "D"]], [["P", "D"], ["D", "P"]]]),
+         "letter None at row 1, node 1, position 2 is not one of D, P"),
+        # several defects: the first in rows -> nodes -> positions order is named
+        (_grid_2x2([[["Z", "P"], ["P"]], [["P", "D"], ["D", "P"]]]),
+         "letter 'Z' at row 1, node 1, position 1 is not one of D, P"),
+        (_grid_2x2([[["D", "P"], ["P"]], [["Z", "D"], ["D", "P"]]]),
+         "row 1, node 2 must be a list of 2, got a list of 1"),
+        (_grid_2x2([[["D", "P"], ["P", "D"]], [["P", "D", "D"], ["Z", "P"]]]),
+         "row 2, node 1 must be a list of 2, got a list of 3"),
     ],
 )
 def test_layout_verify_rejects_malformed_grid(tmp_path, capsys, grid, message):

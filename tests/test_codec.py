@@ -1,3 +1,5 @@
+import itertools
+import re
 from enum import Enum
 
 import numpy as np
@@ -11,6 +13,7 @@ from hraidlab import (
     data_cells,
     disk_cells,
     encode_stripes,
+    exact_reliability_enum,
     generate_layout,
     node_cells,
     random_payloads,
@@ -149,6 +152,36 @@ def test_erasure_outside_grid_rejected():
     content = encoded()
     with pytest.raises(ValidationError):
         recover(content, {(5, 1, 1)})
+
+
+NOT_A_CELL = "is not a (row, node, position) triple of integers"
+
+
+@pytest.mark.parametrize(
+    "cell, problem",
+    [
+        ((1.5, 1, 1), NOT_A_CELL),
+        (("1", 1, 1), NOT_A_CELL),
+        ((True, 1, 1), NOT_A_CELL),
+        ((1, 1, None), NOT_A_CELL),
+        ((1, 2), NOT_A_CELL),
+        ((1, 2, 3, 4), NOT_A_CELL),
+        (7, NOT_A_CELL),
+        ("abc", NOT_A_CELL),
+        ((1, 1, 0), "is outside the grid"),
+    ],
+    ids=repr,
+)
+def test_malformed_erased_cells_are_rejected(cell, problem):
+    with pytest.raises(ValidationError, match=re.escape(f"erased cell {cell!r} {problem}")):
+        recover(encoded(), {cell})
+
+
+def test_erased_cells_may_come_as_lists_and_repeat():
+    content = encoded()
+    result = recover(content, [[2, 3, 4], (2, 3, 4), [1, 1, 1]])
+    assert not result.data_loss
+    assert np.array_equal(result.content.strips, content.strips)
 
 
 def test_k0_cannot_survive_node_failure():
@@ -380,3 +413,28 @@ def test_single_node_loss_follows_the_layout_limit():
             assert 2 * len(lost) >= cfg.n, cfg
         if (cfg.n, cfg.m, cfg.ell) == (3, 6, 1):
             assert 2 in lost
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [c for c in _valid_xor_configs() if c.n * c.m <= 10],
+    ids=lambda c: f"{c.n}x{c.m}-{c.k}{c.ell}",
+)
+def test_codec_loses_the_disk_subsets_the_enumeration_counts(cfg):
+    # erase every subset of whole disks: the codec loses data on at least the
+    # subsets the model counts as fatal, and on exactly those where every
+    # (row, position) column has an inter check (N >= M) or none is needed
+    grid = generate_layout(cfg)
+    content = encode_stripes(random_payloads(grid, cfg.n * 10 + cfg.m, 1), cfg, grid)
+    disks = [(n, j) for n in range(1, cfg.n + 1) for j in range(1, cfg.m + 1)]
+    losses = [0] * (len(disks) + 1)
+    for size in range(len(disks) + 1):
+        for subset in itertools.combinations(disks, size):
+            result = recover(content, set().union(*(disk_cells(cfg, n, j) for n, j in subset)))
+            if result.data_loss:
+                losses[size] += 1
+            else:
+                assert np.array_equal(result.content.strips, content.strips), subset
+    fatal = list(exact_reliability_enum(cfg).fatal_counts)
+    assert all(lost >= want for lost, want in zip(losses, fatal, strict=True))
+    assert (losses == fatal) == (cfg.k == 0 or cfg.n >= cfg.m)
