@@ -57,9 +57,6 @@ from .oracle import (
     markov_mttdl,
 )
 from .simulator import (
-    DataLossEvent,
-    EventKind,
-    LossCause,
     MttdlEstimate,
     RunResult,
     SweepCell,
@@ -70,7 +67,6 @@ from .simulator import (
     resolve_thread_count,
     run_trials,
     sweep,
-    trace_jsonl_line,
     trace_trials,
 )
 
@@ -78,13 +74,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApportionmentComparison",
-    "DataLossEvent",
-    "EventKind",
     "FailureModel",
     "HraidConfig",
     "LayoutGrid",
     "LeadingTerm",
-    "LossCause",
     "MttdlEstimate",
     "Ordering",
     "RecoveryResult",
@@ -124,7 +117,6 @@ __all__ = [
     "run_trials",
     "small_write_cost",
     "sweep",
-    "trace_jsonl_line",
     "trace_trials",
     "verify_layout",
     "verify_parity",

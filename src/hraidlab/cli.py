@@ -58,7 +58,6 @@ from .simulator import (
     estimate_mttdl,
     format_hours,
     sweep,
-    trace_jsonl_line,
     trace_trials,
 )
 
@@ -298,11 +297,13 @@ def _cmd_simulate(values: dict) -> tuple[int, str]:
     config = _geometry(values)
     rates = _rates(values)
     trials, seed = values["trials"], values["seed"]
+    trace, out = values["trace"], values["out"]
+    if trace and out and Path(trace).resolve() == Path(out).resolve():
+        raise ValidationError(f"--trace and --out name the same file {trace}; give two files")
     est = estimate_mttdl(config, rates, trials, seed)
-    if values["trace"]:
-        events = trace_trials(config, rates, trials, seed)
-        lines = (trace_jsonl_line(i, e) + "\n" for i, e in enumerate(events))
-        _write_output(lines, values["trace"])
+    if trace:
+        lines = (line + "\n" for line in trace_trials(config, rates, trials, seed))
+        _write_output(lines, trace)
     return 0, _view(RunResult(config, rates, seed, est), values)
 
 

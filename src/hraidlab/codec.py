@@ -287,7 +287,8 @@ def write_strip_tree(content: StripeContent, root: Path | str) -> None:
 def read_strip_tree(
     root: Path | str, config: HraidConfig
 ) -> tuple[StripeContent, set[Cell]]:
-    """Read a strip tree; missing files are reported as erased cells."""
+    """Read a strip tree; missing files are reported as erased cells, and an
+    empty file raises ValidationError."""
     root = Path(root)
     grid = generate_layout(config)
     erased: set[Cell] = set()
@@ -300,6 +301,8 @@ def read_strip_tree(
                     erased.add((i, n, j))
                     continue
                 raw = np.frombuffer(p.read_bytes(), dtype=np.uint8)
+                if not raw.size:
+                    raise ValidationError(f"strip file {p} is empty")
                 if strips is None:
                     _check_strip_bytes(config, raw.size)
                     strips = np.zeros((config.m, config.n, config.m, raw.size), dtype=np.uint8)

@@ -26,7 +26,8 @@ class-count change, and the change to one int64 tally that packs the
 dead-node count above the disk-event count.  Absorbed trials are written
 out and dropped after each step.  ``trace_trials`` runs the same engine
 with a recorder of each step's bins and times, and labels them with node
-ids afterwards, so a trace is the very trial the estimate holds.
+ids afterwards, so a trace is the very trial the estimate holds; each
+trial comes out as one JSON text, formatted from fixed templates.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,34 +75,13 @@ THREADS_ENV_VAR = "HRAID_LAB_THREADS"
 
 _DEAD_SHIFT = 60  # tally bits: dead nodes (at most k + 1 = 4) above, disk events below
 
-
-class EventKind(Enum):
-    DISK = "disk"
-    CONTROLLER = "controller"
-
-
-class LossCause(Enum):
-    DISK_CASCADE = "disk_cascade"
-    CONTROLLER = "controller"
-
-
-class TraceEvent(NamedTuple):
-    time_hours: float
-    node: int  # 1-based
-    kind: EventKind
-
-
-@dataclass(frozen=True)
-class DataLossEvent:
-    """One simulated lifetime: loss time, cause, and the event trace."""
-
-    time_hours: float
-    cause: LossCause
-    trace: tuple[TraceEvent, ...]
-
-    @property
-    def disk_failures(self) -> int:
-        return sum(1 for e in self.trace if e.kind is EventKind.DISK)
+#: A trace line and one of its events, in the layout ``json.dumps`` gives
+#: the same objects; a bin above l (a controller failure) picks the second
+#: kind and, on a trial's last event, the second cause.
+_TRIAL_LINE = '{"trial": %d, "time_hours": %s, "cause": "%s", "events": [%s]}'
+_EVENT_LINE = '{"time_hours": %s, "node": %d, "kind": "%s"}'
+_KINDS = ("disk", "controller")
+_CAUSES = ("disk_cascade", "controller")
 
 
 @dataclass(frozen=True)
@@ -511,64 +489,46 @@ def sweep(
 
 def trace_trials(
     config: HraidConfig, rates: FailureModel, trials: int, seed: int
-) -> Iterator[DataLossEvent]:
+) -> Iterator[str]:
     """Trials 0..``trials``-1 of ``run_trials(config, rates, trials, seed)``
-    with their event traces, one at a time.  Bounds are checked on the call;
-    each chunk runs when its first trial is taken."""
+    with their event traces, one JSON text (no newline) at a time.  Bounds
+    are checked on the call; each chunk runs when its first trial is taken."""
     _check_run(trials, seed)
     rho = _unit_rho(config, rates)
     per_chunk = max(1, min(CHUNK_TRIALS, TRACE_CHUNK_EVENTS // _trial_events(config)))
 
-    def traced(start: int) -> Iterator[DataLossEvent]:
+    def traced(start: int) -> Iterator[str]:
         count = min(per_chunk, trials - start)
         steps: list = []
         _simulate_chunk(config, rho, seed, start, count, steps)
         trial, bins, t_unit = (np.concatenate(column) for column in zip(*steps))
         del steps
         order = np.argsort(trial, kind="stable")  # by trial, each in step order
-        bins, t_unit = bins.take(order), t_unit.take(order)
+        bins, hours = bins.take(order), t_unit.take(order) / rates.disk_rate
         ends = np.cumsum(np.bincount(trial, minlength=count)).tolist()
-        for lo, hi in zip([0] + ends, ends):
-            yield _label_trial(
-                config.ell, rates.disk_rate, bins[lo:hi].tolist(), t_unit[lo:hi].tolist()
-            )
+        for i, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            yield _label_trial(start + i, config.ell, bins[lo:hi].tolist(), hours[lo:hi].tolist())
 
-    return (event for start in range(0, trials, per_chunk) for event in traced(start))
+    return (line for start in range(0, trials, per_chunk) for line in traced(start))
 
 
-def _label_trial(
-    ell: int, delta: float, bins: list[int], t_units: list[float]
-) -> DataLossEvent:
-    """One trial's bins and unit times as events, each labelled with the
-    lowest-index alive node of its class.  A class-0 pick is then always the
-    lowest untouched node, so the labels cost O(events) whatever N is."""
+def _label_trial(trial: int, ell: int, bins: list[int], hours: list[float]) -> str:
+    """One trial's bins and times as its JSON text, each event labelled with
+    the lowest-index alive node of its class.  A class-0 pick is then always
+    the lowest untouched node, so the labels cost O(events) whatever N is.
+    ``hours`` must be Python floats: ``%s`` prints them as ``float.__repr__``
+    does, as ``json.dumps`` would."""
+    nb = ell + 1
     untouched = 0  # the nodes from this index on are in class 0
-    touched: list[list[int]] = [[] for _ in range(ell + 1)]  # heaps, classes f >= 1
-    trace = []
-    for b, t_unit in zip(bins, t_units):
-        kind = EventKind.DISK if b <= ell else EventKind.CONTROLLER
-        f = b % (ell + 1)
+    touched: list[list[int]] = [[] for _ in range(nb)]  # heaps, classes f >= 1
+    events = []
+    for b, h in zip(bins, hours):
+        f = b % nb
         if f:
             node = heapq.heappop(touched[f])
         else:
             node, untouched = untouched, untouched + 1
-        if kind is EventKind.DISK and f < ell:
-            heapq.heappush(touched[f + 1], node)
-        trace.append(TraceEvent(t_unit / delta, node + 1, kind))
-    cause = LossCause.DISK_CASCADE if kind is EventKind.DISK else LossCause.CONTROLLER
-    return DataLossEvent(time_hours=trace[-1].time_hours, cause=cause, trace=tuple(trace))
-
-
-def trace_jsonl_line(trial_index: int, event: DataLossEvent) -> str:
-    """One JSON line describing a traced trial, for the debug dump."""
-    return json.dumps(
-        {
-            "trial": trial_index,
-            "time_hours": event.time_hours,
-            "cause": event.cause.value,
-            "events": [
-                {"time_hours": e.time_hours, "node": e.node, "kind": e.kind.value}
-                for e in event.trace
-            ],
-        }
-    )
+        if b < ell:  # a disk failure the node survives
+            heapq.heappush(touched[b + 1], node)
+        events.append(_EVENT_LINE % (h, node + 1, _KINDS[b > ell]))
+    return _TRIAL_LINE % (trial, h, _CAUSES[b > ell], ", ".join(events))

@@ -4,21 +4,60 @@ It plays the same lumped state, thresholds, bin order and labels as the
 batch engine in ``hraidlab.simulator`` with plain Python lists, and draws
 its uniforms one by one from the same counter-based (seed, trial index)
 streams through a scalar SplitMix64 (``mix64``, ``trial_key``), the
-reference for ``hraidlab.stream``'s array mixer.  Tests compare the batch
-engine and its traces against it bit for bit; it calls numpy's log1p on
-purpose, since the C library's last-ulp rounding can differ.
+reference for ``hraidlab.stream``'s array mixer.  Its trials are event
+records, and ``trace_jsonl_line`` writes one with ``json.dumps``.  Tests
+compare the batch engine and its trace lines against it bit for bit and
+byte for byte; it calls numpy's log1p on purpose, since the C library's
+last-ulp rounding can differ.
 """
 
 from __future__ import annotations
 
 import heapq
+import json
+from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
 from hraidlab import FailureModel, HraidConfig
-from hraidlab.simulator import DataLossEvent, EventKind, LossCause, TraceEvent, _unit_rho
+from hraidlab.simulator import _unit_rho
 from hraidlab.stream import _GOLDEN, _MASK64, _MIX_A, _MIX_B, check_seed
+
+
+class TraceEvent(NamedTuple):
+    time_hours: float
+    node: int  # 1-based
+    kind: str  # "disk" or "controller"
+
+
+@dataclass(frozen=True)
+class DataLossEvent:
+    """One simulated lifetime: loss time, cause, and the event trace."""
+
+    time_hours: float
+    cause: str  # "disk_cascade" or "controller"
+    trace: tuple[TraceEvent, ...]
+
+    @property
+    def disk_failures(self) -> int:
+        return sum(1 for e in self.trace if e.kind == "disk")
+
+
+def trace_jsonl_line(trial_index: int, event: DataLossEvent) -> str:
+    """The ``simulate --trace`` line of one trial, through ``json.dumps``."""
+    return json.dumps(
+        {
+            "trial": trial_index,
+            "time_hours": event.time_hours,
+            "cause": event.cause,
+            "events": [
+                {"time_hours": e.time_hours, "node": e.node, "kind": e.kind}
+                for e in event.trace
+            ],
+        }
+    )
 
 
 def mix64(z: int) -> int:
@@ -92,7 +131,7 @@ def simulate_trial(
         t_unit += float(-np.log1p(np.float64(-u1))) / total
         x = u2 * total
         b = next(i for i, thr in enumerate(thresholds) if x < thr)
-        kind = EventKind.DISK if b <= ell else EventKind.CONTROLLER
+        kind = "disk" if b <= ell else "controller"
         f = b % (ell + 1)
 
         if f:
@@ -100,16 +139,14 @@ def simulate_trial(
         else:
             node, untouched = untouched, untouched + 1
         counts[f] -= 1
-        if kind is EventKind.DISK and f < ell:
+        if kind == "disk" and f < ell:
             counts[f + 1] += 1
             heapq.heappush(touched[f + 1], node)
         else:
             dead += 1
         trace.append(TraceEvent(t_unit / delta, node + 1, kind))
         if dead > k:
-            cause = (
-                LossCause.DISK_CASCADE if kind is EventKind.DISK else LossCause.CONTROLLER
-            )
+            cause = "disk_cascade" if kind == "disk" else "controller"
             return DataLossEvent(
                 time_hours=t_unit / delta, cause=cause, trace=tuple(trace)
             )

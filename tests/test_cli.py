@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -279,6 +280,49 @@ def test_trace_creates_parent_dirs(tmp_path):
     argv = ["simulate", "--n", "2", "--m", "2", "--trials", "3", "--trace", str(trace)]
     assert main(argv) == 0
     assert [json.loads(line)["trial"] for line in trace.read_text().splitlines()] == [0, 1, 2]
+
+
+#: sha256 of the trace file of ``TRACE_PIN_ARGV``, as the event-object trace
+#: writer (``json.dumps`` of each trial's records) produced it.
+TRACE_PIN_SHA256 = "a1a5eaf99a0b84394d279260770543edb791f42fdf8ea00e9a0e5888c22ba4c0"
+TRACE_PIN_ARGV = [
+    "simulate", "--n", "12", "--m", "12", "--k", "1", "--l", "2", "--gamma", "3e-6",
+    "--trials", "300", "--seed", "2",
+]
+
+
+def test_trace_file_is_pinned(tmp_path):
+    trace = tmp_path / "events.jsonl"
+    assert main(TRACE_PIN_ARGV + ["--trace", str(trace), "--out", str(tmp_path / "run")]) == 0
+    text = trace.read_text()
+    causes = {json.loads(line)["cause"] for line in text.splitlines()}
+    assert causes == {"disk_cascade", "controller"}
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_PIN_SHA256
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted", "config"])
+def test_trace_and_out_naming_one_file_is_refused(spelling, tmp_path, monkeypatch, capsys):
+    # the table once overwrote the trace with exit 0; now no trial runs
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("hraidlab.simulator._simulate_chunk", no_trials)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "run.txt"
+    target.write_text("keep")
+    argv = ["simulate", "--n", "3", "--m", "3", "--trials", "5", "--trace", str(target)]
+    if spelling == "same":
+        argv += ["--out", str(target)]
+    elif spelling == "dotted":
+        argv += ["--out", "sub/../run.txt"]
+    else:
+        (tmp_path / "run.json").write_text(json.dumps({"output_path": "run.txt"}))
+        argv += ["--config", "run.json"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"^validation error: --trace and --out name the same file ", err)
+    assert target.read_text() == "keep"
 
 
 @pytest.mark.parametrize("flag", ["--out", "--trace"])

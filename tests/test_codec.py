@@ -236,6 +236,17 @@ def test_strip_tree_rejects_ragged_or_empty_trees(tmp_path):
     (tmp_path / "node3" / "disk2" / "row4.bin").write_bytes(bytes(31))
     with pytest.raises(ValidationError, match="has length 31, expected 32"):
         read_strip_tree(tmp_path, CFG)
+    # a tree of empty files once read back as 0-byte strips that verify_parity
+    # passed; the first empty file is named, among full ones or alone
+    row4 = tmp_path / "node3" / "disk2" / "row4.bin"
+    row4.write_bytes(b"")
+    with pytest.raises(ValidationError, match=f"^strip file {re.escape(str(row4))} is empty$"):
+        read_strip_tree(tmp_path, CFG)
+    for p in tmp_path.rglob("*.bin"):
+        p.write_bytes(b"")
+    row1 = tmp_path / "node1" / "disk1" / "row1.bin"
+    with pytest.raises(ValidationError, match=f"^strip file {re.escape(str(row1))} is empty$"):
+        read_strip_tree(tmp_path, CFG)
 
 
 # --- per-cell reference of the parity definitions ---------------------------

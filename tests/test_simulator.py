@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hraidlab import (
-    EventKind,
     FailureModel,
     HraidConfig,
     MttdlEstimate,
@@ -23,14 +22,13 @@ from hraidlab import (
     resolve_thread_count,
     run_trials,
     sweep,
-    trace_jsonl_line,
     trace_trials,
 )
 from hraidlab import simulator as simulator_module
 from hraidlab.simulator import CHUNK_TRIALS, MAX_TRIALS, THREADS_ENV_VAR
 
 import scalar_reference
-from scalar_reference import TrialStream, simulate_trial
+from scalar_reference import TrialStream, simulate_trial, trace_jsonl_line
 
 DISK_ONLY = FailureModel(disk_rate=1e-6)
 WITH_CONTROLLERS = FailureModel(disk_rate=1e-6, controller_rate=2e-7)
@@ -59,7 +57,7 @@ def test_scalar_and_batch_engines_are_bit_identical(cfg, rates):
         event = simulate_trial(cfg, rates, TrialStream(seed, i))
         assert event.time_hours == batch.times_hours[i], i
         assert event.disk_failures == batch.disk_failures[i], i
-        expected_cause = 1 if event.cause.value == "controller" else 0
+        expected_cause = 1 if event.cause == "controller" else 0
         assert batch.causes[i] == expected_cause, i
 
 
@@ -108,20 +106,22 @@ def test_trace_replays_per_node(cfg):
     # the lumped state, expanded back to nodes by the trace labels, is a
     # valid per-node history
     n, k, ell = cfg.n, cfg.k, cfg.ell
-    for i, event in enumerate(trace_trials(cfg, WITH_CONTROLLERS, 200, seed=13)):
+    for i, line in enumerate(trace_trials(cfg, WITH_CONTROLLERS, 200, seed=13)):
+        events = json.loads(line)["events"]
         failed = [0] * n
         alive = [True] * n
-        for e in event.trace:
-            node = e.node - 1
+        for e in events:
+            node = e["node"] - 1
             assert alive[node], (i, e)
-            if e.kind is EventKind.DISK:
+            if e["kind"] == "disk":
                 failed[node] += 1
                 assert failed[node] <= ell + 1, (i, e)
                 alive[node] = failed[node] <= ell
             else:
+                assert e["kind"] == "controller", (i, e)
                 alive[node] = False
         assert alive.count(False) == k + 1, i
-        assert not alive[event.trace[-1].node - 1]
+        assert not alive[events[-1]["node"] - 1]
 
 
 @pytest.mark.parametrize("rates", [DISK_ONLY, WITH_CONTROLLERS])
@@ -161,12 +161,13 @@ def test_largest_second_uniform_picks_last_bin(monkeypatch, rates):
 
 def test_trace_is_ordered_and_consistent():
     cfg = HraidConfig(4, 4, 1, 1)
-    (event,) = trace_trials(cfg, WITH_CONTROLLERS, 1, seed=3)
-    times = [e.time_hours for e in event.trace]
+    (line,) = trace_trials(cfg, WITH_CONTROLLERS, 1, seed=3)
+    obj = json.loads(line)
+    times = [e["time_hours"] for e in obj["events"]]
     assert times == sorted(times)
-    assert event.time_hours == times[-1]
+    assert obj["time_hours"] == times[-1]
     (again,) = trace_trials(cfg, WITH_CONTROLLERS, 1, seed=3)
-    assert again.trace == event.trace
+    assert again == line
 
 
 def test_zero_tolerance_trial_shape():
@@ -175,10 +176,10 @@ def test_zero_tolerance_trial_shape():
     cfg = HraidConfig(12, 12, 3, 0)
     results = run_trials(cfg, DISK_ONLY, 400, seed=5)
     assert np.all(results.disk_failures == 4)
-    event = next(trace_trials(cfg, DISK_ONLY, 1, seed=5))
-    assert len(event.trace) == 4
-    assert all(e.kind is EventKind.DISK for e in event.trace)
-    dead_nodes = [e.node for e in event.trace]
+    events = json.loads(next(trace_trials(cfg, DISK_ONLY, 1, seed=5)))["events"]
+    assert len(events) == 4
+    assert all(e["kind"] == "disk" for e in events)
+    dead_nodes = [e["node"] for e in events]
     assert len(set(dead_nodes)) == 4
 
 
@@ -444,12 +445,16 @@ def test_sweep_table_marks_invalid_cells():
 
 
 def test_trace_jsonl_line_is_valid_json():
-    event = next(trace_trials(HraidConfig(2, 2, 0, 1), DISK_ONLY, 1, seed=0))
-    obj = json.loads(trace_jsonl_line(7, event))
+    # the line is one JSON object, with no newline, of the trial it names
+    cfg = HraidConfig(2, 2, 0, 1)
+    *_, line = trace_trials(cfg, DISK_ONLY, 8, seed=0)
+    assert "\n" not in line
+    obj = json.loads(line)
+    assert list(obj) == ["trial", "time_hours", "cause", "events"]
     assert obj["trial"] == 7
-    assert obj["time_hours"] == event.time_hours
+    assert obj["time_hours"] == run_trials(cfg, DISK_ONLY, 8, seed=0).times_hours[7]
     assert obj["cause"] == "disk_cascade"
-    assert len(obj["events"]) == len(event.trace)
+    assert len(obj["events"]) == len(simulate_trial(cfg, DISK_ONLY, TrialStream(0, 7)).trace)
 
 
 def test_engines_share_the_exact_count_bound():
@@ -495,19 +500,20 @@ def test_trial_event_bound():
 )
 def test_trace_labels_the_lowest_node_of_the_class(cfg, rates):
     # test-local O(N) reference: per-node classes, -1 once dead
-    for i, event in enumerate(trace_trials(cfg, rates, 64, seed=31)):
+    for i, line in enumerate(trace_trials(cfg, rates, 64, seed=31)):
         node_class = [0] * cfg.n
-        for e in event.trace:
-            f = node_class[e.node - 1]
-            assert f >= 0 and node_class.index(f) == e.node - 1, (i, e)
-            dies = e.kind is EventKind.CONTROLLER or f == cfg.ell
-            node_class[e.node - 1] = -1 if dies else f + 1
+        for e in json.loads(line)["events"]:
+            node = e["node"] - 1
+            f = node_class[node]
+            assert f >= 0 and node_class.index(f) == node, (i, e)
+            dies = e["kind"] == "controller" or f == cfg.ell
+            node_class[node] = -1 if dies else f + 1
 
 
 def test_trace_labels_at_huge_node_counts():
     # the labels cost O(events), so a trace at N = 10**12 answers at once
-    (event,) = trace_trials(HraidConfig(10**12, 12, 3, 0), WITH_CONTROLLERS, 1, seed=1)
-    assert [e.node for e in event.trace] == [1, 2, 3, 4]
+    (line,) = trace_trials(HraidConfig(10**12, 12, 3, 0), WITH_CONTROLLERS, 1, seed=1)
+    assert [e["node"] for e in json.loads(line)["events"]] == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize(
@@ -517,11 +523,14 @@ def test_trace_labels_at_huge_node_counts():
         (HraidConfig(12, 12, 3, 3), DISK_ONLY),
         (HraidConfig(48, 12, 3, 3), FailureModel(1e-6, 1e-7)),
         (HraidConfig(1, 5, 0, 3), DISK_ONLY),
+        # json.dumps prints the reference's np.float64 times as float.__repr__
+        (HraidConfig(12, 12, 1, 1), FailureModel(np.float64(1e-6), np.float64(2e-7))),
     ],
 )
 def test_batch_trace_matches_scalar_reference_across_chunks(monkeypatch, cfg, rates):
     # chunks of 2 trials, and of 1 once a chunk's event budget is below one
-    # trial's bound; every line equals the scalar reference's
+    # trial's bound; every line equals json.dumps of the scalar reference's
+    # trial, byte for byte
     events = cfg.ell * cfg.n + cfg.k + 1
     spans = []
     simulate_chunk = simulator_module._simulate_chunk
@@ -536,9 +545,9 @@ def test_batch_trace_matches_scalar_reference_across_chunks(monkeypatch, cfg, ra
         monkeypatch.setattr(simulator_module, "TRACE_CHUNK_EVENTS", budget)
         spans.clear()
         traced = trace_trials(cfg, rates, trials, seed)
-        for i, event in enumerate(traced):
+        for i, line in enumerate(traced):
             expected = simulate_trial(cfg, rates, TrialStream(seed, i))
-            assert trace_jsonl_line(i, event) == trace_jsonl_line(i, expected), i
+            assert line == trace_jsonl_line(i, expected), i
         assert i == trials - 1
         starts = range(0, trials, per_chunk)
         assert spans == [(start, min(per_chunk, trials - start)) for start in starts]
@@ -555,7 +564,7 @@ def test_trace_memory_does_not_grow_with_trials(monkeypatch):
         tracemalloc.start()
         try:
             traced = trace_trials(cfg, DISK_ONLY, trials, seed=0)
-            events = sum(len(event.trace) for event in traced)
+            events = sum(len(json.loads(line)["events"]) for line in traced)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
