@@ -15,13 +15,15 @@ times evaluate in one bottom-up pass over dead-node levels, without a
 linear solver.  The pass is vectorized with numpy: a state is ranked by
 the colex rank of its partial class sums, which is the same at every
 level, and placed by wave, equal failed-disk total from the highest down,
-so every event's target is an index array; a level is evaluated one wave
-at a time, each wave a few gathers from finished waves and the level
-below.  The chain's states and waves are bounded by ``MAX_CHAIN_STATES``
-and ``MAX_CHAIN_WAVES``.  The states, event targets and wave bounds are
-built once, for the top level, and every level reads them.  They and each
-level's terms are built in blocks of states, so besides them a level
-keeps only its terms and two levels' values.
+so every event's target is an index array; a level is evaluated in one
+pass over blocks of positions, each block's terms built and then its pieces
+of waves evaluated, each piece a few gathers from earlier waves and the
+level below.  The chain's states and waves are bounded by
+``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``.  The states, event targets
+and wave bounds are built once, for the top level, in blocks of states,
+and every level reads them; the states take the smallest unsigned dtype
+that holds N.  Besides them a level keeps only one block's terms and two
+levels' values: at l = 3 the chain holds 43 bytes a state.
 """
 
 from __future__ import annotations
@@ -148,7 +150,8 @@ def _blocks(lo: int, hi: int) -> list[slice]:
 
 def _colex_states(n: int, ell: int) -> np.ndarray:
     """Every (T_1..T_l) with 0 <= T_1 <= ... <= T_l <= n as the columns of an
-    (l, C(n+l, l)) int32 array, in rank order.
+    (l, C(n+l, l)) array of the smallest unsigned dtype that holds n, in rank
+    order; whoever combines its entries casts them first.
 
     Rank j coordinates at a time, in place: the states with T_j = v follow
     those with T_j < v, from column C(v+j-1, j) on, and are the first
@@ -156,7 +159,7 @@ def _colex_states(n: int, ell: int) -> np.ndarray:
     extended by T_j = v.  Blocks are filled from the last down, so a block
     reads only columns not yet overwritten.
     """
-    t = np.zeros((ell, comb(n + ell, ell)), dtype=np.int32)
+    t = np.zeros((ell, comb(n + ell, ell)), dtype=np.min_scalar_type(n))
     for j in range(1, ell + 1):
         first = _binom(np.arange(n + 2, dtype=np.int64) + j - 1, j)  # column of T_j = v
         for cols in reversed(_blocks(0, comb(n + j, j))):
@@ -184,7 +187,8 @@ def _chain_tables(n: int, ell: int) -> tuple[np.ndarray, ...]:
     s = t.shape[1]
     d = np.empty(s, dtype=np.int32)
     for r in _blocks(0, s):
-        d[r] = ell * t[-1, r] - t[:-1, r].sum(axis=0) if ell else 0
+        tr = t[:, r].astype(np.int32)
+        d[r] = ell * tr[-1] - tr[:-1].sum(axis=0) if ell else 0
     # counting sort by D falling, stable: a rank's position is the states of
     # higher D plus those of its D at lower ranks
     sizes = np.bincount(d, minlength=ell * n + 1)[::-1]
@@ -236,50 +240,39 @@ def _level(
     more dead node.
 
     The level's states are those with T_l <= alive; its waves are the last
-    l alive + 1 of the top level's, D = l alive down to 0.  Each state's
-    1/total plus its kills' share of ``below``, and its disk moves'
-    rate/total, are built over blocks of positions.  A position of those
-    waves that is not in the level (T_l > alive) is evaluated as if c_0 were
-    0: its value is finite and never read by a state of the level.
+    l alive + 1 of the top level's, D = l alive down to 0.  They are
+    evaluated in one pass over blocks of positions: a block's terms, each
+    state's 1/total plus its kills' share of ``below`` and its disk moves'
+    rate/total, are built when the pass enters it, and then the pieces of
+    waves inside it are evaluated, a wave that a block edge cuts as two
+    slices.  A piece reads only earlier waves and ``below``.  A position of
+    those waves that is not in the level (T_l > alive) is evaluated as if
+    c_0 were 0: its value is finite and never read by a state of the level.
     """
     t, kill, move, bounds = tables
     ell, s = t.shape
-    bounds = bounds[-(ell * alive + 2) :]
-    head = np.empty(s)
-    moves = np.empty((ell, s))
-    for p in _blocks(bounds[0], s):
-        tp = t[:, p]
-
-        def count(f: int) -> np.ndarray:
-            """c_f of every state: c_0 = alive - T_l, c_f = T_f - T_{f-1}."""
-            if f == 0:
-                c = np.maximum(alive - tp[-1], 0) if ell else np.full(tp.shape[1], alive)
-            else:
-                c = tp[f - 1] - tp[f - 2] if f > 1 else tp[0]
-            return c.astype(np.float64)
-
-        inv = 1.0 / sum(count(f) * ((m - f) * delta + gamma) for f in range(ell + 1))
-        h = head[p]
-        h[:] = inv
+    e = np.zeros(s)
+    for p in _blocks(int(bounds[-(ell * alive + 2)]), s):
+        tp = t[:, p].astype(np.int64)
+        # c_0 = alive - T_l, c_f = T_f - T_{f-1}
+        c0 = np.maximum(alive - tp[-1], 0) if ell else np.full(tp.shape[1], alive)
+        count = [c.astype(np.float64) for c in (c0, *tp[:1], *np.diff(tp, axis=0))]
+        inv = 1.0 / sum(count[f] * ((m - f) * delta + gamma) for f in range(ell + 1))
+        head = inv.copy()
         for f in range(ell, -1, -1):
-            share = count(f) * (gamma + (m - ell) * delta if f == ell else gamma) * inv
+            share = count[f] * (gamma + (m - ell) * delta if f == ell else gamma) * inv
             if share.any():
-                h += share * below[kill[f - 1, p] if f else p]
+                head += share * below[kill[f - 1, p] if f else p]
+        moves = np.empty((ell, inv.size))
         for f in range(ell):
-            moves[f, p] = count(f) * ((m - f) * delta) * inv
-    return _waves(bounds, head, moves, move)
-
-
-def _waves(
-    bounds: np.ndarray, head: np.ndarray, moves: np.ndarray, to: np.ndarray
-) -> np.ndarray:
-    """A level's expected hours by position, one wave at a time."""
-    e = np.zeros(head.size)
-    start = bounds[0]
-    for end in bounds[1:]:
-        wave = slice(start, end)
-        e[wave] = head[wave] + (moves[:, wave] * e[to[:, wave]]).sum(axis=0)
-        start = end
+            moves[f] = count[f] * ((m - f) * delta) * inv
+        # the block's pieces of waves, each one wave's states in it
+        inside = bounds[np.searchsorted(bounds, p.start, "right") : np.searchsorted(bounds, p.stop)]
+        cuts = [p.start, *inside.tolist(), p.stop]
+        base = p.start
+        for lo, hi in zip(cuts, cuts[1:]):
+            w = slice(lo - base, hi - base)
+            e[lo:hi] = head[w] + (moves[:, w] * e[move[:, lo:hi]]).sum(axis=0)
     return e
 
 
@@ -304,15 +297,17 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
     waves of equal failed-disk total D = sum_f f c_f, from the highest down:
     a disk move raises D by one, so a wave reads only finished waves and the
     level below.  A level's waves are the top level's of D <= l alive; it
-    evaluates their states that it lacks too, and never reads them.
+    evaluates their states that it lacks too, and never reads them.  A level
+    is one pass over blocks of positions (``_level``), so it keeps one
+    block's terms, not a whole level's.
 
     The work is (k+1) C(N+l, l) states in (k+1)(lN+1) waves, bounded by
     ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``; past either, or when N M
     is not below 2**53, this raises ValidationError.  The largest admitted
-    chain of each (k, l) answered in at most 1.3 s and 191 MB peak RSS
-    (0/3 at N = 230 is the largest: 0.6-0.7 s, 191 MB; 3/3 at N = 144:
-    0.4 s, 72 MB; l = 1 at the wave bound, one state per wave, is the
-    slowest: 0.7-1.2 s), each in a fresh process on 2 shared cores with
+    chain of each (k, l) answered in at most 1.4 s and 109 MB peak RSS
+    (0/3 at N = 230 is the largest: 0.5-1.0 s, 109 MB; 3/3 at N = 144:
+    0.3-0.4 s, 54 MB; l = 1 at the wave bound, one state per wave, is the
+    slowest: 0.6-1.4 s), each in a fresh process on 2 shared cores with
     Python 3.11.7 and numpy 2.4.6.
     """
     check_exact_counts(config)

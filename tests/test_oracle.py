@@ -351,6 +351,16 @@ def test_markov_block_edges(monkeypatch, block, max_n):
     for (n, ell), want in pinned.items():
         if n <= max_n:
             assert markov_mttdl(HraidConfig(n, 12, 3, ell), rates) == want, (n, ell)
+    # 24x12 k = 1 at l = 1 and 2, the values before a level's terms were built
+    # beside its waves: at l = 2 blocks of 7 cut waves into two pieces, and at
+    # l = 1, one state per wave, block edges fall on wave bounds
+    pinned = {
+        (1, 0.0): 38894.57370349289, (1, 1e-6): 29852.79612234117,
+        (2, 0.0): 87139.80783332011, (2, 1e-6): 53491.47081966699,
+    }
+    for (ell, gamma), want in pinned.items():
+        rates = FailureModel(disk_rate=1e-6, controller_rate=gamma)
+        assert markov_mttdl(HraidConfig(24, 12, 1, ell), rates) == want, (ell, gamma)
     for ell, gamma in product(range(4), (0.0, 1e-6)):
         for n, k in ((5, 1), (12, 3)):
             cfg = HraidConfig(n, 12, k, ell)
@@ -360,14 +370,16 @@ def test_markov_block_edges(monkeypatch, block, max_n):
 
 
 def test_markov_memory_bound():
-    # 96x12 3/3 holds 156,849 states a level: its tables and one level's
-    # terms take about 13 MiB, and the bound leaves room for blocks of
-    # states but not for a few more arrays of a whole level
-    cfg, rates = HraidConfig(96, 12, 3, 3), FailureModel(1e-6, 1e-7)
-    tracemalloc.start()
-    try:
-        markov_mttdl(cfg, rates)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2**20, peak
+    # at l = 3 the chain holds 43 B a state: its tables (3 B of uint8 states
+    # and 24 B of int32 targets) and two levels' values (16 B), 6.4 MiB for
+    # 96x12 3/3's 156,849 states and 15.0 MiB for 128x12 3/3's 366,145 (the
+    # benchmark's probe); each bound leaves room for blocks of states but not
+    # for a whole level's terms (32 B a state)
+    for n, mib in ((96, 10), (128, 21)):
+        tracemalloc.start()
+        try:
+            markov_mttdl(HraidConfig(n, 12, 3, 3), FailureModel(1e-6, 1e-7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20, (n, peak)
