@@ -13,13 +13,14 @@ head is the complement.  The array layer takes both node sides, never 1 - u.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import comb, exp, inf, log, log1p
 
-from .config import HraidConfig, ValidationError
+from .config import HraidConfig, ValidationError, check_integer
 
 
 #: Largest node or disk count the binomial evaluator takes: it forms n log q
@@ -44,8 +45,9 @@ def _rounded(x: Fraction) -> float:
 
 
 def check_eps(eps: float) -> None:
-    """Raise ValidationError unless the disk unreliability eps is in (0, 1)."""
-    if not 0.0 < eps < 1.0:
+    """Raise ValidationError unless the disk unreliability eps is a real
+    number in (0, 1)."""
+    if not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
         raise ValidationError(f"disk unreliability must be in (0, 1), got {eps}")
 
 
@@ -71,11 +73,20 @@ def _binomial_sides(n: int, t: int, p: float, q: float) -> tuple[float, float]:
     return 1.0 - tail, tail
 
 
+def _check_tolerance(m: int, t: int) -> None:
+    """Raise ValidationError unless m and t are integers with 0 <= t <= m."""
+    check_integer("disk count m", m)
+    check_integer("tolerance t", t)
+    if t < 0:
+        raise ValidationError(f"tolerance must be >= 0, got {t}")
+    if t > m:
+        raise ValidationError(f"tolerance must satisfy 0 <= t <= m, got t={t}, m={m}")
+
+
 def _node_sides(m: int, t: int, eps: float) -> tuple[float, float]:
     """(reliability, unreliability) of an m-disk MDS array tolerating t failures."""
     check_eps(eps)
-    if not 0 <= t <= m:
-        raise ValidationError(f"tolerance must satisfy 0 <= t <= m, got t={t}, m={m}")
+    _check_tolerance(m, t)
     _check_count("disk count m", m)
     return _binomial_sides(m, t, eps, 1.0 - eps)
 
@@ -107,8 +118,7 @@ def raid_series_approx(m: int, t: int, eps: float) -> float:
     the truncation error is O(eps^(t+3)) terms of alternating sign.
     """
     check_eps(eps)
-    if t < 0:
-        raise ValidationError(f"tolerance must be >= 0, got {t}")
+    _check_tolerance(m, t)
     e = Fraction(eps)
     series = comb(m, t + 1) * e ** (t + 1) - (t + 1) * comb(m, t + 2) * e ** (t + 2)
     return _rounded(series)
@@ -141,6 +151,7 @@ class LeadingTerm:
 
     def evaluate(self, eps: float) -> float:
         """coefficient * eps**power, rounded once; inf beyond the float range."""
+        check_eps(eps)
         return _rounded(self.coefficient * Fraction(eps) ** self.power)
 
 

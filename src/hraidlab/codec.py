@@ -55,7 +55,7 @@ class StripeContent:
     """Strip payloads for every cell of a layout grid.
 
     ``strips[i-1, n-1, j-1]`` is the payload of row i, node n, position j
-    as a uint8 vector; all strips share one length.
+    as a non-empty uint8 vector; all strips share one length.
     """
 
     grid: LayoutGrid
@@ -68,6 +68,10 @@ class StripeContent:
                 f"strip array shape {self.strips.shape} does not match the "
                 f"{(cfg.m, cfg.n, cfg.m)} grid"
             )
+        if self.strips.dtype != np.uint8:
+            raise ValidationError(f"strips must be uint8, got {self.strips.dtype}")
+        if self.strips.shape[3] == 0:
+            raise ValidationError("strips must be non-empty")
 
     @property
     def config(self) -> HraidConfig:

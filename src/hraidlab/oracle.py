@@ -20,10 +20,11 @@ pass over blocks of positions, each block's terms built and then its pieces
 of waves evaluated, each piece a few gathers from earlier waves and the
 level below.  The chain's states and waves are bounded by
 ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``.  The states, event targets
-and wave bounds are built once, for the top level, in blocks of states,
-and every level reads them; the states take the smallest unsigned dtype
-that holds N.  Besides them a level keeps only one block's terms and two
-levels' values: at l = 3 the chain holds 43 bytes a state.
+and wave bounds are built once, for the top level, and every level reads
+them: the wave order is one stable sort of the failed-disk totals, and the
+targets are built over blocks of ranks; the states take the smallest
+unsigned dtype that holds N.  Besides them a level keeps only one block's
+terms and two levels' values: at l = 3 the chain holds 43 bytes a state.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ MAX_CHAIN_STATES = 2**21
 MAX_CHAIN_WAVES = 2**17
 
 #: States per block when ``markov_mttdl`` builds its tables and a level's
-#: terms: no array of a whole level's size is made but the ones kept.
+#: terms: besides the ones kept, only the wave order's arrays are of a whole
+#: level's size.
 _BLOCK = 8192
 
 
@@ -174,14 +176,14 @@ def _chain_tables(n: int, ell: int) -> tuple[np.ndarray, ...]:
     """The top level's tables in wave order, which every level shares,
     since neither ranks nor targets depend on ``alive``.
 
-    A state's position is its place in the waves: failed-disk total
-    D = sum_f f c_f falling, rank rising within a wave.  Returns, by
-    position, the states T (``_colex_states``) and, as int32 positions, the
-    target of a kill in class f = 1..l (in the level below; a class-0 kill
-    leaves T, so its position, unchanged) and of a disk move out of class
-    f = 0..l-1 (in the same level); and the wave bounds, D = lN down to 0.
-    Where a class is empty its target is any real state, whose value is
-    read and multiplied by zero.  Built over blocks of ranks.
+    A state's position is its place in the waves, by one stable sort of
+    failed-disk total D = sum_f f c_f falling, rank rising within a wave.
+    Returns, by position, the states T (``_colex_states``) and, as int32
+    positions, the target of a kill in class f = 1..l (in the level below;
+    a class-0 kill leaves T, so its position, unchanged) and of a disk move
+    out of class f = 0..l-1 (in the same level); and the wave bounds, D =
+    lN down to 0.  An empty class's target is any real state, whose value
+    is read and multiplied by zero.  Targets are built over blocks of ranks.
     """
     t = _colex_states(n, ell)
     s = t.shape[1]
@@ -189,19 +191,9 @@ def _chain_tables(n: int, ell: int) -> tuple[np.ndarray, ...]:
     for r in _blocks(0, s):
         tr = t[:, r].astype(np.int32)
         d[r] = ell * tr[-1] - tr[:-1].sum(axis=0) if ell else 0
-    # counting sort by D falling, stable: a rank's position is the states of
-    # higher D plus those of its D at lower ranks
-    sizes = np.bincount(d, minlength=ell * n + 1)[::-1]
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    cursor = bounds[-2::-1].copy()  # by D: where its next state goes
     pos = np.empty(s, dtype=np.int32)
-    for r in _blocks(0, s):
-        sub = np.argsort(-d[r], kind="stable")
-        ds = d[r][sub]
-        per_d = np.bincount(ds, minlength=ell * n + 1)
-        run = np.cumsum(per_d[::-1])[::-1] - per_d  # in ``ds``, where D's run starts
-        pos[r.start + sub] = cursor[ds] + np.arange(sub.size) - run[ds]
-        cursor += per_d
+    pos[np.argsort(-d, kind="stable")] = np.arange(s, dtype=np.int32)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(d, minlength=ell * n + 1)[::-1])))
     del d
 
     def at(rank: np.ndarray) -> np.ndarray:
@@ -293,21 +285,22 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
     sum_j C(T_j + j - 1, j).  The rank does not depend on ``alive``, so each
     level's states are a prefix of the next level's, and the states, event
     targets and wave order are built once for the top level
-    (``_chain_tables``), in blocks of states.  The states are evaluated in
-    waves of equal failed-disk total D = sum_f f c_f, from the highest down:
-    a disk move raises D by one, so a wave reads only finished waves and the
-    level below.  A level's waves are the top level's of D <= l alive; it
-    evaluates their states that it lacks too, and never reads them.  A level
-    is one pass over blocks of positions (``_level``), so it keeps one
-    block's terms, not a whole level's.
+    (``_chain_tables``): the wave order by one stable sort, the targets over
+    blocks of ranks.  The states are evaluated in waves of equal failed-disk
+    total D = sum_f f c_f, from the highest down: a disk move raises D by
+    one, so a wave reads only finished waves and the level below.  A level's
+    waves are the top level's of D <= l alive; it evaluates their states
+    that it lacks too, and never reads them.  A level is one pass over
+    blocks of positions (``_level``), so it keeps one block's terms, not a
+    whole level's.
 
     The work is (k+1) C(N+l, l) states in (k+1)(lN+1) waves, bounded by
     ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``; past either, or when N M
     is not below 2**53, this raises ValidationError.  The largest admitted
-    chain of each (k, l) answered in at most 1.4 s and 109 MB peak RSS
-    (0/3 at N = 230 is the largest: 0.5-1.0 s, 109 MB; 3/3 at N = 144:
-    0.3-0.4 s, 54 MB; l = 1 at the wave bound, one state per wave, is the
-    slowest: 0.6-1.4 s), each in a fresh process on 2 shared cores with
+    chain of each (k, l) answered in at most 1.6 s and 115 MB peak RSS
+    (0/3 at N = 230 is the largest: 0.6-1.1 s, 115 MB; 3/3 at N = 144:
+    0.35-0.6 s, 55 MB; l = 1 at the wave bound, one state per wave, is the
+    slowest: 0.6-1.5 s), each in a fresh process on 2 shared cores with
     Python 3.11.7 and numpy 2.4.6.
     """
     check_exact_counts(config)

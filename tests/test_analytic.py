@@ -83,6 +83,23 @@ def test_series_refuses_a_negative_tolerance():
         raid_series_approx(12, -1, 1e-3)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: exact_mds_reliability(12.5, 1, 0.1), "disk count m must be an integer"),
+        (lambda: exact_mds_reliability(12, 1.5, 0.1), "tolerance t must be an integer"),
+        (lambda: raid_series_approx(12, 1.5, 0.1), "tolerance t must be an integer"),
+        (lambda: raid_series_approx(-3, 1, 0.1), r"0 <= t <= m, got t=1, m=-3"),
+        (lambda: hraid_unreliability(HraidConfig(4, 4, 1, 1), "x"), r"in \(0, 1\), got x"),
+        (lambda: leading_term(HraidConfig(4, 4, 1, 1)).evaluate(math.nan), r"got nan"),
+    ],
+    ids=["mds-m", "mds-t", "series-t", "series-m", "eps-str", "lead-nan"],
+)
+def test_library_refuses_malformed_arguments(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 def test_certain_node_loss_gives_zero_reliability():
     # a node of 10**6 l = 0 disks at eps = 0.9 survives with probability
     # 0.1**(10**6), which rounds to zero: every node is lost

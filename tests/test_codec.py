@@ -105,9 +105,19 @@ def test_random_payloads_refuses_a_non_integer_strip_size(size):
 
 def test_strip_array_must_match_its_grid():
     grid = generate_layout(CFG)
-    for shape in ((4, 4, 4), (4, 4, 3, 8), (4, 3, 4, 8)):
-        with pytest.raises(ValidationError, match=r"does not match the \(4, 4, 4\) grid$"):
-            StripeContent(grid, np.zeros(shape, dtype=np.uint8))
+    grid_shape = r"does not match the \(4, 4, 4\) grid$"
+    for shape, dtype, message in (
+        ((4, 4, 4), np.uint8, grid_shape),
+        ((4, 4, 3, 8), np.uint8, grid_shape),
+        ((4, 3, 4, 8), np.uint8, grid_shape),
+        # strips are byte payloads: floats cannot be XORed, and a bool strip
+        # holds one bit a byte
+        ((4, 4, 4, 8), np.float64, r"^strips must be uint8, got float64$"),
+        ((4, 4, 4, 8), bool, r"^strips must be uint8, got bool$"),
+        ((4, 4, 4, 0), np.uint8, r"^strips must be non-empty$"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            StripeContent(grid, np.zeros(shape, dtype=dtype))
 
 
 def test_single_strip_erasure_recovers():

@@ -1,8 +1,9 @@
 import math
 import tracemalloc
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
+import numpy as np
 import pytest
 
 from hraidlab import (
@@ -369,17 +370,60 @@ def test_markov_block_edges(monkeypatch, block, max_n):
             assert markov_mttdl(cfg, rates) == pytest.approx(want, rel=1e-13), (cfg, gamma)
 
 
+@pytest.mark.parametrize("block", [8192, 7])
+def test_chain_tables_match_brute_force(monkeypatch, block):
+    # every state (T_1..T_l), 0 <= T_1 <= ... <= T_l <= N, ranked by colex
+    # rank and sorted by failed-disk total D falling, rank rising
+    monkeypatch.setattr(oracle, "_BLOCK", block)
+    for ell, n in product(range(4), range(1, 13)):
+        states = list(combinations_with_replacement(range(n + 1), ell))
+        rank = {t: sum(comb(v + j, j + 1) for j, v in enumerate(t)) for t in states}
+
+        def failed(t):
+            return sum(f * (b - a) for f, (a, b) in enumerate(zip((0, *t), t), 1))
+
+        t_ranked = oracle._colex_states(n, ell)
+        columns = [tuple(col) for col in t_ranked.T.tolist()]
+        assert [rank[t] for t in columns] == list(range(len(states))), (ell, n)
+        d = np.array([failed(t) for t in columns])
+        want = t_ranked[:, np.lexsort((np.arange(len(states)), -d))]
+        waved, kill, move, bounds = oracle._chain_tables(n, ell)
+        assert np.array_equal(waved, want), (ell, n)
+        sizes = [int((d == v).sum()) for v in range(ell * n, -1, -1)]
+        assert bounds.tolist() == [0, *np.cumsum(sizes).tolist()], (ell, n)
+        at = {tuple(col): p for p, col in enumerate(waved.T.tolist())}
+        for p, t in enumerate(waved.T.tolist()):
+            c = [n - t[-1] if ell else n, *(b - a for a, b in zip((0, *t), t))]
+            for f in range(1, ell + 1):
+                if c[f]:  # a kill in class f lowers T_f..T_l
+                    target = (*t[: f - 1], *(v - 1 for v in t[f - 1 :]))
+                    assert kill[f - 1, p] == at[target], (ell, n, t, f)
+            for f in range(ell):
+                if c[f]:  # out of class 0 every T_j rises; out of f >= 1 T_f falls
+                    if f == 0:
+                        target = tuple(v + 1 for v in t)
+                    else:
+                        target = (*t[: f - 1], t[f - 1] - 1, *t[f:])
+                    assert move[f, p] == at[target], (ell, n, t, f)
+
+
 def test_markov_memory_bound():
     # at l = 3 the chain holds 43 B a state: its tables (3 B of uint8 states
     # and 24 B of int32 targets) and two levels' values (16 B), 6.4 MiB for
     # 96x12 3/3's 156,849 states and 15.0 MiB for 128x12 3/3's 366,145 (the
     # benchmark's probe); each bound leaves room for blocks of states but not
-    # for a whole level's terms (32 B a state)
-    for n, mib in ((96, 10), (128, 21)):
+    # for a whole level's terms (32 B a state).  At l = 1 it holds 28 B a
+    # state (4 B uint32 states, 8 B targets, 16 B values), 3.5 MiB for 0/1 at
+    # N = 131,071, where the table build sets the peak
+    for cfg, mib in (
+        (HraidConfig(96, 12, 3, 3), 10),
+        (HraidConfig(128, 12, 3, 3), 21),
+        (HraidConfig(131_071, 12, 0, 1), 7),
+    ):
         tracemalloc.start()
         try:
-            markov_mttdl(HraidConfig(n, 12, 3, 3), FailureModel(1e-6, 1e-7))
+            markov_mttdl(cfg, FailureModel(1e-6, 1e-7))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < mib * 2**20, (n, peak)
+        assert peak < mib * 2**20, (cfg, peak)
