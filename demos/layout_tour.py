@@ -23,7 +23,7 @@ from hraidlab import (
 # The 4x4 HRAID1/1 layout.  Each node row holds one P and one Q strip; the
 # pair starts at anchor_position(row, node, M) and the anchor shifts by one
 # position per row and per node, left-symmetric RAID5 style.
-config = HraidConfig(n_nodes=4, disks_per_node=4, inter_tolerance=1, intra_tolerance=1)
+config = HraidConfig(n=4, m=4, k=1, ell=1)
 grid = generate_layout(config)
 print(grid.as_text())
 print()

@@ -94,7 +94,7 @@ def _node_sides(m: int, t: int, eps: float) -> tuple[float, float]:
 def _array_sides(config: HraidConfig, eps: float) -> tuple[float, float]:
     """(reliability, unreliability) of an HRAID k/l array."""
     r, u = _node_sides(config.m, config.ell, eps)
-    _check_count("n_nodes", config.n)
+    _check_count("n", config.n)
     return _binomial_sides(config.n, config.k, u, r)
 
 

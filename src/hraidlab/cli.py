@@ -13,7 +13,9 @@ print a table, CSV or JSON view of one result record; ``simulate --trace``
 also dumps the events of every trial the estimate holds.  Each command
 returns its exit code and text, and ``main`` writes the text to stdout or
 to the ``--out`` file; ``--out`` and ``--trace`` files are written
-atomically (temp + rename).
+atomically (temp + rename).  No two of the ``--trace``, ``--out``,
+``--config`` and ``--verify`` files may be one file, so no output
+overwrites an input.
 """
 
 from __future__ import annotations
@@ -171,6 +173,19 @@ def _values(args: argparse.Namespace) -> dict:
     }
 
 
+def _check_distinct_files(values: dict) -> None:
+    """Raise ValidationError when two of the files a command reads and
+    writes are one file, so that no output overwrites an input."""
+    first: dict[Path, str] = {}
+    for dest in ("trace", "out", "config", "verify"):
+        if values.get(dest):
+            other = first.setdefault(Path(values[dest]).resolve(), dest)
+            if other != dest:
+                raise ValidationError(
+                    f"--{other} and --{dest} name the same file {values[other]}; give two files"
+                )
+
+
 def _add_geometry_flags(p: argparse.ArgumentParser, with_kl: bool = True) -> None:
     p.add_argument("--n", type=int, help="number of storage nodes (N)")
     p.add_argument("--m", type=int, help="disks per node (M)")
@@ -297,9 +312,7 @@ def _cmd_simulate(values: dict) -> tuple[int, str]:
     config = _geometry(values)
     rates = _rates(values)
     trials, seed = values["trials"], values["seed"]
-    trace, out = values["trace"], values["out"]
-    if trace and out and Path(trace).resolve() == Path(out).resolve():
-        raise ValidationError(f"--trace and --out name the same file {trace}; give two files")
+    trace = values["trace"]
     est = estimate_mttdl(config, rates, trials, seed)
     if trace:
         lines = (line + "\n" for line in trace_trials(config, rates, trials, seed))
@@ -473,6 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         values = _values(args)
+        _check_distinct_files(values)
         code, text = args.func(values)
         _write_output([text], values.get("out"))
         return code

@@ -62,6 +62,10 @@ class StripeContent:
     strips: np.ndarray
 
     def __post_init__(self) -> None:
+        if not isinstance(self.strips, np.ndarray):
+            raise ValidationError(
+                f"strips must be a numpy array, got {type(self.strips).__name__}"
+            )
         cfg = self.grid.config
         if self.strips.ndim != 4 or self.strips.shape[:3] != (cfg.m, cfg.n, cfg.m):
             raise ValidationError(
@@ -126,6 +130,7 @@ def random_payloads(
     """Seeded random payload bytes for every DATA cell; the grid's strip
     array at ``strip_size`` must fit ``MAX_STRIP_BYTES``."""
     check_integer("strip_size", strip_size)
+    strip_size = int(strip_size)
     if strip_size < 1:
         raise ValidationError(f"strip_size must be >= 1, got {strip_size}")
     _check_strip_bytes(grid.config, strip_size)

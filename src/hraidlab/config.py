@@ -26,6 +26,15 @@ def check_integer(name: str, value) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(name: str, value) -> None:
+    """Raise ValidationError unless ``value`` is a finite real number; a bool
+    is not.  An integer too large for a float is finite too."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        isinstance(value, numbers.Integral) or math.isfinite(value)
+    ):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+
+
 def check_tolerance(name: str, value) -> None:
     """Raise ValidationError unless ``value`` is an integer in 0..``MAX_TOLERANCE``."""
     check_integer(name, value)
@@ -37,59 +46,40 @@ def check_tolerance(name: str, value) -> None:
 class HraidConfig:
     """Geometry and redundancy apportionment of an HRAID k/l array.
 
-    The array has N storage nodes of M disks each.  Every node runs an
-    intra-node code tolerating ``intra_tolerance`` (l) failed disks, and
-    the array runs an inter-node code tolerating ``inter_tolerance`` (k)
-    failed nodes.  A node fails when its controller fails or when its
-    (l+1)-th disk fails; data is lost once more than k nodes have failed.
+    The array has ``n`` (N) storage nodes of ``m`` (M) disks each.  Every
+    node runs an intra-node code tolerating ``ell`` (l) failed disks, and
+    the array runs an inter-node code tolerating ``k`` failed nodes.  A node
+    fails when its controller fails or when its (l+1)-th disk fails; data is
+    lost once more than k nodes have failed.  The fields are stored as
+    Python ints, whatever integer type the caller passes.
     """
 
-    n_nodes: int
-    disks_per_node: int
-    inter_tolerance: int = 0
-    intra_tolerance: int = 0
+    n: int
+    m: int
+    k: int = 0
+    ell: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_nodes", "disks_per_node", "inter_tolerance", "intra_tolerance"):
-            check_integer(name, getattr(self, name))
-        n, m = self.n_nodes, self.disks_per_node
-        k, ell = self.inter_tolerance, self.intra_tolerance
+        for name in ("n", "m", "k", "ell"):
+            value = getattr(self, name)
+            check_integer(name, value)
+            object.__setattr__(self, name, int(value))
+        n, m, k, ell = self.n, self.m, self.k, self.ell
         if n < 1:
-            raise ValidationError(f"n_nodes must be >= 1, got {n}")
+            raise ValidationError(f"n must be >= 1, got {n}")
         if m < 1:
-            raise ValidationError(f"disks_per_node must be >= 1, got {m}")
-        check_tolerance("inter_tolerance", k)
-        check_tolerance("intra_tolerance", ell)
+            raise ValidationError(f"m must be >= 1, got {m}")
+        check_tolerance("k", k)
+        check_tolerance("ell", ell)
         if k >= n:
-            raise ValidationError(
-                f"inter_tolerance must be below n_nodes, got k={k} with N={n}"
-            )
+            raise ValidationError(f"k must be below n, got k={k} with N={n}")
         if k + ell >= m:
             # each node row needs k+l check strips plus at least one data strip
-            raise ValidationError(
-                f"inter_tolerance + intra_tolerance must be below disks_per_node, "
-                f"got k={k}, l={ell} with M={m}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.n_nodes
-
-    @property
-    def m(self) -> int:
-        return self.disks_per_node
-
-    @property
-    def k(self) -> int:
-        return self.inter_tolerance
-
-    @property
-    def ell(self) -> int:
-        return self.intra_tolerance
+            raise ValidationError(f"k + ell must be below m, got k={k}, l={ell} with M={m}")
 
     @property
     def total_disks(self) -> int:
-        return self.n_nodes * self.disks_per_node
+        return self.n * self.m
 
 
 #: Size bound of the counting engines (the simulator and the exact chain):
@@ -102,8 +92,8 @@ def check_exact_counts(config: HraidConfig) -> None:
     """Raise ValidationError unless N M is below ``MAX_EXACT_COUNT``."""
     if config.total_disks >= MAX_EXACT_COUNT:
         raise ValidationError(
-            f"n_nodes * disks_per_node must be below 2**53 for the simulator and "
-            f"the exact chain, got N*M of {len(str(config.total_disks))} digits"
+            f"n * m must be below 2**53 for the simulator and the exact chain, "
+            f"got N*M of {len(str(config.total_disks))} digits"
         )
 
 
@@ -126,14 +116,12 @@ class FailureModel:
     def __post_init__(self) -> None:
         for name, low in (("disk_rate", MIN_DISK_RATE), ("controller_rate", 0.0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                isinstance(value, numbers.Real) and math.isfinite(value)
-            ):
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
+            check_real(name, value)
             if not low <= value <= MAX_RATE:
                 raise ValidationError(
                     f"{name} must be in [{low:g}, {MAX_RATE:g}] per hour, got {value}"
                 )
+            object.__setattr__(self, name, float(value))
 
     @property
     def disk_mttf_hours(self) -> float:

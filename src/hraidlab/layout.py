@@ -11,12 +11,12 @@ array of role codes, built and checked by array expressions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .config import HraidConfig, ValidationError
+from .config import HraidConfig, ValidationError, check_real
 
 #: Check-strip letters, assigned to the l intra classes first, then the
 #: k inter classes (P intra and Q inter for HRAID1/1; P, Q intra and R
@@ -29,6 +29,9 @@ CHECK_LETTERS = "PQRSTU"
 #: 1.1 s and 64 MB, and ``codec-demo`` at 1-byte strips 4.6 s and 144 MB
 #: (1 x 512), on 2 shared cores with Python 3.11.7 and numpy 2.4.6.
 MAX_GRID_CELLS = 2**18
+
+#: Grid-file keys of the geometry: the ``HraidConfig`` field names, in order.
+KEYS = ("n", "m", "k", "ell")
 
 
 def _check_grid_cells(config: HraidConfig) -> None:
@@ -73,6 +76,10 @@ class LayoutGrid:
     codes: np.ndarray
 
     def __post_init__(self) -> None:
+        if not isinstance(self.codes, np.ndarray):
+            raise ValidationError(
+                f"grid codes must be a numpy array, got {type(self.codes).__name__}"
+            )
         shape = (self.config.m, self.config.n, self.config.m)
         if self.codes.shape != shape:
             raise ValidationError(
@@ -128,8 +135,7 @@ class LayoutGrid:
 
     def to_json(self) -> str:
         """Machine-readable grid: letters nested as rows -> nodes -> positions."""
-        cfg = self.config
-        obj = {"n": cfg.n, "m": cfg.m, "k": cfg.k, "ell": cfg.ell, "rows": self.letters().tolist()}
+        obj = {**asdict(self.config), "rows": self.letters().tolist()}
         return json.dumps(obj, indent=2)
 
     @classmethod
@@ -140,15 +146,10 @@ class LayoutGrid:
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValidationError(f"grid must be a JSON object, got {type(obj).__name__}")
-        missing = [key for key in ("n", "m", "k", "ell", "rows") if key not in obj]
+        missing = [key for key in (*KEYS, "rows") if key not in obj]
         if missing:
             raise ValidationError(f"grid is missing key(s): {', '.join(missing)}")
-        cfg = HraidConfig(
-            n_nodes=obj["n"],
-            disks_per_node=obj["m"],
-            inter_tolerance=obj["k"],
-            intra_tolerance=obj["ell"],
-        )
+        cfg = HraidConfig(**{key: obj[key] for key in KEYS})
         _check_grid_cells(cfg)
         letters = _alphabet(cfg)
 
@@ -196,9 +197,9 @@ def generate_layout(config: HraidConfig) -> LayoutGrid:
     raises ValidationError.
     """
     _check_grid_cells(config)
-    m, n_nodes = config.m, config.n
+    m, n = config.m, config.n
     rows = np.arange(1, m + 1).reshape(m, 1, 1)
-    nodes = np.arange(1, n_nodes + 1).reshape(1, n_nodes, 1)
+    nodes = np.arange(1, n + 1).reshape(1, n, 1)
     anchors = anchor_position(rows, nodes, m).astype(np.int16)  # M <= 512 within the bound
     offset = (np.arange(1, m + 1, dtype=np.int16) - anchors) % m
     codes = np.where(offset < config.k + config.ell, offset + 1, 0).astype(np.int8)
@@ -261,12 +262,18 @@ def verify_layout(grid: LayoutGrid, config: HraidConfig | None = None) -> list[s
     return violations
 
 
+#: Largest disk access time x_d in ms: with k, l <= 3 the cost x_avg is at
+#: most 33 x_d, so it stays a finite float.
+MAX_ACCESS_TIME_MS = 1e300
+
+
 @dataclass(frozen=True)
 class WorkloadParams:
     """Access mix for the small-write cost model.
 
     ``read_fraction`` (f_r) and ``write_fraction`` (f_w) must sum to one;
-    ``disk_access_time_ms`` (x_d) is the cost of one disk access.
+    ``disk_access_time_ms`` (x_d) is the cost of one disk access, in
+    (0, ``MAX_ACCESS_TIME_MS``].  All three are finite real numbers.
     """
 
     read_fraction: float
@@ -274,6 +281,8 @@ class WorkloadParams:
     disk_access_time_ms: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("read_fraction", "write_fraction", "disk_access_time_ms"):
+            check_real(name, getattr(self, name))
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ValidationError(
                 f"read_fraction must be in [0, 1], got {self.read_fraction}"
@@ -287,9 +296,10 @@ class WorkloadParams:
                 f"read_fraction + write_fraction must equal 1, got "
                 f"{self.read_fraction} + {self.write_fraction}"
             )
-        if not self.disk_access_time_ms > 0:
+        if not 0 < self.disk_access_time_ms <= MAX_ACCESS_TIME_MS:
             raise ValidationError(
-                f"disk_access_time_ms must be > 0, got {self.disk_access_time_ms}"
+                f"disk_access_time_ms must be in (0, {MAX_ACCESS_TIME_MS:g}], got "
+                f"{self.disk_access_time_ms}"
             )
 
 

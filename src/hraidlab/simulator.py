@@ -38,7 +38,7 @@ import math
 import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -130,14 +130,11 @@ class RunResult:
 
     def row(self) -> dict:
         """The run keyed by CSV column: a CSV row, or a flat JSON object.
-        Numpy scalars become Python ints and floats, which both views print."""
+        A numpy trial count or seed becomes a Python int, which both views print."""
         return {
-            "n": int(self.config.n),
-            "m": int(self.config.m),
-            "k": int(self.config.k),
-            "ell": int(self.config.ell),
-            "delta_per_hour": float(self.rates.disk_rate),
-            "gamma_per_hour": float(self.rates.controller_rate),
+            **asdict(self.config),
+            "delta_per_hour": self.rates.disk_rate,
+            "gamma_per_hour": self.rates.controller_rate,
             "trials": int(self.estimate.trials),
             "seed": int(self.seed),
             **self.estimate.fields(),

@@ -219,9 +219,9 @@ def test_compare_apportionments_examples():
     assert cmp3.ordering is Ordering.ONE_TWO_BETTER
     assert cmp3.threshold_n == 2 + Fraction(3 * 4**2, 6**3) == Fraction(20, 9)
     # HRAID2/1 needs N >= 3, and HRAID1/2 (l = 2 plus k = 1) needs M >= 4
-    with pytest.raises(ValidationError, match="n_nodes"):
+    with pytest.raises(ValidationError, match="k must be below n"):
         compare_apportionments(2, 12)
-    with pytest.raises(ValidationError, match="disks_per_node"):
+    with pytest.raises(ValidationError, match=r"k \+ ell must be below m"):
         compare_apportionments(3, 3)
 
 
@@ -263,7 +263,7 @@ def test_conditional_sixth_failure_values():
             a, b, _ = conditional_sixth_failure(n, m)
             assert a < b
     # the pool of the worst five-failure pattern needs both codes to fit
-    with pytest.raises(ValidationError, match="disks_per_node"):
+    with pytest.raises(ValidationError, match=r"k \+ ell must be below m"):
         conditional_sixth_failure(5, 3)
 
 
@@ -356,7 +356,7 @@ def test_closed_forms_at_huge_node_counts(n):
 
 def test_closed_forms_name_the_count_bound():
     # n log q is formed in floats, so a count beyond 1e308 is refused by name
-    with pytest.raises(ValidationError, match="n_nodes must be at most 1e308"):
+    with pytest.raises(ValidationError, match="n must be at most 1e308"):
         hraid_unreliability(HraidConfig(10**308 + 1, 12, 3, 3), 1e-3)
     with pytest.raises(ValidationError, match="disk count m must be at most 1e308"):
         exact_mds_reliability(10**400, 3, 1e-3)

@@ -70,11 +70,19 @@ def test_invalid_geometry_is_validation_error(capsys):
          "disk_rate must be in [1e-30, 1e+30] per hour"),
         (["oracle", "markov", "--n", "3", "--m", "3", "--delta", "1e-320"],
          "disk_rate must be in [1e-30, 1e+30]"),
-        (["sweep", "--n", "0", "--m", "0", "--trials", "5"], "n_nodes must be >= 1"),
-        (["sweep", "--n", "-3", "--m", "4", "--trials", "5", "--format", "csv"],
-         "n_nodes must be >= 1"),
-        (["sweep", "--n", "3", "--m", "0", "--trials", "5", "--format", "json"],
-         "disks_per_node must be >= 1"),
+        # these three ids keep the field names the cases had before n, m, k, ell
+        pytest.param(
+            ["sweep", "--n", "0", "--m", "0", "--trials", "5"], "n must be >= 1",
+            id="argv11-n_nodes must be >= 1",
+        ),
+        pytest.param(
+            ["sweep", "--n", "-3", "--m", "4", "--trials", "5", "--format", "csv"],
+            "n must be >= 1", id="argv12-n_nodes must be >= 1",
+        ),
+        pytest.param(
+            ["sweep", "--n", "3", "--m", "0", "--trials", "5", "--format", "json"],
+            "m must be >= 1", id="argv13-disks_per_node must be >= 1",
+        ),
         (["oracle", "markov", "--n", "100000", "--m", "12", "--k", "3", "--l", "3"],
          "the exact chain takes at most"),
         (["oracle", "markov", "--n", str(10**400), "--m", "12"], "below 2**53"),
@@ -113,9 +121,9 @@ def test_out_of_bound_flags_are_validation_errors(argv, bound, capsys):
 @pytest.mark.parametrize(
     "entry, bound",
     [
-        pytest.param({"n": "4"}, "n_nodes must be an integer", id="4"),
-        pytest.param({"n": 4.5}, "n_nodes must be an integer", id="4.5"),
-        pytest.param({"n": True}, "n_nodes must be an integer", id="True"),
+        pytest.param({"n": "4"}, "n must be an integer", id="4"),
+        pytest.param({"n": 4.5}, "n must be an integer", id="4.5"),
+        pytest.param({"n": True}, "n must be an integer", id="True"),
         pytest.param({"trials": 4.5}, "trials must be an integer", id="trials-4.5"),
         pytest.param({"trials": True}, "trials must be an integer", id="trials-True"),
         pytest.param({"seed": "x"}, "seed must be an integer", id="seed-x"),
@@ -323,6 +331,31 @@ def test_trace_and_out_naming_one_file_is_refused(spelling, tmp_path, monkeypatc
     err = capsys.readouterr().err
     assert re.search(r"^validation error: --trace and --out name the same file ", err)
     assert target.read_text() == "keep"
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        # each once replaced its own input file
+        (["layout", "--verify", "in.json", "--out", "in.json"], "--out and --verify"),
+        (["simulate", "--config", "in.json"], "--out and --config"),
+        (["simulate", "--config", "in.json", "--trace", "in.json"], "--trace and --config"),
+    ],
+    ids=["layout-verify-out", "simulate-config-output-path", "simulate-config-trace"],
+)
+def test_no_output_file_overwrites_an_input(argv, flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "layout":
+        text = generate_layout(HraidConfig(4, 4, 1, 1)).to_json()
+    else:
+        key = {"output_path": "in.json"} if "--trace" not in argv else {}
+        text = json.dumps({"n": 4, "m": 4, "trials": 5, **key})
+    Path("in.json").write_text(text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"validation error: {flags} name the same file in.json; give two files\n"
+    assert Path("in.json").read_text() == text
+    assert os.listdir(tmp_path) == ["in.json"]
 
 
 @pytest.mark.parametrize("flag", ["--out", "--trace"])
@@ -627,7 +660,7 @@ def test_analytic_compare_refuses_a_pair_that_does_not_fit(capsys):
     assert main(["analytic", "compare", "--n", "12", "--m", "3"]) == 2
     err = capsys.readouterr().err
     assert "HRAID1/2 vs HRAID2/1 needs both codes to fit" in err
-    assert "must be below disks_per_node, got k=1, l=2 with M=3" in err
+    assert "k + ell must be below m, got k=1, l=2 with M=3" in err
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,14 @@ def test_strip_array_must_match_its_grid():
             StripeContent(grid, np.zeros(shape, dtype=dtype))
 
 
+@pytest.mark.parametrize("strips", [None, [[[[0]]]]], ids=["None", "list"])
+def test_strips_must_be_an_array(strips):
+    # a list or None once raised AttributeError on .ndim
+    name = type(strips).__name__
+    with pytest.raises(ValidationError, match=f"^strips must be a numpy array, got {name}$"):
+        StripeContent(generate_layout(HraidConfig(1, 1)), strips)
+
+
 def test_single_strip_erasure_recovers():
     content = encoded(seed=7)
     result = recover(content, {(2, 3, 1)})

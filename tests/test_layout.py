@@ -305,3 +305,36 @@ def test_workload_validation():
     for write in (1.5, -0.5):
         with pytest.raises(ValidationError, match=r"^write_fraction must be in \[0, 1\]"):
             WorkloadParams(0.5, write, 1.0)
+
+
+@pytest.mark.parametrize("codes", [None, [[[0]]]], ids=["None", "list"])
+def test_grid_codes_must_be_an_array(codes):
+    # a list or None once raised AttributeError on .shape
+    name = type(codes).__name__
+    with pytest.raises(ValidationError, match=f"^grid codes must be a numpy array, got {name}$"):
+        LayoutGrid(HraidConfig(1, 1), codes)
+
+
+@pytest.mark.parametrize(
+    "args, problem",
+    [
+        # a string or None once raised TypeError, and bools passed as fractions
+        (("0.5", 0.5), r"^read_fraction must be a finite number, got '0\.5'$"),
+        ((None, 1.0), r"^read_fraction must be a finite number, got None$"),
+        ((True, False), r"^read_fraction must be a finite number, got True$"),
+        ((0.5, 0.5, True), r"^disk_access_time_ms must be a finite number, got True$"),
+        # an infinite or huge access time once made the cost inf
+        ((0.5, 0.5, float("inf")), r"^disk_access_time_ms must be a finite number, got inf$"),
+        ((0.5, 0.5, 1e308), r"^disk_access_time_ms must be in \(0, 1e\+300\], got 1e\+308$"),
+        ((0.5, 0.5, 0.0), r"^disk_access_time_ms must be in \(0, 1e\+300\], got 0\.0$"),
+    ],
+    ids=["str", "None", "bools", "bool-time", "inf-time", "huge-time", "zero-time"],
+)
+def test_workload_takes_finite_real_numbers(args, problem):
+    with pytest.raises(ValidationError, match=problem):
+        WorkloadParams(*args)
+
+
+def test_small_write_cost_is_finite_at_the_access_time_bound():
+    cost = small_write_cost(WorkloadParams(0.0, 1.0, 1e300), HraidConfig(8, 8, 3, 3))
+    assert cost == 32e300

@@ -315,7 +315,7 @@ def test_markov_size_bound():
     assert markov_mttdl(HraidConfig(n, 12, 3, 0), rates) == pytest.approx(expected, rel=1e-12)
     # the count bound names only itself: the closed forms give no MTTDL
     bound = (
-        r"^n_nodes \* disks_per_node must be below 2\*\*53 for the simulator and the "
+        r"^n \* m must be below 2\*\*53 for the simulator and the "
         r"exact chain, got N\*M of {} digits$"
     )
     for n in (2**53 // 12 + 1, 10**400):
