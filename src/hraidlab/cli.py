@@ -21,7 +21,6 @@ overwrites an input.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -52,7 +51,7 @@ from .codec import (
     verify_parity,
     write_strip_tree,
 )
-from .config import FailureModel, HraidConfig, ValidationError
+from .config import FailureModel, HraidConfig, JsonTextError, ValidationError, load_json
 from .layout import LayoutGrid, generate_layout, verify_layout
 from .oracle import exact_reliability_enum, markov_mttdl
 from .simulator import (
@@ -135,13 +134,13 @@ def _read(path: str, what: str, parse: Callable):
     """Parse the text of the ``what`` file at ``path``."""
     try:
         return parse(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, JsonTextError) as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def _load_config_file(path: str, dests: Iterable[str]) -> dict:
     accepted = sorted(key for key, dest in _CONFIG_KEYS.items() if dest in dests)
-    raw = _read(path, "config", json.loads)
+    raw = _read(path, "config", load_json)
     if not isinstance(raw, dict):
         raise ValidationError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(raw) - set(accepted))

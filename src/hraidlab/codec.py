@@ -31,11 +31,12 @@ Cell = tuple[int, int, int]  # 1-based (row, node, position)
 
 #: Largest strip array, in bytes: the N M^2 strips of a grid times the strip
 #: size.  It admits 12 x 12 at 64 KiB, a 113 MB array, where ``codec-demo``
-#: took 0.9 s and 262 MB peak RSS.  At the bound ``codec-demo`` (without
-#: ``--dir``) took 0.9-1.1 s and 304-357 MB peak RSS on 12 x 12, 4 x 4 and
+#: took 0.7-0.8 s and 262 MB peak RSS.  At the bound ``codec-demo`` (without
+#: ``--dir``) took 0.5-0.9 s and 304-357 MB peak RSS on 12 x 12, 4 x 4 and
 #: 1 x 2 arrays; at this bound and the grid bound together (512-byte strips)
-#: it took at most 5.7 s and 413 MB (1 x 512), on 2 shared cores with Python
-#: 3.11.7 and numpy 2.4.6.
+#: it took at most 2.4 s and 439 MB (1 x 512: the payload array and one
+#: ~184-byte memoryview a strip), on 2 shared cores with Python 3.11.7 and
+#: numpy 2.4.6.
 MAX_STRIP_BYTES = 2**27
 
 
@@ -126,20 +127,35 @@ def node_cells(config: HraidConfig, node: int) -> set[Cell]:
 
 def random_payloads(
     grid: LayoutGrid, seed: int, strip_size: int = 4096
-) -> dict[Cell, bytes]:
-    """Seeded random payload bytes for every DATA cell; the grid's strip
-    array at ``strip_size`` must fit ``MAX_STRIP_BYTES``."""
+) -> dict[Cell, memoryview]:
+    """Seeded random payload bytes for every DATA cell, row-major; the grid's
+    strip array at ``strip_size`` must fit ``MAX_STRIP_BYTES``.
+
+    The bytes are those of one ``default_rng(seed).integers(0, 256,
+    strip_size, dtype=np.uint8)`` call per cell, in cell order, taken from
+    one bit-generator draw.  Each such call takes 4 bytes from every 32-bit
+    draw, low byte first, and drops the unused bytes of its last draw; PCG64
+    gives its 32-bit draws as the low and then the high half of each 64-bit
+    draw, carried across calls.  So with w = ceil(strip_size / 4), strip c
+    is bytes [4wc, 4wc + strip_size) of the little-endian 64-bit raw draws.
+
+    Each value is a read-only byte ``memoryview`` into one array: it reads
+    as ``bytes`` does through ``len``, ``np.frombuffer``, ``bytes()`` and
+    ``int.from_bytes``, but it cannot be hashed or pickled.
+    """
     check_integer("strip_size", strip_size)
     strip_size = int(strip_size)
     if strip_size < 1:
         raise ValidationError(f"strip_size must be >= 1, got {strip_size}")
     _check_strip_bytes(grid.config, strip_size)
     check_seed(seed)
-    rng = np.random.default_rng(seed)
-    return {
-        cell: rng.integers(0, 256, strip_size, dtype=np.uint8).tobytes()
-        for cell in data_cells(grid)
-    }
+    cells = data_cells(grid)
+    stride = -(-strip_size // 4) * 4
+    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-len(cells) * stride // 8))
+    flat = raw.astype("<u8", copy=False).view(np.uint8)
+    flat.flags.writeable = False
+    view = memoryview(flat)
+    return {cell: view[c * stride : c * stride + strip_size] for c, cell in enumerate(cells)}
 
 
 # These take 0-based indices and allocate one strip at most: larger
@@ -177,13 +193,14 @@ def _rebuild(strips: np.ndarray, grid: LayoutGrid, lost: np.ndarray, failed: np.
 
 
 def encode_stripes(
-    data: Mapping[Cell, bytes], config: HraidConfig, grid: LayoutGrid
+    data: Mapping[Cell, bytes | memoryview], config: HraidConfig, grid: LayoutGrid
 ) -> StripeContent:
-    """Encode data payloads into a fully checked StripeContent.
+    """Encode bytes-like payloads into a fully checked StripeContent.
 
-    ``grid`` must be built for ``config``.  ``data`` must supply a payload
-    of uniform length for exactly the DATA cells of the layout.  Re-encoding
-    the same data is idempotent.
+    ``grid`` must be built for ``config``.  ``data`` must supply a
+    C-contiguous bytes-like payload (``bytes``, a ``memoryview``, a numpy
+    array) for exactly the DATA cells of the layout, each of the same
+    length in bytes.  Re-encoding the same data is idempotent.
     """
     if config != grid.config:
         raise ValidationError(
@@ -199,7 +216,18 @@ def encode_stripes(
             f"payloads must cover exactly the DATA cells; "
             f"missing {missing}, unexpected {extra}"
         )
-    sizes = {len(v) for v in data.values()}
+    sizes = set()
+    for cell, payload in data.items():
+        try:
+            view = memoryview(payload)
+        except TypeError:
+            view = None
+        if view is None or not view.c_contiguous:
+            raise ValidationError(
+                f"payload of cell {cell} must be a C-contiguous bytes-like object, "
+                f"got {type(payload).__name__}"
+            )
+        sizes.add(view.nbytes)
     if len(sizes) != 1:
         raise ValidationError(f"strip payloads must share one length, got {sorted(sizes)}")
     size = sizes.pop()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -13,6 +14,20 @@ class ValidationError(ValueError):
 
 class UnsupportedCodecError(ValidationError):
     """The requested redundancy level has no implemented codec."""
+
+
+class JsonTextError(ValidationError):
+    """``json.loads`` refused a text."""
+
+
+def load_json(text: str):
+    """``json.loads``, raising JsonTextError for every text it refuses: bad
+    syntax, an integer past Python's digit limit for string conversion, or
+    nesting past the recursion limit."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise JsonTextError(str(exc)) from exc
 
 
 #: Largest inter- and intra-node tolerance an ``HraidConfig`` admits: the

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import HraidConfig, ValidationError, check_real
+from .config import HraidConfig, ValidationError, check_real, load_json
 
 #: Check-strip letters, assigned to the l intra classes first, then the
 #: k inter classes (P intra and Q inter for HRAID1/1; P, Q intra and R
@@ -26,8 +26,10 @@ CHECK_LETTERS = "PQRSTU"
 #: Largest layout grid, in cells: M stripe rows of N nodes of M disks.  At
 #: the bound (262144 x 1, 64 x 64, 16 x 128 and 1 x 512) ``layout`` took at
 #: most 1.5 s and 105 MB peak RSS (262144 x 1 as JSON), ``layout --verify``
-#: 1.1 s and 64 MB, and ``codec-demo`` at 1-byte strips 4.6 s and 144 MB
-#: (1 x 512), on 2 shared cores with Python 3.11.7 and numpy 2.4.6.
+#: 1.1 s and 64 MB, and ``codec-demo`` at 1-byte strips 2.5 s and 187 MB
+#: (1 x 512: each 1-byte payload is a ~184-byte memoryview, 142 MB with
+#: 34-byte ``bytes`` payloads), on 2 shared cores with Python 3.11.7 and
+#: numpy 2.4.6.
 MAX_GRID_CELLS = 2**18
 
 #: Grid-file keys of the geometry: the ``HraidConfig`` field names, in order.
@@ -140,10 +142,11 @@ class LayoutGrid:
 
     @classmethod
     def from_json(cls, text: str) -> "LayoutGrid":
-        """Parse ``to_json`` output; raise ValidationError naming what is
-        missing, of the wrong count, an unknown letter, or a grid past
+        """Parse ``to_json`` output; raise JsonTextError for text that
+        ``json.loads`` refuses, and ValidationError naming what is missing,
+        of the wrong count, an unknown letter, or a grid past
         ``MAX_GRID_CELLS``."""
-        obj = json.loads(text)
+        obj = load_json(text)
         if not isinstance(obj, dict):
             raise ValidationError(f"grid must be a JSON object, got {type(obj).__name__}")
         missing = [key for key in (*KEYS, "rows") if key not in obj]

@@ -14,6 +14,7 @@ from hraidlab import (
     FailureModel,
     HraidConfig,
     LayoutGrid,
+    ValidationError,
     cell_seed,
     estimate_mttdl,
     exact_reliability_enum,
@@ -143,6 +144,10 @@ def test_non_integer_config_geometry_is_validation_error(entry, bound, tmp_path,
     assert bound in capsys.readouterr().err
 
 
+BIG_INT_JSON = b'{"n": 1' + b"0" * 5000 + b', "m": 4, "k": 0, "ell": 0, "rows": []}'
+DEEP_JSON = b"[" * 200_000 + b"]" * 200_000
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize(
     "body, message",
@@ -152,6 +157,9 @@ def test_non_integer_config_geometry_is_validation_error(entry, bound, tmp_path,
         pytest.param(b"{", "cannot read config file", id="truncated"),
         pytest.param(b"[1, 2]", "must hold a JSON object", id="list"),
         pytest.param(b'"n"', "must hold a JSON object", id="string"),
+        # json.loads raises a plain ValueError and a RecursionError for these
+        pytest.param(BIG_INT_JSON, "cannot read config file", id="5001-digit-integer"),
+        pytest.param(DEEP_JSON, "cannot read config file", id="nested-200000-deep"),
     ],
 )
 def test_unreadable_or_non_object_config_is_validation_error(
@@ -533,6 +541,19 @@ def test_layout_verify_non_utf8_file(tmp_path, capsys):
     grid_file.write_bytes(b"\xff\xfe{")
     assert main(["layout", "--verify", str(grid_file)]) == 2
     assert f"validation error: cannot read grid file {grid_file}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body", [BIG_INT_JSON, DEEP_JSON], ids=["5001-digit-integer", "nested-200000-deep"]
+)
+def test_layout_verify_json_that_json_refuses(body, tmp_path, capsys):
+    # each once exited 3 with json.loads' ValueError or RecursionError
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_bytes(body)
+    assert main(["layout", "--verify", str(grid_file)]) == 2
+    assert f"validation error: cannot read grid file {grid_file}: " in capsys.readouterr().err
+    with pytest.raises(ValidationError):
+        LayoutGrid.from_json(body.decode())
 
 
 def _grid_2x2(rows):

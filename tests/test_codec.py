@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 from enum import Enum
@@ -94,6 +95,120 @@ def test_rejects_wrong_payload_cells_and_sizes():
     ragged[next(iter(ragged))] = bytes(8)
     with pytest.raises(ValidationError, match="length"):
         encode_stripes(ragged, CFG, grid)
+    # 16 items of 2 bytes are 32 bytes: lengths are counted in bytes
+    # (numpy's broadcasting ValueError once named the mismatch)
+    ragged[next(iter(ragged))] = np.zeros(16, np.uint16)
+    with pytest.raises(ValidationError, match=r"^strip payloads must share one length, got \[16, 32\]$"):
+        encode_stripes(ragged, CFG, grid)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [None, "abcd", [0, 1, 2, 3], np.zeros((4, 2), np.uint8)[:, 0]],
+    ids=["None", "str", "list", "non-contiguous"],
+)
+def test_rejects_payloads_that_are_not_bytes_like(payload):
+    # each once raised TypeError or BufferError from len() or np.frombuffer
+    grid = generate_layout(CFG)
+    payloads = random_payloads(grid, 1, 4)
+    cell = data_cells(grid)[1]
+    payloads[cell] = payload
+    message = (
+        rf"^payload of cell {re.escape(str(cell))} must be a C-contiguous "
+        rf"bytes-like object, got {type(payload).__name__}$"
+    )
+    with pytest.raises(ValidationError, match=message):
+        encode_stripes(payloads, CFG, grid)
+
+
+def test_payloads_are_sized_in_bytes():
+    # 2-item int32 arrays are 8-byte strips; len() once sized them at 2 items
+    grid = generate_layout(CFG)
+    cells = data_cells(grid)
+    payloads = {cell: np.array([c, -c], np.int32) for c, cell in enumerate(cells)}
+    content = encode_stripes(payloads, CFG, grid)
+    assert content.strips.shape[3] == 8
+    for (i, n, j), payload in payloads.items():
+        assert content.strip((i, n, j)) == payload.tobytes()
+    assert verify_parity(content) == []
+
+
+# sha256 of the payload bytes, concatenated in cell order, of
+# random_payloads(generate_layout(HraidConfig(n, m, 1, 1)), seed, size);
+# keyed by (n, m, size, seed)
+PAYLOAD_DIGESTS = {
+    (3, 6, 1, 0): "59769eeaebeb19118a45a010258b8758a293cd858dfca26d232fdedd339785e6",
+    (3, 6, 1, 2): "ef3ebfa7079062b479fb3db59ef24bba23cb0bb825ac700b506445fb4e0be2cf",
+    (3, 6, 1, 2**64 - 1): "3e4d0094be2d7d209212f8194895004c9e1c45ec98f18a6d6a725fe5db8d46bf",
+    (3, 6, 3, 0): "ce9b46af7f91c13a25fc4abc52a7d592a3ac9bc65a0b6a478542b9b25dd729b8",
+    (3, 6, 3, 2): "1f40260b9a1a4a42bc577cc28d21066c646624718eac4a3c5bcc601b70375374",
+    (3, 6, 3, 2**64 - 1): "ad96a19ede53e39bca710f95d4b20d91ef9f359581189b77c8bf09fbd26f4145",
+    (3, 6, 4, 0): "b7b4bae86b432d040097c3261bcd497ba84e40131017c78cc9176c519311c352",
+    (3, 6, 4, 2): "016137652ff67f17f7038d86784898eb0708357d7915d7c5b9bf4552d849feea",
+    (3, 6, 4, 2**64 - 1): "3a28a81e64675caf589fc092aa15a5b2e8ea0997eabb904cd6f27ca3f74ca689",
+    (3, 6, 5, 0): "46b1de22575ba691f3682fbba7410db2d9f35f1ecb05a1fad619e01a6df2bfe8",
+    (3, 6, 5, 2): "7a56e1f3a9c8c3003956c4b2f999956138a81bf89039be8f5250efa42f658c6d",
+    (3, 6, 5, 2**64 - 1): "fd58ccdc48d9fa29f1a121573eb7e7f947b333895dd5a1321c65facfbf6381b5",
+    (3, 6, 8, 0): "75e4e4877afb53c73daf5f20c0f16cc79d21a8b54d72020cb2f1558f13b1a74c",
+    (3, 6, 8, 2): "e7aa8d15c65645567fda8d14146dc6f710b4f8009f6aaed62f69055741d89d25",
+    (3, 6, 8, 2**64 - 1): "03c149567de64105364ab54cc7312dd6794e9ed30f98daa4bd5da0d2c93c98a9",
+    (3, 6, 512, 0): "adefd6bcf22a8bd91de9ba21ea2ea2707ba8270cf69a285b49bb936fc55d3170",
+    (3, 6, 512, 2): "962470ffe997cea77b82a0ddaa6fe90c572bade5fee333759f72b7f3b6584138",
+    (3, 6, 512, 2**64 - 1): "5e58e620ac09bd5a7c6d7415217eb7ab0181966a3d8ce7399b868baab6b9f5cd",
+    (3, 6, 65536, 0): "7c1a5c6e90e46c73ba3f1c25fba39b62270e97e6ba3ec206d0f686b11b5cf5b5",
+    (3, 6, 65536, 2): "f7134be6e5e54582d7eedc4a56e184c1d40a05500f99a4b912c7dadb6f6a7176",
+    (3, 6, 65536, 2**64 - 1): "01f7d264f2caa9e6ea19a2e30dd769fa19f73efb42ce8e1e4fcc2afd2b88f02c",
+    (12, 12, 1, 0): "59989c997306187b5765f9fa7f32c0466a722b92be094f80b179e47a9cd6ffa7",
+    (12, 12, 1, 2): "306133910033058e1e79fde714af7326d92aa390f45f30a536c756f5b54f7bd1",
+    (12, 12, 1, 2**64 - 1): "b9fa89d448de269bfc06d1046beab651a7f66ec447811d22b775b3b1e09f403d",
+    (12, 12, 3, 0): "d51763e52c029b817b7d9b2639c86fc59017c2a6616165b3e1eae15858ff4311",
+    (12, 12, 3, 2): "0db4c626f92de248882e4e2960c6d526c485ce79ee82d2d5814d65af4e74586e",
+    (12, 12, 3, 2**64 - 1): "db6b4a82cef57a4aeca33fb20e26770b8bd655ede914947ed8140cf6133e6fdc",
+    (12, 12, 4, 0): "0d4e5af1dedcc84fa8834f4c728650d3491ee50f1c1e1cb059be5a29e971b7a8",
+    (12, 12, 4, 2): "e0f56a3de5c637bc10ed3bf32548368b1d3b8e3cb437fb758e173a338c70389e",
+    (12, 12, 4, 2**64 - 1): "a548ab75e056eb72385df817c93f843c99bc6eebc11b8f6d3f3a89fca124fddb",
+    (12, 12, 5, 0): "067de11c646ab51a6085b318ecdde2989366d01a093d02abafc1b005a05a0c11",
+    (12, 12, 5, 2): "6456ba8c695fbe7dc2ad9f0c5d5acb240d37a89d169dc2b3efbf28f64296eefc",
+    (12, 12, 5, 2**64 - 1): "c03cc56e8c90c0ef32992e1a250fec592567caef50c15af1e5b61dbd8b512774",
+    (12, 12, 8, 0): "868faa5297b5fc817a047475d5d444764d806fff6887da94267ebb78a72d515b",
+    (12, 12, 8, 2): "2c2d5ec254ce7917eff920edd956fa5019f3004997e08c7c8e04603ef1a2d64d",
+    (12, 12, 8, 2**64 - 1): "e1f2bbf924a7cfca1f3b47e2808efadb5dd413b16d41ea73c6095b4aaa1970ab",
+    (12, 12, 512, 0): "2d7fe9d513d2a5e59776956666fa5521d89c603d68bafe1df0be65f7c0a876dd",
+    (12, 12, 512, 2): "c3caaebb33a38683eb52f849aa205706fe77d8bedc89e6f8a1a2910f83e215d6",
+    (12, 12, 512, 2**64 - 1): "d027ba2f4e3861c3f87d51dbd5638a0a7d481b386b562f49266c17c4f427041d",
+    (12, 12, 65536, 0): "a8768147b1fc7a934640b86f098c144beb73243fe36a98c1771ea84708258f9b",
+    (12, 12, 65536, 2): "e0d1cfdae15fc0107a0e1156a4d043e163c8ea8795c338161fa0c73d902f3081",
+    (12, 12, 65536, 2**64 - 1): "b3a7ea4d5675cd90eecf5ebd999f0ee851cb99dd1cc170c1684973a83abea28a",
+}
+
+
+@pytest.mark.parametrize("key", PAYLOAD_DIGESTS, ids=lambda key: "-".join(map(str, key)))
+def test_payload_bytes_are_pinned(key):
+    n, m, size, seed = key
+    digest = hashlib.sha256()
+    for payload in random_payloads(generate_layout(HraidConfig(n, m, 1, 1)), seed, size).values():
+        digest.update(payload)
+    assert digest.hexdigest() == PAYLOAD_DIGESTS[key]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 7, 8, 9, 513])
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_payloads_are_one_uint8_draw_per_cell(size, seed):
+    # the reference draws each cell's strip with its own numpy call
+    grid = generate_layout(HraidConfig(3, 6, 1, 1))
+    payloads = random_payloads(grid, seed, size)
+    assert list(payloads) == data_cells(grid)
+    rng = np.random.default_rng(seed)
+    for cell, payload in payloads.items():
+        assert bytes(payload) == rng.integers(0, 256, size, dtype=np.uint8).tobytes(), cell
+
+
+def test_payloads_are_read_only_strips():
+    payloads = random_payloads(generate_layout(CFG), 3, 5)
+    for payload in payloads.values():
+        assert len(payload) == 5
+        with pytest.raises(TypeError):
+            payload[0] = 1
 
 
 @pytest.mark.parametrize("size", [2.5, True, "8", np.float64(8)])
