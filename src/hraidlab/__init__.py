@@ -56,11 +56,8 @@ from .oracle import (
     exact_reliability_enum,
     markov_mttdl,
 )
+from .records import MttdlEstimate, RunResult, SweepCell, SweepResult
 from .simulator import (
-    MttdlEstimate,
-    RunResult,
-    SweepCell,
-    SweepResult,
     TrialResults,
     cell_seed,
     estimate_mttdl,

@@ -54,13 +54,8 @@ from .codec import (
 from .config import FailureModel, HraidConfig, JsonTextError, ValidationError, load_json
 from .layout import LayoutGrid, generate_layout, verify_layout
 from .oracle import exact_reliability_enum, markov_mttdl
-from .simulator import (
-    RunResult,
-    estimate_mttdl,
-    format_hours,
-    sweep,
-    trace_trials,
-)
+from .records import RunResult, format_hours, run_header
+from .simulator import estimate_mttdl, sweep, trace_trials
 
 #: Config-file keys of simulate and sweep, mapped to flag dests; a command
 #: accepts the keys of the dests its own parser defines.
@@ -374,7 +369,7 @@ def _cmd_analytic_report(values: dict) -> tuple[int, str]:
         node_r = exact_mds_reliability(config.m, config.ell, eps)
         series = raid_series_approx(config.m, config.ell, eps)
         lines += [
-            f"  at eps = {eps:g}:",
+            f"  at eps = {eps!r}:",
             f"    node reliability R_l                 : {node_r:.15g}",
             f"    node unreliability, two-term series  : {_approximation(series)}",
             f"    array reliability                    : {r:.15g}",
@@ -390,7 +385,7 @@ def _cmd_oracle_enum(values: dict) -> tuple[int, str]:
     text = poly.to_csv()
     eps = values["eps"]
     if eps is not None:
-        text += f"# unreliability at eps={eps:g}: {poly.unreliability(eps):.15g}\n"
+        text += f"# unreliability at eps={eps!r}: {poly.unreliability(eps):.15g}\n"
     return 0, text
 
 
@@ -399,8 +394,7 @@ def _cmd_oracle_markov(values: dict) -> tuple[int, str]:
     rates = _rates(values)
     hours = markov_mttdl(config, rates)
     return 0, (
-        f"exact MTTDL for HRAID {config.k}/{config.ell}: N={config.n}, M={config.m}, "
-        f"delta={rates.disk_rate:g}/h, gamma={rates.controller_rate:g}/h\n"
+        f"exact MTTDL for HRAID {config.k}/{config.ell}: {run_header(config.n, config.m, rates)}\n"
         f"  {hours:.15g} hours ({format_hours(hours, 1000.0, '.4f')} thousand hours)"
     )
 

@@ -116,7 +116,12 @@ def data_cells(grid: LayoutGrid) -> list[Cell]:
 
 
 def disk_cells(config: HraidConfig, node: int, disk: int) -> set[Cell]:
-    """Cells held by one disk: every row at (node, position=disk)."""
+    """Cells held by one disk: every row at (node, position=disk).  Raises
+    ValidationError unless the node is in 1..N and the position in 1..M."""
+    for name, value, count in (("node", node, config.n), ("position", disk, config.m)):
+        check_integer(name, value)
+        if not 1 <= value <= count:
+            raise ValidationError(f"{name} {value} is outside the grid ({name}s 1..{count})")
     return {(i, node, disk) for i in range(1, config.m + 1)}
 
 

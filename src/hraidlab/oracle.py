@@ -36,7 +36,7 @@ import numpy as np
 
 from .analytic import check_eps
 from .config import FailureModel, HraidConfig, ValidationError, check_exact_counts
-from .simulator import format_csv
+from .records import format_csv
 
 #: Enumeration cap: per-node DP keeps cost polynomial, but coefficient
 #: tables beyond 64 disks serve no validation purpose here.

@@ -28,17 +28,19 @@ out and dropped after each step.  ``trace_trials`` runs the same engine
 with a recorder of each step's bins and times, and labels them with node
 ids afterwards, so a trace is the very trial the estimate holds; each
 trial comes out as one JSON text, formatted from fixed templates.
+
+This module holds only the engine and the runs built on it.  The records
+it returns (``MttdlEstimate``, ``SweepResult``) and their table, CSV and
+JSON views live in ``records``.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
-import math
 import os
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .config import (
     MAX_TOLERANCE, FailureModel, HraidConfig, ValidationError, check_exact_counts, check_integer,
     check_tolerance,
 )
+from . import records
 from .stream import check_seed, trial_keys, uniforms_at
 
 #: Trials per work unit.  Chunking only batches the vectorized engine;
@@ -82,99 +85,6 @@ _TRIAL_LINE = '{"trial": %d, "time_hours": %s, "cause": "%s", "events": [%s]}'
 _EVENT_LINE = '{"time_hours": %s, "node": %d, "kind": "%s"}'
 _KINDS = ("disk", "controller")
 _CAUSES = ("disk_cascade", "controller")
-
-
-@dataclass(frozen=True)
-class MttdlEstimate:
-    """Aggregate of per-trial loss times with a normal-theory 95% interval."""
-
-    trials: int
-    mean_hours: float
-    std_dev_hours: float
-    ci95_low: float
-    ci95_high: float
-    seed: int
-
-    @classmethod
-    def from_times(cls, times_hours: np.ndarray, seed: int) -> "MttdlEstimate":
-        trials = times_hours.size
-        if trials < 1:
-            raise ValidationError("estimate needs at least one trial")
-        mean = float(np.mean(times_hours))
-        if trials == 1:
-            # dispersion is undefined from one sample; report a degenerate CI
-            return cls(1, mean, 0.0, mean, mean, seed)
-        std = float(np.std(times_hours, ddof=1))
-        half = 1.96 * std / math.sqrt(trials)
-        return cls(trials, mean, std, mean - half, mean + half, seed)
-
-    def fields(self) -> dict[str, float]:
-        """The estimate's output fields, in CSV column order."""
-        return {
-            "mttdl_hours": self.mean_hours,
-            "std_hours": self.std_dev_hours,
-            "ci95_low": self.ci95_low,
-            "ci95_high": self.ci95_high,
-        }
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """One Monte Carlo run and its estimate.  ``seed`` is the requested seed:
-    in a sweep that is the sweep seed, and ``estimate.seed`` the cell seed."""
-
-    config: HraidConfig
-    rates: FailureModel
-    seed: int
-    estimate: MttdlEstimate
-
-    def row(self) -> dict:
-        """The run keyed by CSV column: a CSV row, or a flat JSON object.
-        A numpy trial count or seed becomes a Python int, which both views print."""
-        return {
-            **asdict(self.config),
-            "delta_per_hour": self.rates.disk_rate,
-            "gamma_per_hour": self.rates.controller_rate,
-            "trials": int(self.estimate.trials),
-            "seed": int(self.seed),
-            **self.estimate.fields(),
-        }
-
-    def to_csv(self) -> str:
-        return format_csv([self.row()])
-
-    def to_json(self) -> str:
-        return json.dumps(self.row(), indent=2)
-
-    def format_table(self) -> str:
-        """The estimate with its interval, in hours."""
-        config, rates, est = self.config, self.rates, self.estimate
-        return (
-            f"MTTDL estimate for HRAID {config.k}/{config.ell}: N={config.n}, "
-            f"M={config.m}, delta={rates.disk_rate:g}/h, "
-            f"gamma={rates.controller_rate:g}/h, trials={est.trials}, seed={self.seed}\n"
-            f"  mean    : {format_hours(est.mean_hours)} h "
-            f"({format_hours(est.mean_hours, 1000.0, '.1f')} thousand hours)\n"
-            f"  std dev : {format_hours(est.std_dev_hours)} h\n"
-            f"  95% CI  : [{format_hours(est.ci95_low)}, {format_hours(est.ci95_high)}] h"
-        )
-
-
-def format_hours(hours: float, unit: float = 1.0, spec: str = ".3f") -> str:
-    """``hours`` in units of ``unit`` hours, formatted by ``spec``.  A nonzero
-    value gets 3 significant digits instead where ``spec`` would print it as
-    all zeros, and in hours below 1 h, so it never prints as zero."""
-    value = hours / unit
-    text = format(value, spec)
-    if value and (not text.strip("-0.") or unit == 1.0 and abs(value) < 1.0):
-        return format(value, "#.3g")
-    return text
-
-
-def format_csv(rows: list[dict]) -> str:
-    """Header from the first row's keys, then one repr-exact line per row."""
-    lines = [",".join(rows[0])] + [",".join(map(repr, row.values())) for row in rows]
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -289,11 +199,12 @@ def _simulate_chunk(
         ctrl *= rho
         ctrl += thr[ell]  # wtot + rho * cum_c, the float order of total
         total = thr[-1]
-        t_unit += -np.log1p(-u1) / total
+        t_unit -= np.log1p(-u1) / total
         # Some bin always holds x = u2 * total: u2 <= 1 - 2**-53, so under
         # round-to-nearest x < total, and the last threshold is total itself.
         # The thresholds never decrease, so counting those <= x finds the bin.
-        b = (u2 * total >= thr).sum(axis=0)
+        u2 *= total
+        b = np.add.reduce(u2 >= thr, axis=0, dtype=np.int8)
         if record is not None:
             record.append((trial, b, t_unit.copy()))
         c += step.take(b, axis=1)
@@ -369,10 +280,10 @@ def estimate_mttdl(
     trials: int,
     seed: int,
     threads: int | None = None,
-) -> MttdlEstimate:
+) -> records.MttdlEstimate:
     """Monte Carlo MTTDL with a 95% confidence interval."""
     results = run_trials(config, rates, trials, seed, threads)
-    return MttdlEstimate.from_times(results.times_hours, seed)
+    return records.MttdlEstimate.from_times(results.times_hours, seed)
 
 
 def cell_seed(seed: int, k: int, ell: int) -> int:
@@ -385,71 +296,6 @@ def cell_seed(seed: int, k: int, ell: int) -> int:
     return int(trial_keys(seed, (k << 16) | ell, 1)[0])
 
 
-@dataclass(frozen=True)
-class SweepCell:
-    k: int
-    ell: int
-    estimate: MttdlEstimate
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """MTTDL estimates over the (k, l) grid at fixed N, M, and rates."""
-
-    n: int
-    m: int
-    rates: FailureModel
-    trials: int
-    seed: int
-    cells: tuple[SweepCell, ...]
-
-    def cell(self, k: int, ell: int) -> SweepCell:
-        for c in self.cells:
-            if c.k == k and c.ell == ell:
-                return c
-        raise KeyError(f"no cell (k={k}, l={ell}) in this sweep")
-
-    def _rows(self) -> list[dict]:
-        """One ``RunResult.row()`` per cell, k-major."""
-        return [
-            RunResult(
-                HraidConfig(self.n, self.m, c.k, c.ell), self.rates, self.seed, c.estimate
-            ).row()
-            for c in self.cells
-        ]
-
-    def to_csv(self) -> str:
-        return format_csv(self._rows())
-
-    def to_json(self) -> str:
-        """The run key shared by every cell, then each cell's k, l and estimate."""
-        rows = self._rows()
-        per_cell = {"k", "ell", *self.cells[0].estimate.fields()}
-        obj = {key: value for key, value in rows[0].items() if key not in per_cell}
-        obj["cells"] = [{key: row[key] for key in row if key in per_cell} for row in rows]
-        return json.dumps(obj, indent=2)
-
-    def format_table(self) -> str:
-        """Grid of mean MTTDL in thousands of hours, one decimal."""
-        ks = sorted({c.k for c in self.cells})
-        ells = sorted({c.ell for c in self.cells})
-        lines = [
-            f"MTTDL in thousands of hours: N={self.n}, M={self.m}, "
-            f"delta={self.rates.disk_rate:g}/h, gamma={self.rates.controller_rate:g}/h, "
-            f"trials={self.trials}, seed={self.seed}"
-        ]
-        lines.append("      " + "".join(f"{f'k={k}':>10}" for k in ks))
-        by_pos = {(c.k, c.ell): c for c in self.cells}
-        for ell in ells:
-            row = [f"l={ell:<4}"]
-            for k in ks:
-                c = by_pos.get((k, ell))
-                cell = format_hours(c.estimate.mean_hours, 1000.0, ".1f") if c else "-"
-                row.append(f"{cell:>10}")
-            lines.append("".join(row))
-        return "\n".join(lines)
-
-
 def sweep(
     n: int,
     m: int,
@@ -457,7 +303,7 @@ def sweep(
     trials: int,
     seed: int,
     threads: int | None = None,
-) -> SweepResult:
+) -> records.SweepResult:
     """Estimate MTTDL for every apportionment of an N x M array.
 
     The cells are every (k, l) with 0 <= k, l <= ``MAX_TOLERANCE`` that
@@ -478,10 +324,12 @@ def sweep(
     for config in configs:  # refuse an oversized cell before running any
         _unit_rho(config, rates)
     cells = tuple(
-        SweepCell(c.k, c.ell, estimate_mttdl(c, rates, trials, cell_seed(seed, c.k, c.ell), threads))
+        records.SweepCell(
+            c.k, c.ell, estimate_mttdl(c, rates, trials, cell_seed(seed, c.k, c.ell), threads)
+        )
         for c in configs
     )
-    return SweepResult(n=n, m=m, rates=rates, trials=trials, seed=seed, cells=cells)
+    return records.SweepResult(n=n, m=m, rates=rates, trials=trials, seed=seed, cells=cells)
 
 
 def trace_trials(

@@ -32,13 +32,16 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer: bijective avalanche mix of each 64-bit word.
 
     Array arithmetic wraps modulo 2**64 silently; a ``uint64`` scalar would
-    warn on the wrap, so a single word goes in as a one-element array.
+    warn on the wrap, so a single word goes in as a one-element array.  The
+    first operation makes a new array and the rest mix it in place, so the
+    caller's array is never changed.
     """
     z = z ^ (z >> _U64(30))
-    z = z * _U64(_MIX_A)
-    z = z ^ (z >> _U64(27))
-    z = z * _U64(_MIX_B)
-    return z ^ (z >> _U64(31))
+    z *= _U64(_MIX_A)
+    z ^= z >> _U64(27)
+    z *= _U64(_MIX_B)
+    z ^= z >> _U64(31)
+    return z
 
 
 def trial_keys(seed: int, start: int, count: int) -> np.ndarray:
@@ -52,7 +55,9 @@ def uniforms_at(keys: np.ndarray, counter: int) -> np.ndarray:
     """The ``counter``-th uniform in [0, 1) of each stream in ``keys``.
 
     Counters start at 1; the top 53 bits of the mixed word form the float.
+    They fit an ``int64`` exactly, whose cast to float is the cheaper one.
     """
     offset = _U64((counter * _GOLDEN) & _MASK64)
     z = _mix64_array(keys + offset)
-    return (z >> _U64(11)).astype(np.float64) * 2.0**-53
+    z >>= _U64(11)
+    return z.view(np.int64) * 2.0**-53

@@ -111,6 +111,13 @@ def test_invalid_geometry_is_validation_error(capsys):
         (["sweep", "--n", "12", "--m", "12", "--trials", str(10**12)],
          "trials must be at most 16777216"),
         (["codec-demo", "--erase-node", "5"], "is outside the grid"),
+        (["codec-demo", "--erase-node", "0"], "node 0 is outside the grid (nodes 1..4)"),
+        (["codec-demo", "--erase-disk", "0:1"], "node 0 is outside the grid (nodes 1..4)"),
+        (["codec-demo", "--erase-disk", "5:1"], "node 5 is outside the grid (nodes 1..4)"),
+        (["codec-demo", "--erase-disk", "1:0"],
+         "position 0 is outside the grid (positions 1..4)"),
+        (["codec-demo", "--erase-disk", "1:5"],
+         "position 5 is outside the grid (positions 1..4)"),
     ],
 )
 def test_out_of_bound_flags_are_validation_errors(argv, bound, capsys):
@@ -613,6 +620,13 @@ def test_oracle_enum_output(tmp_path):
     assert float(lines[-1].rsplit(" ", 1)[1]) == pytest.approx(0.5625, rel=1e-12)
 
 
+@pytest.mark.parametrize("eps", ["0.9999999", "0.1234567891"])
+def test_oracle_enum_echoes_the_eps_it_used(eps, capsys):
+    assert main(["oracle", "enum", "--n", "4", "--m", "4", "--k", "1", "--l", "1",
+                 "--eps", eps]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"# unreliability at eps={eps}: ")
+
+
 def test_oracle_markov_output(capsys):
     rc = main(["oracle", "markov", "--n", "2", "--m", "2", "--k", "0", "--l", "1"])
     assert rc == 0
@@ -651,6 +665,13 @@ def test_analytic_report_output(capsys):
     for label in ("two-term series", "leading-term approximation"):
         line = next(s for s in text.splitlines() if label in s)
         assert 0.0 < float(line.split(":")[1]) < 1.0
+
+
+@pytest.mark.parametrize("eps", ["0.9999999", "0.1234567891"])
+def test_analytic_report_echoes_the_eps_it_used(eps, capsys):
+    assert main(["analytic", "report", "--n", "12", "--m", "12", "--k", "1", "--l", "2",
+                 "--eps", eps]) == 0
+    assert f"  at eps = {eps}:" in capsys.readouterr().out.splitlines()
 
 
 def test_analytic_report_at_two_thousand_nodes(capsys):

@@ -310,6 +310,24 @@ def test_malformed_erased_cells_are_rejected(cell, problem):
         recover(encoded(), {cell})
 
 
+@pytest.mark.parametrize(
+    "node, position, bound",
+    [
+        (0, 1, "node 0 is outside the grid (nodes 1..4)"),
+        (5, 1, "node 5 is outside the grid (nodes 1..4)"),
+        (1, 0, "position 0 is outside the grid (positions 1..4)"),
+        (1, 5, "position 5 is outside the grid (positions 1..4)"),
+        (1.0, 1, "node must be an integer, got 1.0"),
+    ],
+)
+def test_erasure_sets_name_the_bound_they_break(node, position, bound):
+    with pytest.raises(ValidationError, match=f"^{re.escape(bound)}$"):
+        disk_cells(CFG, node, position)
+    if position == 1:
+        with pytest.raises(ValidationError, match=f"^{re.escape(bound)}$"):
+            node_cells(CFG, node)
+
+
 def test_erased_cells_may_come_as_lists_and_repeat():
     content = encoded()
     result = recover(content, [[2, 3, 4], (2, 3, 4), [1, 1, 1]])

@@ -239,6 +239,12 @@ def test_run_rejects_bad_trials():
         run_trials(HraidConfig(2, 2, 0, 0), DISK_ONLY, 0, seed=0)
     with pytest.raises(ValidationError):
         MttdlEstimate.from_times(np.empty(0), seed=0)
+    with pytest.raises(ValidationError, match="numpy array of real numbers, got list"):
+        MttdlEstimate.from_times([1.0, 2.0], seed=0)
+    with pytest.raises(ValidationError, match="loss times must be finite, got nan"):
+        MttdlEstimate.from_times(np.array([1.0, np.nan]), seed=0)
+    with pytest.raises(ValidationError, match="loss times must be finite, got inf"):
+        MttdlEstimate.from_times(np.array([np.inf, 1.0]), seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])

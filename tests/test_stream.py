@@ -2,6 +2,7 @@ import numpy as np
 
 from hraidlab import cell_seed
 from hraidlab.stream import (
+    _mix64_array,
     trial_keys,
     uniforms_at,
 )
@@ -22,6 +23,12 @@ def test_mix64_is_64_bit():
     for z in (0, 1, 2**63, 2**64 - 1, 0xDEADBEEF):
         out = mix64(z)
         assert 0 <= out < 2**64
+
+
+def test_mix64_array_leaves_its_input_unchanged():
+    words = np.arange(5, dtype=np.uint64)
+    assert int(_mix64_array(words)[1]) == mix64(1)
+    assert words.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_trial_keys_match_scalar():
