@@ -13,14 +13,13 @@ head is the complement.  The array layer takes both node sides, never 1 - u.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import comb, exp, inf, log, log1p
 
-from .config import HraidConfig, ValidationError, check_integer
+from .config import HraidConfig, ValidationError, check_integer, check_real
 
 
 #: Largest node or disk count the binomial evaluator takes: it forms n log q
@@ -47,7 +46,8 @@ def _rounded(x: Fraction) -> float:
 def check_eps(eps: float) -> None:
     """Raise ValidationError unless the disk unreliability eps is a real
     number in (0, 1)."""
-    if not isinstance(eps, numbers.Real) or not 0.0 < eps < 1.0:
+    check_real("disk unreliability", eps)
+    if not 0.0 < eps < 1.0:
         raise ValidationError(f"disk unreliability must be in (0, 1), got {eps}")
 
 

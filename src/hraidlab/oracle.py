@@ -10,21 +10,23 @@ is below 2**(NM).
 
 ``markov_mttdl`` computes the exact mean time to data loss of the failure
 process with instantaneous restriping: states count alive nodes by failed
-disks (symmetry lumping), failures only accumulate, so expected absorption
-times evaluate in one bottom-up pass over dead-node levels, without a
-linear solver.  The pass is vectorized with numpy: a state is ranked by
-the colex rank of its partial class sums, which is the same at every
-level, and placed by wave, equal failed-disk total from the highest down,
-so every event's target is an index array; a level is evaluated in one
-pass over blocks of positions, each block's terms built and then its pieces
-of waves evaluated, each piece a few gathers from earlier waves and the
-level below.  The chain's states and waves are bounded by
-``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``.  The states, event targets
-and wave bounds are built once, for the top level, and every level reads
-them: the wave order is one stable sort of the failed-disk totals, and the
-targets are built over blocks of ranks; the states take the smallest
-unsigned dtype that holds N.  Besides them a level keeps only one block's
-terms and two levels' values: at l = 3 the chain holds 43 bytes a state.
+disks (symmetry lumping), and the events and their rates are the rows of
+``config.class_events``, the table the simulator reads too.  Failures only
+accumulate, so expected absorption times evaluate in one bottom-up pass
+over dead-node levels, without a linear solver.  The pass is vectorized
+with numpy: a state is ranked by the colex rank of its partial class sums,
+which is the same at every level, and placed by wave, equal failed-disk
+total from the highest down, so every event's target is an index array; a
+level is evaluated in one pass over blocks of positions, each block's
+terms built and then its pieces of waves evaluated, each piece a few
+gathers from earlier waves and the level below.  The chain's states and
+waves are bounded by ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``.  The
+states, event targets and wave bounds are built once, for the top level,
+and every level reads them: the wave order is one stable sort of the
+failed-disk totals, and the targets are built over blocks of ranks; the
+states take the smallest unsigned dtype that holds N.  Besides them a
+level keeps only one block's terms and two levels' values: at l = 3 the
+chain holds 43 bytes a state.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from math import comb
 import numpy as np
 
 from .analytic import check_eps
-from .config import FailureModel, HraidConfig, ValidationError, check_exact_counts
+from .config import FailureModel, HraidConfig, ValidationError, check_exact_counts, class_events
 from .records import format_csv
 
 #: Enumeration cap: per-node DP keeps cost polynomial, but coefficient
@@ -180,10 +182,11 @@ def _chain_tables(n: int, ell: int) -> tuple[np.ndarray, ...]:
     failed-disk total D = sum_f f c_f falling, rank rising within a wave.
     Returns, by position, the states T (``_colex_states``) and, as int32
     positions, the target of a kill in class f = 1..l (in the level below;
-    a class-0 kill leaves T, so its position, unchanged) and of a disk move
-    out of class f = 0..l-1 (in the same level); and the wave bounds, D =
-    lN down to 0.  An empty class's target is any real state, whose value
-    is read and multiplied by zero.  Targets are built over blocks of ranks.
+    a class-0 kill leaves T, so its position, unchanged), for every killing
+    row of ``class_events``, and of a disk move out of class f = 0..l-1 (in
+    the same level), for its other rows; and the wave bounds, D = lN down
+    to 0.  An empty class's target is any real state, whose value is read
+    and multiplied by zero.  Targets are built over blocks of ranks.
     """
     t = _colex_states(n, ell)
     s = t.shape[1]
@@ -224,12 +227,11 @@ def _chain_tables(n: int, ell: int) -> tuple[np.ndarray, ...]:
 
 
 def _level(
-    tables: tuple[np.ndarray, ...], alive: int, m: int, delta: float, gamma: float,
-    below: np.ndarray,
+    tables: tuple[np.ndarray, ...], alive: int, rates: list[np.ndarray], below: np.ndarray
 ) -> np.ndarray:
     """Expected hours from every state of one dead-node level, by position,
-    given the top level's ``_chain_tables`` and ``below``, the level with one
-    more dead node.
+    given the top level's ``_chain_tables``, each class's total, killing and
+    moving rate, and ``below``, the level with one more dead node.
 
     The level's states are those with T_l <= alive; its waves are the last
     l alive + 1 of the top level's, D = l alive down to 0.  They are
@@ -242,6 +244,7 @@ def _level(
     c_0 were 0: its value is finite and never read by a state of the level.
     """
     t, kill, move, bounds = tables
+    total, killing, moving = rates
     ell, s = t.shape
     e = np.zeros(s)
     for p in _blocks(int(bounds[-(ell * alive + 2)]), s):
@@ -249,15 +252,15 @@ def _level(
         # c_0 = alive - T_l, c_f = T_f - T_{f-1}
         c0 = np.maximum(alive - tp[-1], 0) if ell else np.full(tp.shape[1], alive)
         count = [c.astype(np.float64) for c in (c0, *tp[:1], *np.diff(tp, axis=0))]
-        inv = 1.0 / sum(count[f] * ((m - f) * delta + gamma) for f in range(ell + 1))
+        inv = 1.0 / sum(count[f] * total[f] for f in range(ell + 1))
         head = inv.copy()
         for f in range(ell, -1, -1):
-            share = count[f] * (gamma + (m - ell) * delta if f == ell else gamma) * inv
+            share = count[f] * killing[f] * inv
             if share.any():
                 head += share * below[kill[f - 1, p] if f else p]
         moves = np.empty((ell, inv.size))
         for f in range(ell):
-            moves[f] = count[f] * ((m - f) * delta) * inv
+            moves[f] = count[f] * moving[f] * inv
         # the block's pieces of waves, each one wave's states in it
         inside = bounds[np.searchsorted(bounds, p.start, "right") : np.searchsorted(bounds, p.stop)]
         cuts = [p.start, *inside.tolist(), p.stop]
@@ -314,7 +317,11 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
             f"N={n}, k={k}, l={ell}"
         )
     tables = _chain_tables(n, ell)
+    cls, disks, kills = map(np.array, zip(*class_events(m, ell)))
+    rate = np.where(disks > 0, disks * rates.disk_rate, rates.controller_rate)
+    # each class's total, killing and moving rate, summed from 0.0 in event order
+    per_class = [np.bincount(cls, rate * chosen) for chosen in (True, kills, ~kills)]
     below = np.zeros(tables[0].shape[1])  # past k dead every state is lost: 0 h
     for dead in range(k, -1, -1):
-        below = _level(tables, n - dead, m, rates.disk_rate, rates.controller_rate, below)
+        below = _level(tables, n - dead, per_class, below)
     return float(below[-1])  # no failed disk (rank 0) is the last wave

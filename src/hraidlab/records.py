@@ -22,7 +22,7 @@ from .config import FailureModel, HraidConfig, ValidationError
 
 def run_header(n: int, m: int, rates: FailureModel) -> str:
     """A run's geometry and rates, as every text view heads them."""
-    return f"N={n}, M={m}, delta={rates.disk_rate:g}/h, gamma={rates.controller_rate:g}/h"
+    return f"N={n}, M={m}, delta={rates.disk_rate!r}/h, gamma={rates.controller_rate!r}/h"
 
 
 @dataclass(frozen=True)

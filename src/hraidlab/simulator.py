@@ -6,9 +6,10 @@ sets the inter-event time, and the failing component is chosen with
 probability proportional to its rate.  Restriping is instantaneous and
 nodes are exchangeable, so a trial's state is the lumped state of
 ``oracle.markov_mttdl``: the counts c_0..c_l of alive nodes with 0..l
-failed disks, plus the dead-node count.  Class f fails a disk at rate
-c_f (M-f) delta and a controller at rate c_f gamma; the trial ends when
-more than k nodes have died.
+failed disks, plus the dead-node count.  The events are the rows of
+``config.class_events``, the table the exact chain reads too: class f
+fails a disk at rate c_f (M-f) delta and a controller at rate c_f gamma;
+the trial ends when more than k nodes have died.
 
 Internally time advances in units of the inverse disk rate (rates divide
 out), and hours emerge from one final division by delta.  Every trial
@@ -16,18 +17,19 @@ draws from its own counter-based stream keyed by (seed, trial index), so
 results are bit-identical for any execution order, thread count and chunk
 size.
 
-The engine is table-driven over compacted live trials.  It
-holds the class counts as one float64 (l+1, live) array of exact small
-integers (N M below 2**53 keeps them exact).  One matmul against a fixed weight matrix gives the event
-thresholds: l+1 disk bins, plus l+1 controller bins only when gamma/delta
-is positive (at 0 no draw reaches them).  The bin is the count of
-thresholds at or below the draw.  Two per-bin tables apply it: the
-class-count change, and the change to one int64 tally that packs the
-dead-node count above the disk-event count.  Absorbed trials are written
-out and dropped after each step.  ``trace_trials`` runs the same engine
-with a recorder of each step's bins and times, and labels them with node
-ids afterwards, so a trace is the very trial the estimate holds; each
-trial comes out as one JSON text, formatted from fixed templates.
+The engine is table-driven over compacted live trials.  It holds the class
+counts as one float64 (l+1, live) array of exact small integers (N M below
+2**53 keeps them exact).  One matmul against a fixed weight matrix gives
+the event thresholds, one bin per event row: l+1 disk bins, plus l+1
+controller bins only when gamma/delta is positive (at 0 no draw reaches
+them).  The bin is the count of thresholds at or below the draw.  Two
+per-bin tables apply it: the class-count change, and the change to one
+int64 tally that packs the dead-node count above the disk-event count.
+Absorbed trials are written out and dropped after each step.
+``trace_trials`` runs the same engine with a recorder of each step's bins
+and times, and labels them with node ids afterwards, so a trace is the
+very trial the estimate holds; each trial is one JSON text, formatted
+from fixed templates.
 
 This module holds only the engine and the runs built on it.  The records
 it returns (``MttdlEstimate``, ``SweepResult``) and their table, CSV and
@@ -46,7 +48,7 @@ import numpy as np
 
 from .config import (
     MAX_TOLERANCE, FailureModel, HraidConfig, ValidationError, check_exact_counts, check_integer,
-    check_tolerance,
+    check_tolerance, class_events,
 )
 from . import records
 from .stream import check_seed, trial_keys, uniforms_at
@@ -79,8 +81,8 @@ THREADS_ENV_VAR = "HRAID_LAB_THREADS"
 _DEAD_SHIFT = 60  # tally bits: dead nodes (at most k + 1 = 4) above, disk events below
 
 #: A trace line and one of its events, in the layout ``json.dumps`` gives
-#: the same objects; a bin above l (a controller failure) picks the second
-#: kind and, on a trial's last event, the second cause.
+#: the same objects; a controller event (no disks in its ``class_events``
+#: row) picks the second kind and, on a trial's last event, the second cause.
 _TRIAL_LINE = '{"trial": %d, "time_hours": %s, "cause": "%s", "events": [%s]}'
 _EVENT_LINE = '{"time_hours": %s, "node": %d, "kind": "%s"}'
 _KINDS = ("disk", "controller")
@@ -145,21 +147,22 @@ def _unit_rho(config: HraidConfig, rates: FailureModel) -> float:
 
 
 def _bin_tables(m: int, ell: int, rho: float) -> tuple[np.ndarray, ...]:
-    """Fixed event-bin tables for ``_simulate_chunk``: disk bins 0..l, then
-    controller bins 0..l only when rho > 0 (at rho = 0 every controller
-    threshold is the total, which no draw reaches).  ``weights @ c`` gives
-    the cumulative disk weights, then the cumulative class counts; by bin,
-    ``step[:, b]`` is the class-count change, ``tally_step[b]`` the tally's.
+    """Per-bin tables for ``_simulate_chunk``, one bin per ``class_events`` row
+    bar the controller rows at rho = 0, which no draw reaches.  ``weights @ c``
+    gives the disk bins' cumulative disk weights, then the controller bins'
+    cumulative node counts; by bin, ``step[:, b]`` is the class-count change,
+    ``tally_step[b]`` the tally's and ``ctrl[b]`` the cause.
     """
-    nb = ell + 1
-    bins = np.arange(2 * nb if rho else nb)
-    lower = np.tri(nb)
-    weights = np.vstack((lower * (m - np.arange(nb)), lower))[: bins.size]
-    step = np.zeros((nb, bins.size))
-    step[bins % nb, bins] = -1.0
-    step[np.arange(1, nb), np.arange(ell)] = 1.0
-    tally_step = (bins >= ell).astype(np.int64) << _DEAD_SHIFT | (bins < nb)
-    return weights, step, tally_step
+    events = [event for event in class_events(m, ell) if rho or event[1]]
+    cls, disks, kills = map(np.array, zip(*events))
+    bins, ctrl = np.arange(cls.size), disks == 0
+    own = np.where(ctrl, 1.0, disks)[:, None] * (cls[:, None] == np.arange(ell + 1))
+    weights = np.vstack((own[~ctrl].cumsum(axis=0), own[ctrl].cumsum(axis=0)))
+    step = np.zeros((ell + 1, bins.size))
+    step[cls, bins] = -1.0
+    step[cls[~kills] + 1, bins[~kills]] = 1.0
+    tally_step = kills.astype(np.int64) << _DEAD_SHIFT | ~ctrl
+    return weights, step, tally_step, ctrl
 
 
 def _simulate_chunk(
@@ -178,7 +181,7 @@ def _simulate_chunk(
     """
     n, k, ell = config.n, config.k, config.ell
     nb = ell + 1
-    weights, step, tally_step = _bin_tables(config.m, ell, rho)
+    weights, step, tally_step, ctrl_bin = _bin_tables(config.m, ell, rho)
     keys = trial_keys(seed, start, count)
     trial = np.arange(count)
     c = np.zeros((nb, count))  # c_f per live trial; exact small integers
@@ -217,7 +220,7 @@ def _simulate_chunk(
         out = trial.take(done)
         out_t[out] = t_unit.take(done)
         out_disk[out] = tally.take(done) & ((1 << _DEAD_SHIFT) - 1)
-        out_cause[out] = b.take(done) >= nb
+        out_cause[out] = ctrl_bin.take(b.take(done))
         # take keeps c C-contiguous: a boolean column index would return an
         # F-ordered array, which makes the next matmul far slower
         live = np.flatnonzero(~absorbed)
@@ -341,6 +344,7 @@ def trace_trials(
     _check_run(trials, seed)
     rho = _unit_rho(config, rates)
     per_chunk = max(1, min(CHUNK_TRIALS, TRACE_CHUNK_EVENTS // _trial_events(config)))
+    events = class_events(config.m, config.ell)
 
     def traced(start: int) -> Iterator[str]:
         count = min(per_chunk, trials - start)
@@ -352,28 +356,27 @@ def trace_trials(
         bins, hours = bins.take(order), t_unit.take(order) / rates.disk_rate
         ends = np.cumsum(np.bincount(trial, minlength=count)).tolist()
         for i, (lo, hi) in enumerate(zip([0] + ends, ends)):
-            yield _label_trial(start + i, config.ell, bins[lo:hi].tolist(), hours[lo:hi].tolist())
+            yield _label_trial(start + i, events, bins[lo:hi].tolist(), hours[lo:hi].tolist())
 
     return (line for start in range(0, trials, per_chunk) for line in traced(start))
 
 
-def _label_trial(trial: int, ell: int, bins: list[int], hours: list[float]) -> str:
-    """One trial's bins and times as its JSON text, each event labelled with
-    the lowest-index alive node of its class.  A class-0 pick is then always
-    the lowest untouched node, so the labels cost O(events) whatever N is.
-    ``hours`` must be Python floats: ``%s`` prints them as ``float.__repr__``
-    does, as ``json.dumps`` would."""
-    nb = ell + 1
+def _label_trial(trial: int, events: tuple, bins: list[int], hours: list[float]) -> str:
+    """One trial's bins and times as its JSON text, each event (bin b is row b
+    of ``events``, the ``class_events``) labelled with the lowest-index alive
+    node of its class.  A class-0 pick is then always the lowest untouched
+    node, so the labels cost O(events) whatever N is.  ``hours`` must be
+    Python floats, which ``%s`` prints as ``json.dumps`` does."""
     untouched = 0  # the nodes from this index on are in class 0
-    touched: list[list[int]] = [[] for _ in range(nb)]  # heaps, classes f >= 1
-    events = []
+    touched: list[list[int]] = [[] for _ in events]  # heaps by class, f >= 1 used
+    lines = []
     for b, h in zip(bins, hours):
-        f = b % nb
+        f, disks, kills = events[b]
         if f:
             node = heapq.heappop(touched[f])
         else:
             node, untouched = untouched, untouched + 1
-        if b < ell:  # a disk failure the node survives
-            heapq.heappush(touched[b + 1], node)
-        events.append(_EVENT_LINE % (h, node + 1, _KINDS[b > ell]))
-    return _TRIAL_LINE % (trial, h, _CAUSES[b > ell], ", ".join(events))
+        if not kills:
+            heapq.heappush(touched[f + 1], node)
+        lines.append(_EVENT_LINE % (h, node + 1, _KINDS[not disks]))
+    return _TRIAL_LINE % (trial, h, _CAUSES[not disks], ", ".join(lines))

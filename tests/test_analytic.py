@@ -1,6 +1,8 @@
 import math
+import re
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -90,7 +92,8 @@ def test_series_refuses_a_negative_tolerance():
         (lambda: exact_mds_reliability(12, 1.5, 0.1), "tolerance t must be an integer"),
         (lambda: raid_series_approx(12, 1.5, 0.1), "tolerance t must be an integer"),
         (lambda: raid_series_approx(-3, 1, 0.1), r"0 <= t <= m, got t=1, m=-3"),
-        (lambda: hraid_unreliability(HraidConfig(4, 4, 1, 1), "x"), r"in \(0, 1\), got x"),
+        (lambda: hraid_unreliability(HraidConfig(4, 4, 1, 1), "x"),
+         r"^disk unreliability must be a finite number, got 'x'$"),
         (lambda: leading_term(HraidConfig(4, 4, 1, 1)).evaluate(math.nan), r"got nan"),
     ],
     ids=["mds-m", "mds-t", "series-t", "series-m", "eps-str", "lead-nan"],
@@ -98,6 +101,25 @@ def test_series_refuses_a_negative_tolerance():
 def test_library_refuses_malformed_arguments(call, message):
     with pytest.raises(ValidationError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "eps", [Decimal("0.1"), Decimal("0.5"), "0.5", math.nan],
+    ids=["decimal-0.1", "decimal-0.5", "str-0.5", "nan"],
+)
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda eps: hraid_unreliability(HraidConfig(4, 4, 1, 1), eps),
+        lambda eps: exact_reliability_enum(HraidConfig(4, 4, 1, 1)).unreliability(eps),
+    ],
+    ids=["closed-form", "enumeration"],
+)
+def test_eps_names_the_bound_it_breaks(evaluate, eps):
+    # a Decimal or a string inside (0, 1) is refused for its type, not its value
+    message = f"^disk unreliability must be a finite number, got {re.escape(repr(eps))}$"
+    with pytest.raises(ValidationError, match=message):
+        evaluate(eps)
 
 
 def test_certain_node_loss_gives_zero_reliability():

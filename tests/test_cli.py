@@ -627,6 +627,18 @@ def test_oracle_enum_echoes_the_eps_it_used(eps, capsys):
     assert capsys.readouterr().out.splitlines()[-1].startswith(f"# unreliability at eps={eps}: ")
 
 
+@pytest.mark.parametrize("delta, gamma", [("1.0000001e-06", "0.0"), ("1e-06", "1.23456789e-07")])
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--trials", "5"], ["sweep", "--trials", "5"], ["oracle", "markov"]],
+    ids=["simulate", "sweep", "oracle-markov"],
+)
+def test_run_header_echoes_the_rates_it_used(command, delta, gamma, capsys):
+    assert main([*command, "--n", "4", "--m", "4", "--delta", delta, "--gamma", gamma]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert f": N=4, M=4, delta={delta}/h, gamma={gamma}/h" in header
+
+
 def test_oracle_markov_output(capsys):
     rc = main(["oracle", "markov", "--n", "2", "--m", "2", "--k", "0", "--l", "1"])
     assert rc == 0

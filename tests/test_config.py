@@ -16,7 +16,7 @@ from hraidlab import (
     leading_term,
     random_payloads,
 )
-from hraidlab.config import check_exact_counts
+from hraidlab.config import check_exact_counts, class_events
 from hraidlab.layout import KEYS
 
 
@@ -24,6 +24,29 @@ def test_valid_config_properties():
     cfg = HraidConfig(12, 12, 1, 2)
     assert (cfg.n, cfg.m, cfg.k, cfg.ell) == (12, 12, 1, 2)
     assert cfg.total_disks == 144
+
+
+@pytest.mark.parametrize(
+    "m, ell, rows",
+    [
+        (12, 0, [(0, 12, True), (0, 0, True)]),
+        (12, 1, [(0, 12, False), (1, 11, True), (0, 0, True), (1, 0, True)]),
+        (12, 2, [(0, 12, False), (1, 11, False), (2, 10, True),
+                 (0, 0, True), (1, 0, True), (2, 0, True)]),
+        (12, 3, [(0, 12, False), (1, 11, False), (2, 10, False), (3, 9, True),
+                 (0, 0, True), (1, 0, True), (2, 0, True), (3, 0, True)]),
+        (1, 0, [(0, 1, True), (0, 0, True)]),
+        (2, 1, [(0, 2, False), (1, 1, True), (0, 0, True), (1, 0, True)]),
+        (3, 2, [(0, 3, False), (1, 2, False), (2, 1, True),
+                (0, 0, True), (1, 0, True), (2, 0, True)]),
+        (4, 3, [(0, 4, False), (1, 3, False), (2, 2, False), (3, 1, True),
+                (0, 0, True), (1, 0, True), (2, 0, True), (3, 0, True)]),
+    ],
+)
+def test_class_events_rows(m, ell, rows):
+    # (class, disk multiplicity, kills): disk events of classes 0..l, then
+    # controller events of classes 0..l
+    assert class_events(m, ell) == tuple(rows)
 
 
 def test_defaults_are_no_redundancy():

@@ -25,6 +25,7 @@ from hraidlab import (
     trace_trials,
 )
 from hraidlab import simulator as simulator_module
+from hraidlab.config import class_events
 from hraidlab.simulator import CHUNK_TRIALS, MAX_TRIALS, THREADS_ENV_VAR
 
 import scalar_reference
@@ -600,3 +601,23 @@ def test_run_record_prints_numpy_scalars_as_python_values(geometry, rates, seed)
     for given, expected in zip(runs[:2], runs[2:]):
         assert given.to_csv() == expected.to_csv()
         assert json.loads(given.to_json()) == json.loads(expected.to_json())
+
+
+@pytest.mark.parametrize("m, ell", [(12, 0), (12, 1), (12, 2), (12, 3), (2, 1), (4, 3)])
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+def test_bin_tables_follow_the_event_table(m, ell, rho):
+    weights, step, tally_step, ctrl = simulator_module._bin_tables(m, ell, rho)
+    nb = ell + 1
+    rows = class_events(m, ell)[: 2 * nb if rho else nb]  # no controller bins at rho = 0
+    unit = np.eye(nb + 1)
+    assert step.shape == (nb, len(rows)) and tally_step.shape == ctrl.shape == (len(rows),)
+    for b, (f, disks, kills) in enumerate(rows):
+        moved = unit[f + 1] if not kills else 0.0
+        assert step[:, b].tolist() == (moved - unit[f])[:nb].tolist()
+        assert tally_step[b] == int(kills) << 60 | int(disks > 0)
+        assert ctrl[b] == (disks == 0)
+    # cumulative disk weights of the disk bins, cumulative node counts of the
+    # controller bins
+    lower = np.tri(nb)
+    expected = np.vstack((lower * [m - f for f in range(nb)], lower))[: len(rows)]
+    assert weights.dtype == np.float64 and weights.tolist() == expected.tolist()
