@@ -24,12 +24,12 @@ from .config import HraidConfig, ValidationError, check_real, load_json
 CHECK_LETTERS = "PQRSTU"
 
 #: Largest layout grid, in cells: M stripe rows of N nodes of M disks.  At
-#: the bound (262144 x 1, 64 x 64, 16 x 128 and 1 x 512) ``layout`` took at
-#: most 1.5 s and 105 MB peak RSS (262144 x 1 as JSON), ``layout --verify``
-#: 1.1 s and 64 MB, and ``codec-demo`` at 1-byte strips 2.5 s and 187 MB
-#: (1 x 512: each 1-byte payload is a ~184-byte memoryview, 142 MB with
-#: 34-byte ``bytes`` payloads), on 2 shared cores with Python 3.11.7 and
-#: numpy 2.4.6.
+#: the bound (262144 x 1, 64 x 64, 16 x 128 and 1 x 512), each run in a
+#: fresh process, ``layout`` took at most 0.33 s and 105 MB peak RSS
+#: (262144 x 1 as JSON), ``layout --verify`` 0.20 s and 66 MB (262144 x 1;
+#: 37-38 MB at the other shapes), and ``codec-demo`` at 1-byte strips 1.1 s
+#: and 187 MB (1 x 512: each 1-byte payload is a ~184-byte memoryview), on
+#: 2 shared cores with Python 3.11.7 and numpy 2.4.6.
 MAX_GRID_CELLS = 2**18
 
 #: Grid-file keys of the geometry: the ``HraidConfig`` field names, in order.
@@ -162,30 +162,18 @@ class LayoutGrid:
             found = f"a list of {len(value)}" if isinstance(value, list) else type(value).__name__
             raise ValidationError(f"{what} must be a list of {count}, got {found}")
 
-        # a row at a time: the letters before a row's first mis-shaped node
-        # list are checked before its shape, as a per-cell walk would name them
         code_of = {letter: code for code, letter in enumerate(letters)}
         flat: list[int] = []
         for i, row in enumerate(items(obj["rows"], cfg.m, "rows"), start=1):
-            row = items(row, cfg.n, f"row {i}")
-            shaped = next(
-                (n for n, cells in enumerate(row) if not isinstance(cells, list)
-                 or len(cells) != cfg.m),
-                cfg.n,
-            )
-            try:
-                flat += [code_of[letter] for cells in row[:shaped] for letter in cells]
-            except (KeyError, TypeError):
-                for n, cells in enumerate(row[:shaped], start=1):
-                    for j, letter in enumerate(cells, start=1):
-                        if letter not in letters:
-                            raise ValidationError(
-                                f"letter {letter!r} at row {i}, node {n}, position {j} is "
-                                f"not one of {', '.join(letters)} (k+l={cfg.k + cfg.ell} "
-                                "check classes)"
-                            ) from None
-            if shaped < cfg.n:
-                items(row[shaped], cfg.m, f"row {i}, node {shaped + 1}")
+            for n, cells in enumerate(items(row, cfg.n, f"row {i}"), start=1):
+                for j, letter in enumerate(items(cells, cfg.m, f"row {i}, node {n}"), start=1):
+                    code = code_of.get(letter) if isinstance(letter, str) else None
+                    if code is None:
+                        raise ValidationError(
+                            f"letter {letter!r} at row {i}, node {n}, position {j} is not "
+                            f"one of {', '.join(letters)} (k+l={cfg.k + cfg.ell} check classes)"
+                        )
+                    flat.append(code)
         codes = np.array(flat, dtype=np.int8).reshape(cfg.m, cfg.n, cfg.m)
         return cls(config=cfg, codes=codes)
 

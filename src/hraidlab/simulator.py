@@ -38,8 +38,8 @@ JSON views live in ``records``.
 
 from __future__ import annotations
 
-import heapq
 import os
+from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -365,18 +365,22 @@ def _label_trial(trial: int, events: tuple, bins: list[int], hours: list[float])
     """One trial's bins and times as its JSON text, each event (bin b is row b
     of ``events``, the ``class_events``) labelled with the lowest-index alive
     node of its class.  A class-0 pick is then always the lowest untouched
-    node, so the labels cost O(events) whatever N is.  ``hours`` must be
-    Python floats, which ``%s`` prints as ``json.dumps`` does."""
+    node, so the labels cost O(events) whatever N is.  Nodes only move up a
+    class, and each class keeps its nodes in a FIFO queue.  Class-0 picks
+    come in rising node order, and a FIFO fed in rising order pops in rising
+    order, so every class is fed, and pops, in rising order: a queue's front
+    is the lowest-index node of its class.  ``hours`` must be Python floats,
+    which ``%s`` prints as ``json.dumps`` does."""
     untouched = 0  # the nodes from this index on are in class 0
-    touched: list[list[int]] = [[] for _ in events]  # heaps by class, f >= 1 used
+    touched: list[deque[int]] = [deque() for _ in events]  # queues by class, f >= 1 used
     lines = []
     for b, h in zip(bins, hours):
         f, disks, kills = events[b]
         if f:
-            node = heapq.heappop(touched[f])
+            node = touched[f].popleft()
         else:
             node, untouched = untouched, untouched + 1
         if not kills:
-            heapq.heappush(touched[f + 1], node)
+            touched[f + 1].append(node)
         lines.append(_EVENT_LINE % (h, node + 1, _KINDS[not disks]))
     return _TRIAL_LINE % (trial, h, _CAUSES[not disks], ", ".join(lines))

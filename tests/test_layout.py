@@ -1,7 +1,10 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hraidlab import (
     HraidConfig,
@@ -264,6 +267,78 @@ def test_grid_json_round_trip():
     back = LayoutGrid.from_json(grid.to_json())
     assert back.config == grid.config
     assert np.array_equal(back.codes, grid.codes)
+
+
+def _first_grid_defect(rows, config):
+    """Reference walker: the message naming a grid's first defect in rows ->
+    nodes -> positions order, or None for a well-formed grid."""
+    letters = ("D", *layout_module.CHECK_LETTERS[: config.k + config.ell])
+
+    def shape(value, count, what):
+        if isinstance(value, list) and len(value) == count:
+            return None
+        found = f"a list of {len(value)}" if isinstance(value, list) else type(value).__name__
+        return f"{what} must be a list of {count}, got {found}"
+
+    if message := shape(rows, config.m, "rows"):
+        return message
+    for i, row in enumerate(rows, start=1):
+        if message := shape(row, config.n, f"row {i}"):
+            return message
+        for n, cells in enumerate(row, start=1):
+            if message := shape(cells, config.m, f"row {i}, node {n}"):
+                return message
+            for j, letter in enumerate(cells, start=1):
+                if letter not in letters:
+                    return (
+                        f"letter {letter!r} at row {i}, node {n}, position {j} is not one "
+                        f"of {', '.join(letters)} (k+l={config.k + config.ell} check classes)"
+                    )
+    return None
+
+
+@st.composite
+def _defective_grids(draw):
+    """A valid small grid's config and rows with 1-3 defects at random places:
+    a list of the wrong length or a str, None or dict for ``rows``, a row or
+    a node list, and a bad letter for a cell."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    k = draw(st.integers(0, min(n, m) - 1))
+    config = HraidConfig(n, m, k, draw(st.integers(0, m - 1 - k)))
+    rows = generate_layout(config).letters().tolist()
+    for _ in range(draw(st.integers(1, 3))):
+        path = [draw(st.integers(0, size - 1)) for size in (m, n, m)][: draw(st.integers(0, 3))]
+        parent, value = None, rows
+        for index in path:
+            if not isinstance(value, list) or index >= len(value):
+                break
+            parent, value = value, value[index]
+        else:
+            if len(path) == 3:
+                beyond = layout_module.CHECK_LETTERS[config.k + config.ell]
+                bad = draw(st.sampled_from(["Z", beyond, 7, None, True, False, ["D"]]))
+            else:
+                bad = draw(st.sampled_from(["short", "long", "DP", None, {"D": 1}]))
+                if bad in ("short", "long") and isinstance(value, list):
+                    # a short and a long defect on one list leave a "Z" in it
+                    bad = value[1:] if bad == "short" else value + ["Z"]
+            if parent is None:
+                rows = bad
+            else:
+                parent[path[-1]] = bad
+    return config, rows
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@given(_defective_grids())
+def test_grid_file_names_its_first_defect_in_walk_order(grid):
+    config, rows = grid
+    text = json.dumps({**asdict(config), "rows": rows})
+    expected = _first_grid_defect(json.loads(text)["rows"], config)
+    assert expected is not None
+    with pytest.raises(ValidationError) as raised:
+        LayoutGrid.from_json(text)
+    assert str(raised.value) == expected
 
 
 def test_text_export_uses_figure_tokens():
