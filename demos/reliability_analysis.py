@@ -41,7 +41,7 @@ print()
 ###############################################################################
 # The whole array, cross-checked against the enumeration oracle, which
 # counts fatal subsets exactly (more than k nodes each losing more than l
-# disks) with a per-node dynamic program.
+# disks) from the node generating functions.
 for cfg in [HraidConfig(4, 4, 1, 1), HraidConfig(5, 5, 2, 1)]:
     closed = hraid_unreliability(cfg, 1e-3)
     enum = exact_reliability_enum(cfg).unreliability(1e-3)

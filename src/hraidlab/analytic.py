@@ -9,6 +9,9 @@ in log space from q^n by the term ratio (n-j)/(j+1) p/q; a head of at most
 1/2 leaves the tail as its complement, otherwise the tail terms, falling
 from j = t + 1 on, are summed until one no longer changes the sum and the
 head is the complement.  The array layer takes both node sides, never 1 - u.
+Both sums are plain loops, so their summation order, and so every output
+bit, is fixed: built-in ``sum`` of floats changed to compensated summation
+in Python 3.12.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, islice
 from math import comb, exp, inf, log, log1p
 
 from .config import HraidConfig, ValidationError, check_integer, check_real
@@ -60,13 +62,17 @@ def _binomial_sides(n: int, t: int, p: float, q: float) -> tuple[float, float]:
     # log p and log q from whichever of p and q is held more precisely
     log_p, log_q = (log(p), log1p(-p)) if p <= q else (log1p(-q), log(q))
     log_ratio = log_p - log_q
-    steps = (log((n - j + 1) / j) + log_ratio for j in range(1, n + 1))
-    terms = map(exp, accumulate(steps, initial=n * log_q))
-    head = sum(islice(terms, t + 1))
+    log_term = n * log_q
+    head = exp(log_term)
+    for j in range(1, t + 1):
+        log_term += log((n - j + 1) / j) + log_ratio
+        head += exp(log_term)
     if head <= 0.5:
         return head, 1.0 - head
     tail = 0.0
-    for term in terms:
+    for j in range(t + 1, n + 1):
+        log_term += log((n - j + 1) / j) + log_ratio
+        term = exp(log_term)
         if tail + term == tail:
             break
         tail += term
@@ -92,9 +98,12 @@ def _node_sides(m: int, t: int, eps: float) -> tuple[float, float]:
 
 
 def _array_sides(config: HraidConfig, eps: float) -> tuple[float, float]:
-    """(reliability, unreliability) of an HRAID k/l array."""
-    r, u = _node_sides(config.m, config.ell, eps)
+    """(reliability, unreliability) of an HRAID k/l array; the config
+    already bounds its tolerances."""
+    check_eps(eps)
+    _check_count("disk count m", config.m)
     _check_count("n", config.n)
+    r, u = _binomial_sides(config.m, config.ell, eps, 1.0 - eps)
     return _binomial_sides(config.n, config.k, u, r)
 
 

@@ -37,6 +37,8 @@ MAX_TOLERANCE = 3
 
 def check_integer(name: str, value) -> None:
     """Raise ValidationError unless ``value`` is an integer; a bool is not."""
+    if type(value) is int:
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
 
@@ -44,6 +46,8 @@ def check_integer(name: str, value) -> None:
 def check_real(name: str, value) -> None:
     """Raise ValidationError unless ``value`` is a finite real number; a bool
     is not.  An integer too large for a float is finite too."""
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
         isinstance(value, numbers.Integral) or math.isfinite(value)
     ):

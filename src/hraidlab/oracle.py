@@ -2,11 +2,12 @@
 
 ``exact_reliability_enum`` counts, for every failure cardinality d, how
 many d-subsets of the N*M disks cause data loss (more than k nodes each
-holding more than l failed disks), by dynamic programming over nodes with
-exact big integers: each DP state's count polynomial is packed in one
-integer, one (NM+1)-bit slot per cardinality, so a node step is a few
-big-integer multiplies, and no carry crosses a slot because every count
-is below 2**(NM).
+holding more than l failed disks), from the node generating functions
+with exact big integers: each count polynomial is packed in one integer,
+one 64-bit slot per cardinality, so the counts cost three big-integer
+powers, (1+x)^M, (1+x)^(NM) and S^(N-k) for S the surviving node's
+polynomial, plus 2k + 1 products, and no carry crosses a slot because
+every count is below C(64, 32) < 2**63 under ``MAX_ENUM_DISKS``.
 
 ``markov_mttdl`` computes the exact mean time to data loss of the failure
 process with instantaneous restriping: states count alive nodes by failed
@@ -31,6 +32,7 @@ chain holds 43 bytes a state.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from math import comb
 
@@ -40,8 +42,9 @@ from .analytic import check_eps
 from .config import FailureModel, HraidConfig, ValidationError, check_exact_counts, class_events
 from .records import format_csv
 
-#: Enumeration cap: per-node DP keeps cost polynomial, but coefficient
-#: tables beyond 64 disks serve no validation purpose here.
+#: Enumeration cap: coefficient tables beyond 64 disks serve no validation
+#: purpose here, and it bounds every count by C(64, 32) < 2**63, so one
+#: 64-bit slot holds each coefficient of the packed polynomials.
 MAX_ENUM_DISKS = 64
 
 #: Chain size bounds for ``markov_mttdl``: states summed over the k+1
@@ -81,11 +84,22 @@ class UnreliabilityPolynomial:
         )
 
     def _weighted_sum(self, counts: tuple[int, ...], eps: float) -> float:
-        """sum_d counts[d] eps^d (1-eps)^(NM-d), smallest terms first."""
+        """sum_d counts[d] eps^d (1-eps)^(NM-d) by Horner's rule in a ratio
+        q <= 1, so the sum stays below 2^NM: for eps <= 1/2,
+        (1-eps)^NM sum_d counts[d] q^d with q = eps/(1-eps), otherwise
+        eps^NM sum_d counts[d] q^(NM-d) with q = (1-eps)/eps."""
         check_eps(eps)
         r = 1.0 - eps
-        nm = self.total_disks
-        return sum(counts[d] * eps**d * r ** (nm - d) for d in range(nm, -1, -1) if counts[d])
+        acc = 0.0
+        if eps <= 0.5:
+            q = eps / r
+            for count in reversed(counts):
+                acc = acc * q + count
+            return acc * r**self.total_disks
+        q = r / eps
+        for count in counts:
+            acc = acc * q + count
+        return acc * eps**self.total_disks
 
     def to_csv(self) -> str:
         """Rows ``d,total_subsets,fatal_count`` for d = 0..NM."""
@@ -98,23 +112,27 @@ class UnreliabilityPolynomial:
 
 
 def exact_reliability_enum(config: HraidConfig) -> UnreliabilityPolynomial:
-    """Count fatal disk subsets of every size by per-node dynamic programming.
+    """Count fatal disk subsets of every size from binomial powers.
 
-    Processing nodes one at a time, the DP state is b, the number of nodes
-    already past their intra tolerance, saturated at k+1; a node with f
-    failed disks contributes weight C(M, f).  Each state's polynomial
-    sum_d count_d x^d is packed in one integer, d's count in bits
-    [dw, (d+1)w) with w = NM + 1 (Kronecker substitution), so a node step
-    is 2k+3 big-integer multiplies:
+    A node with f failed disks contributes C(M, f) x^f, so the surviving
+    (at most l failed) and failed (more than l) nodes have generating
+    functions S = sum_{f<=l} C(M, f) x^f and U = (1+x)^M - S, and the
+    fatal counts are the coefficients of
 
-        dp'[b]   = dp[b] S + dp[b-1] U      for b <= k (no dp[-1] term)
-        dp'[k+1] = dp[k+1] (S + U) + dp[k] U
+        F(x) = (1+x)^(NM) - S^(N-k) sum_{j=0..k} C(N,j) U^j S^(k-j),
 
-    with S = sum_{f<=l} C(M, f) x^f and U = sum_{f>l} C(M, f) x^f.  No
-    carry crosses a slot: every coefficient of every product and sum counts
-    distinct disk subsets of the nodes processed so far, so it is below
-    2**(NM).  Cost is N(2k+3) multiplies, each of an integer of at most
-    (NM+1)**2 bits by one of (M+1)(NM+1) bits, not 2^(NM) subsets.
+    the sum taken by Horner's rule in U/S.  Each polynomial is packed in one
+    integer, d's coefficient in bits [64d, 64(d+1)) (Kronecker substitution,
+    x = 2**64), so the cost is the binomial power (1+x)^M and its N-th
+    power, S^(N-k), 2k + 1 products and one ``struct.unpack``, not N node
+    steps or 2^(NM) subsets.
+
+    No carry or borrow crosses a slot.  Since S has constant term 1, every
+    coefficient of U^j or of the j-th Horner partial sum is at most the
+    same coefficient of its product with S^(N-j), which counts distinct
+    disk subsets (those with at most j nodes past tolerance), so it is
+    below C(NM, NM/2) <= C(64, 32) < 2**63: the slot width is tied to
+    ``MAX_ENUM_DISKS``.
     """
     n, m, k, ell = config.n, config.m, config.k, config.ell
     nm = n * m
@@ -122,20 +140,17 @@ def exact_reliability_enum(config: HraidConfig) -> UnreliabilityPolynomial:
         raise ValidationError(
             f"enumeration supports at most {MAX_ENUM_DISKS} disks, got {nm}"
         )
-    w = nm + 1
-    safe = sum(comb(m, f) << (w * f) for f in range(ell + 1))
-    over = sum(comb(m, f) << (w * f) for f in range(ell + 1, m + 1))
-    cap = k + 1  # "cap" nodes past tolerance means data already lost
-    dp = [1] + [0] * cap
-    for _ in range(n):
-        dp = [
-            dp[0] * safe,
-            *(dp[b] * safe + dp[b - 1] * over for b in range(1, cap)),
-            dp[cap] * (safe + over) + dp[cap - 1] * over,
-        ]
-    slot = (1 << w) - 1
-    fatal = tuple((dp[cap] >> (w * d)) & slot for d in range(nm + 1))
-    return UnreliabilityPolynomial(config=config, fatal_counts=fatal)
+    node = pow((1 << 64) + 1, m)
+    safe = sum(comb(m, f) << (64 * f) for f in range(ell + 1))
+    over = node - safe
+    # survivable: sum_{j<=k} C(N,j) U^j S^(N-j), with j nodes past tolerance
+    over_j, acc = 1, 1
+    for j in range(1, k + 1):
+        over_j *= over
+        acc = acc * safe + comb(n, j) * over_j
+    fatal = pow(node, n) - acc * pow(safe, n - k)
+    counts = struct.unpack(f"<{nm + 1}Q", fatal.to_bytes(8 * (nm + 1), "little"))
+    return UnreliabilityPolynomial(config=config, fatal_counts=counts)
 
 
 def _binom(x: np.ndarray, r: int) -> np.ndarray:

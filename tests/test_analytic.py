@@ -358,6 +358,13 @@ def test_both_sides_match_exact_rationals(n):
                         assert value == pytest.approx(float(want), rel=1e-12), (cfg, eps)
 
 
+def test_dyadic_sides_do_not_depend_on_the_python_version():
+    # at eps = 1/2 every term is a power of two; the loops sum them in a
+    # fixed order, where built-in sum() rounds differently from Python 3.12
+    assert exact_mds_reliability(8, 2, 0.5) == 37 / 256
+    assert exact_mds_reliability(8, 3, 0.5) == 93 / 256
+
+
 @pytest.mark.parametrize("m", [1, 4, 12])
 def test_full_tolerance_sides_are_exact(m):
     for eps in (1e-6, 0.5, 0.9):

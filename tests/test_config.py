@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import math
+import numbers
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hraidlab import (
     FailureModel,
@@ -16,7 +20,7 @@ from hraidlab import (
     leading_term,
     random_payloads,
 )
-from hraidlab.config import check_exact_counts, class_events
+from hraidlab.config import check_exact_counts, check_integer, check_real, class_events
 from hraidlab.layout import KEYS
 
 
@@ -231,3 +235,47 @@ def test_fields_are_the_grid_keys_and_csv_columns(cfg):
         assert HraidConfig(**{key: obj[key] for key in KEYS}) == cfg
     assert list(dataclasses.asdict(cfg)) == list(KEYS)
     assert run.to_csv().splitlines()[0].split(",")[:4] == list(KEYS)
+
+
+def _is_integer(value):
+    """The integer rule before its fast path, written out."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def _is_finite_real(value):
+    """The finite-real rule before its fast path, written out."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Real)
+        and (isinstance(value, numbers.Integral) or math.isfinite(value))
+    )
+
+
+_NUMBERS = st.one_of(
+    st.integers(),
+    st.just(10**400),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0]),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.fractions(),
+    st.decimals(),
+    st.none(),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_NUMBERS)
+def test_number_checks_keep_their_rules(value):
+    for check, rule in ((check_integer, _is_integer), (check_real, _is_finite_real)):
+        try:
+            check("x", value)
+            accepted = True
+        except ValidationError:
+            accepted = False
+        assert accepted == rule(value), (check.__name__, value)

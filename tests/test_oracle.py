@@ -113,6 +113,28 @@ def _reference_enum(config):
     return tuple(dp[cap][d] for d in range(nm + 1))
 
 
+def _packed_node_dp(config):
+    """Independent reference: fatal counts by dynamic programming over nodes,
+    each state's count polynomial packed in one integer with one (NM+1)-bit
+    slot per cardinality, the state being the number of nodes past tolerance
+    saturated at k+1."""
+    n, m, k, ell = config.n, config.m, config.k, config.ell
+    nm = n * m
+    w = nm + 1
+    safe = sum(comb(m, f) << (w * f) for f in range(ell + 1))
+    over = sum(comb(m, f) << (w * f) for f in range(ell + 1, m + 1))
+    cap = k + 1
+    dp = [1] + [0] * cap
+    for _ in range(n):
+        dp = [
+            dp[0] * safe,
+            *(dp[b] * safe + dp[b - 1] * over for b in range(1, cap)),
+            dp[cap] * (safe + over) + dp[cap - 1] * over,
+        ]
+    slot = (1 << w) - 1
+    return tuple((dp[cap] >> (w * d)) & slot for d in range(nm + 1))
+
+
 #: Every valid config with k, l <= 3 and NM <= 64, as in the benchmark's sweep.
 ENUM_CONFIGS = [
     HraidConfig(n, m, k, ell)
@@ -127,7 +149,8 @@ def test_enum_matches_reference_dp():
     for edge in (HraidConfig(1, 64, 0, 3), HraidConfig(64, 1, 0, 0), HraidConfig(8, 8, 3, 3)):
         assert edge in ENUM_CONFIGS
     for cfg in ENUM_CONFIGS:
-        assert exact_reliability_enum(cfg).fatal_counts == _reference_enum(cfg), cfg
+        counts = exact_reliability_enum(cfg).fatal_counts
+        assert counts == _reference_enum(cfg) == _packed_node_dp(cfg), cfg
 
 
 def test_min_fatal_size_is_product_of_tolerances():
@@ -427,3 +450,38 @@ def test_markov_memory_bound():
         finally:
             tracemalloc.stop()
         assert peak < mib * 2**20, (cfg, peak)
+
+
+def test_enum_slot_width_holds_every_count():
+    assert comb(oracle.MAX_ENUM_DISKS, oracle.MAX_ENUM_DISKS // 2) < 2**63
+
+
+def _rounded_weighted_sum(counts, eps):
+    """sum_d counts[d] eps^d (1-eps)^(NM-d), rounded once: with eps = a/b
+    it is sum_d counts[d] a^d (b-a)^(NM-d) over b^NM, and int / int rounds
+    the exact quotient."""
+    a, b = eps.as_integer_ratio()
+    numerator, a_d = 0, 1
+    for count in counts:
+        numerator = numerator * (b - a) + count * a_d
+        a_d *= a
+    return numerator / b ** (len(counts) - 1)
+
+
+@pytest.mark.parametrize(
+    "eps", [1e-300, 1e-9, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1 - 2**-53]
+)
+def test_weighted_sums_match_exact_rationals(eps):
+    # Horner's rule in the ratio of the likelier side: finite at both ends
+    # of (0, 1), and within a few ulps of the exact sums
+    for cfg in ENUM_CONFIGS[::3]:
+        poly = exact_reliability_enum(cfg)
+        nm = cfg.total_disks
+        survivable = tuple(comb(nm, d) - c for d, c in enumerate(poly.fatal_counts))
+        for got, counts in (
+            (poly.unreliability(eps), poly.fatal_counts),
+            (poly.reliability(eps), survivable),
+        ):
+            want = _rounded_weighted_sum(counts, eps)
+            assert math.isfinite(got), (cfg, eps)
+            assert abs(got - want) <= 1e-14 * want, (cfg, eps, got, want)
