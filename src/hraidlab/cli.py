@@ -13,9 +13,9 @@ print a table, CSV or JSON view of one result record; ``simulate --trace``
 also dumps the events of every trial the estimate holds.  Each command
 returns its exit code and text, and ``main`` writes the text to stdout or
 to the ``--out`` file; ``--out`` and ``--trace`` files are written
-atomically (temp + rename).  No two of the ``--trace``, ``--out``,
-``--config`` and ``--verify`` files may be one file, so no output
-overwrites an input.
+atomically (temp + rename).  No file or directory name may be empty, and
+no two of the ``--trace``, ``--out``, ``--config`` and ``--verify`` files
+may be one file, so no output overwrites an input.
 """
 
 from __future__ import annotations
@@ -167,11 +167,13 @@ def _values(args: argparse.Namespace) -> dict:
     }
 
 
-def _check_distinct_files(values: dict) -> None:
-    """Raise ValidationError when two of the files a command reads and
-    writes are one file, so that no output overwrites an input."""
+def _check_files(values: dict) -> None:
+    """Raise ValidationError on an empty file or directory name, or when two
+    of a command's files are one file, so that no output overwrites an input."""
     first: dict[Path, str] = {}
-    for dest in ("trace", "out", "config", "verify"):
+    for dest in ("trace", "out", "config", "verify", "dir"):
+        if values.get(dest) == "":
+            raise ValidationError(f"--{dest} is an empty name")
         if values.get(dest):
             other = first.setdefault(Path(values[dest]).resolve(), dest)
             if other != dest:
@@ -479,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         values = _values(args)
-        _check_distinct_files(values)
+        _check_files(values)
         code, text = args.func(values)
         _write_output([text], values.get("out"))
         return code

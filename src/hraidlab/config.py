@@ -101,14 +101,14 @@ class HraidConfig:
         return self.n * self.m
 
 
-def class_events(m: int, ell: int) -> tuple[tuple[int, int, bool], ...]:
-    """The lumped failure process's events as rows (f, disks, kills), in the
+def class_events(m: int, ell: int) -> tuple[tuple[int, int, int], ...]:
+    """The lumped failure process's events as rows (f, disks, target), in the
     engines' bin order: the disk failure of an alive node with f = 0..l failed
     disks, at rate (M - f) delta, then its controller failure, with disks 0,
-    at rate gamma.  A killing event kills the node; any other moves it to
-    class f + 1.  The simulator and the exact chain both read this table."""
+    at rate gamma.  The event moves the node to class target, l + 1 being
+    death.  The simulator and the exact chain both read this table."""
     classes = range(ell + 1)
-    return tuple((f, m - f, f == ell) for f in classes) + tuple((f, 0, True) for f in classes)
+    return tuple((f, m - f, f + 1) for f in classes) + tuple((f, 0, ell + 1) for f in classes)
 
 
 #: Size bound of the counting engines (the simulator and the exact chain):

@@ -11,23 +11,23 @@ every count is below C(64, 32) < 2**63 under ``MAX_ENUM_DISKS``.
 
 ``markov_mttdl`` computes the exact mean time to data loss of the failure
 process with instantaneous restriping: states count alive nodes by failed
-disks (symmetry lumping), and the events and their rates are the rows of
-``config.class_events``, the table the simulator reads too.  Failures only
-accumulate, so expected absorption times evaluate in one bottom-up pass
-over dead-node levels, without a linear solver.  The pass is vectorized
-with numpy: a state is ranked by the colex rank of its partial class sums,
-which is the same at every level, and placed by wave, equal failed-disk
-total from the highest down, so every event's target is an index array; a
-level is evaluated in one pass over blocks of positions, each block's
-terms built and then its pieces of waves evaluated, each piece a few
-gathers from earlier waves and the level below.  The chain's states and
-waves are bounded by ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``.  The
-states, event targets and wave bounds are built once, for the top level,
-and every level reads them: the wave order is one stable sort of the
-failed-disk totals, and the targets are built over blocks of ranks; the
-states take the smallest unsigned dtype that holds N.  Besides them a
-level keeps only one block's terms and two levels' values: at l = 3 the
-chain holds 43 bytes a state.
+disks (symmetry lumping), and the events, their rates and target classes
+are the rows of ``config.class_events``, the table the simulator reads
+too.  Failures only accumulate, so expected absorption times evaluate in
+one bottom-up pass over dead-node levels, without a linear solver.  The
+pass is vectorized with numpy: a state is ranked by the colex rank of its
+partial class sums, which is the same at every level, and placed by wave,
+equal failed-disk total from the highest down, so each (class, target)
+pair's targets are one index array; a level is evaluated in one pass over
+blocks of positions, each block's terms built and then its pieces of
+waves evaluated, each piece a few gathers from earlier waves and the
+level below.  The chain's states and waves are bounded by
+``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``.  The states, event targets
+and wave bounds are built once, for the top level, and every level reads
+them: the wave order is one stable sort of the failed-disk totals, and
+the targets are built over blocks of ranks; the states take the smallest
+unsigned dtype that holds N.  Besides them a level keeps only one block's
+terms and two levels' values: at l = 3 the chain holds 43 bytes a state.
 """
 
 from __future__ import annotations
@@ -189,19 +189,22 @@ def _colex_states(n: int, ell: int) -> np.ndarray:
     return t
 
 
-def _chain_tables(n: int, ell: int) -> tuple[np.ndarray, ...]:
+def _chain_tables(n: int, ell: int, pairs: list[tuple[int, int]]) -> tuple:
     """The top level's tables in wave order, which every level shares,
     since neither ranks nor targets depend on ``alive``.
 
     A state's position is its place in the waves, by one stable sort of
     failed-disk total D = sum_f f c_f falling, rank rising within a wave.
-    Returns, by position, the states T (``_colex_states``) and, as int32
-    positions, the target of a kill in class f = 1..l (in the level below;
-    a class-0 kill leaves T, so its position, unchanged), for every killing
-    row of ``class_events``, and of a disk move out of class f = 0..l-1 (in
-    the same level), for its other rows; and the wave bounds, D = lN down
-    to 0.  An empty class's target is any real state, whose value is read
-    and multiplied by zero.  Targets are built over blocks of ranks.
+    Returns, by position, the states T (``_colex_states``); by pair (a, b)
+    of ``pairs``, one node out of class a into class b (l + 1 is death),
+    the int32 positions of its targets, in this level for a move and in
+    the level below for a death; and the wave bounds, D = lN down to 0.
+    One rule gives every target: T_j rises by one for j >= b and falls by
+    one for j >= a >= 1, and stays where both apply; the colex rank, one
+    term per T_j, changes by each changed term's difference.  A class-0
+    death changes no T_j and gets no table: its target is the state's own
+    position.  An empty class's target is any real state, whose value is
+    read and multiplied by zero.  Targets are built over blocks of ranks.
     """
     t = _colex_states(n, ell)
     s = t.shape[1]
@@ -219,47 +222,42 @@ def _chain_tables(n: int, ell: int) -> tuple[np.ndarray, ...]:
         -1 or past the last; both index the last state instead."""
         return pos[np.minimum(rank, s - 1)]
 
+    # each pair's change to T_1..T_l: 1 rises, -1 falls, 0 keeps
+    signs = {(a, b): [(b <= j) - (0 < a <= j) for j in range(1, ell + 1)] for a, b in pairs}
+    target = {pair: np.empty(s, dtype=np.int32) for pair, sign in signs.items() if any(sign)}
     waved = np.empty_like(t)
-    kill = np.empty((ell, s), dtype=np.int32)
-    move = np.empty((ell, s), dtype=np.int32)
     for r in _blocks(0, s):
         p = pos[r]
         waved[:, p] = t[:, r]
         rank = np.arange(r.start, r.stop)
         tr = t[:, r].astype(np.int64)
-        # the rank change when T_j rises by one, C(T_j + j - 1, j - 1), or
-        # falls by one, C(T_j + j - 2, j - 1), for j = 1..l
+        # the term's change when T_j rises by one, C(T_j + j - 1, j - 1), or
+        # falls by one, -C(T_j + j - 2, j - 1), for j = 1..l
         up = [_binom(tr[j - 1] + (j - 1), j - 1) for j in range(1, ell + 1)]
-        down = [_binom(tr[j - 1] + (j - 2), j - 1) for j in range(1, ell + 1)]
-        drop = 0
-        for f in range(ell, 0, -1):
-            drop = drop + down[f - 1]  # a kill in class f >= 1 lowers T_f..T_l
-            kill[f - 1, p] = at(rank - drop)
-        for f in range(ell):
-            # out of class 0 every T_j rises; out of class f >= 1 T_f falls
-            move[f, p] = at(rank + sum(up) if f == 0 else rank - down[f - 1])
-    return waved, kill, move, bounds
+        down = [-_binom(tr[j - 1] + (j - 2), j - 1) for j in range(1, ell + 1)]
+        for pair, table in target.items():
+            shift = [(up if v > 0 else down)[j] for j, v in enumerate(signs[pair]) if v]
+            table[p] = at(rank + sum(shift))
+    return waved, target, bounds
 
 
-def _level(
-    tables: tuple[np.ndarray, ...], alive: int, rates: list[np.ndarray], below: np.ndarray
-) -> np.ndarray:
+def _level(tables: tuple, alive: int, total: list, events: list, below: np.ndarray) -> np.ndarray:
     """Expected hours from every state of one dead-node level, by position,
-    given the top level's ``_chain_tables``, each class's total, killing and
-    moving rate, and ``below``, the level with one more dead node.
+    given the top level's ``_chain_tables``, each class's total rate, the
+    ((a, b), rate) events in the terms' float order, and ``below``, the
+    level with one more dead node.
 
     The level's states are those with T_l <= alive; its waves are the last
     l alive + 1 of the top level's, D = l alive down to 0.  They are
     evaluated in one pass over blocks of positions: a block's terms, each
-    state's 1/total plus its kills' share of ``below`` and its disk moves'
+    state's 1/total plus its deaths' share of ``below`` and its moves'
     rate/total, are built when the pass enters it, and then the pieces of
     waves inside it are evaluated, a wave that a block edge cuts as two
     slices.  A piece reads only earlier waves and ``below``.  A position of
     those waves that is not in the level (T_l > alive) is evaluated as if
     c_0 were 0: its value is finite and never read by a state of the level.
     """
-    t, kill, move, bounds = tables
-    total, killing, moving = rates
+    t, target, bounds = tables
     ell, s = t.shape
     e = np.zeros(s)
     for p in _blocks(int(bounds[-(ell * alive + 2)]), s):
@@ -269,20 +267,19 @@ def _level(
         count = [c.astype(np.float64) for c in (c0, *tp[:1], *np.diff(tp, axis=0))]
         inv = 1.0 / sum(count[f] * total[f] for f in range(ell + 1))
         head = inv.copy()
-        for f in range(ell, -1, -1):
-            share = count[f] * killing[f] * inv
-            if share.any():
-                head += share * below[kill[f - 1, p] if f else p]
-        moves = np.empty((ell, inv.size))
-        for f in range(ell):
-            moves[f] = count[f] * moving[f] * inv
+        moves = []
+        for (a, b), rate in events:
+            share, to = count[a] * rate * inv, target.get((a, b))
+            if b <= ell:
+                moves.append((share, to))
+            elif share.any():
+                head += share * below[p if to is None else to[p]]
         # the block's pieces of waves, each one wave's states in it
         inside = bounds[np.searchsorted(bounds, p.start, "right") : np.searchsorted(bounds, p.stop)]
         cuts = [p.start, *inside.tolist(), p.stop]
-        base = p.start
         for lo, hi in zip(cuts, cuts[1:]):
-            w = slice(lo - base, hi - base)
-            e[lo:hi] = head[w] + (moves[:, w] * e[move[:, lo:hi]]).sum(axis=0)
+            w = slice(lo - p.start, hi - p.start)
+            e[lo:hi] = head[w] + sum(share[w] * e[to[lo:hi]] for share, to in moves)
     return e
 
 
@@ -290,10 +287,10 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
     """Exact expected hours to data loss under instantaneous restriping.
 
     The lumped state holds (c_0..c_l, dead): c_f alive nodes with f failed
-    disks and the dead-node count.  From a state, class f suffers disk
-    failures at rate c_f (M-f) delta (moving one node to class f+1, or
-    killing it when f = l) and controller failures at rate c_f gamma
-    (killing the node).  Data is lost when dead = k+1.  Failures only
+    disks and the dead-node count.  From a state, each row (f, disks,
+    target) of ``config.class_events`` moves one node of class f to class
+    target, l + 1 being death, at rate c_f disks delta, or c_f gamma for a
+    controller row (disks 0).  Data is lost when dead = k+1.  Failures only
     accumulate, so the chain is acyclic and expected absorption times evaluate
     bottom-up, one dead-node level at a time, from dead = k down to 0:
     E = 1/total + sum over events of (rate/total) E(target).
@@ -303,14 +300,12 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
     sum_j C(T_j + j - 1, j).  The rank does not depend on ``alive``, so each
     level's states are a prefix of the next level's, and the states, event
     targets and wave order are built once for the top level
-    (``_chain_tables``): the wave order by one stable sort, the targets over
-    blocks of ranks.  The states are evaluated in waves of equal failed-disk
-    total D = sum_f f c_f, from the highest down: a disk move raises D by
-    one, so a wave reads only finished waves and the level below.  A level's
+    (``_chain_tables``).  The states are evaluated in waves of equal
+    failed-disk total D = sum_f f c_f, from the highest down: a move raises
+    D, so a wave reads only finished waves and the level below.  A level's
     waves are the top level's of D <= l alive; it evaluates their states
     that it lacks too, and never reads them.  A level is one pass over
-    blocks of positions (``_level``), so it keeps one block's terms, not a
-    whole level's.
+    blocks of positions (``_level``), so it keeps one block's terms.
 
     The work is (k+1) C(N+l, l) states in (k+1)(lN+1) waves, bounded by
     ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``; past either, or when N M
@@ -331,12 +326,16 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
             f"{MAX_CHAIN_WAVES} waves, got {states} states and {waves} waves for "
             f"N={n}, k={k}, l={ell}"
         )
-    tables = _chain_tables(n, ell)
-    cls, disks, kills = map(np.array, zip(*class_events(m, ell)))
-    rate = np.where(disks > 0, disks * rates.disk_rate, rates.controller_rate)
-    # each class's total, killing and moving rate, summed from 0.0 in event order
-    per_class = [np.bincount(cls, rate * chosen) for chosen in (True, kills, ~kills)]
+    # each class's and each (class, target) pair's rate, summed from 0.0 in
+    # row order; the terms' float order: moves by rising target, deaths by falling class
+    total, rate = [0.0] * (ell + 1), {}
+    for f, disks, to in class_events(m, ell):
+        r = disks * rates.disk_rate if disks else rates.controller_rate
+        total[f] += r
+        rate[f, to] = rate.get((f, to), 0.0) + r
+    events = sorted(rate.items(), key=lambda item: (item[0][1], -item[0][0]))
+    tables = _chain_tables(n, ell, list(rate))
     below = np.zeros(tables[0].shape[1])  # past k dead every state is lost: 0 h
     for dead in range(k, -1, -1):
-        below = _level(tables, n - dead, per_class, below)
+        below = _level(tables, n - dead, total, events, below)
     return float(below[-1])  # no failed disk (rank 0) is the last wave

@@ -6,10 +6,10 @@ sets the inter-event time, and the failing component is chosen with
 probability proportional to its rate.  Restriping is instantaneous and
 nodes are exchangeable, so a trial's state is the lumped state of
 ``oracle.markov_mttdl``: the counts c_0..c_l of alive nodes with 0..l
-failed disks, plus the dead-node count.  The events are the rows of
-``config.class_events``, the table the exact chain reads too: class f
-fails a disk at rate c_f (M-f) delta and a controller at rate c_f gamma;
-the trial ends when more than k nodes have died.
+failed disks, plus the dead-node count.  The events, with the class each
+sends its node to, are the rows of ``config.class_events``, the table the
+exact chain reads too: class f fails a disk at rate c_f (M-f) delta and a
+controller at rate c_f gamma; the trial ends once k + 1 nodes are dead.
 
 Internally time advances in units of the inverse disk rate (rates divide
 out), and hours emerge from one final division by delta.  Every trial
@@ -154,14 +154,14 @@ def _bin_tables(m: int, ell: int, rho: float) -> tuple[np.ndarray, ...]:
     ``tally_step[b]`` the tally's and ``ctrl[b]`` the cause.
     """
     events = [event for event in class_events(m, ell) if rho or event[1]]
-    cls, disks, kills = map(np.array, zip(*events))
-    bins, ctrl = np.arange(cls.size), disks == 0
+    cls, disks, target = map(np.array, zip(*events))
+    bins, ctrl, dies = np.arange(cls.size), disks == 0, target > ell
     own = np.where(ctrl, 1.0, disks)[:, None] * (cls[:, None] == np.arange(ell + 1))
     weights = np.vstack((own[~ctrl].cumsum(axis=0), own[ctrl].cumsum(axis=0)))
     step = np.zeros((ell + 1, bins.size))
     step[cls, bins] = -1.0
-    step[cls[~kills] + 1, bins[~kills]] = 1.0
-    tally_step = kills.astype(np.int64) << _DEAD_SHIFT | ~ctrl
+    step[target[~dies], bins[~dies]] = 1.0  # a death adds to no class
+    tally_step = dies.astype(np.int64) << _DEAD_SHIFT | ~ctrl
     return weights, step, tally_step, ctrl
 
 
@@ -365,22 +365,21 @@ def _label_trial(trial: int, events: tuple, bins: list[int], hours: list[float])
     """One trial's bins and times as its JSON text, each event (bin b is row b
     of ``events``, the ``class_events``) labelled with the lowest-index alive
     node of its class.  A class-0 pick is then always the lowest untouched
-    node, so the labels cost O(events) whatever N is.  Nodes only move up a
-    class, and each class keeps its nodes in a FIFO queue.  Class-0 picks
-    come in rising node order, and a FIFO fed in rising order pops in rising
-    order, so every class is fed, and pops, in rising order: a queue's front
-    is the lowest-index node of its class.  ``hours`` must be Python floats,
-    which ``%s`` prints as ``json.dumps`` does."""
+    node, so the labels cost O(events) whatever N is.  An event appends its
+    node to its target's FIFO queue, and every in-level target is f + 1, so
+    class f >= 1 is fed only by class f - 1's pops.  Class-0 picks rise, and
+    a FIFO fed in rising order pops in rising order, so every class is fed,
+    and pops, in rising order: a queue's front is its lowest-index node.
+    ``hours`` must be Python floats, which ``%s`` prints as ``json.dumps`` does."""
     untouched = 0  # the nodes from this index on are in class 0
-    touched: list[deque[int]] = [deque() for _ in events]  # queues by class, f >= 1 used
+    touched: list[deque[int]] = [deque() for _ in events]  # queues by class, 1..l + 1 used
     lines = []
     for b, h in zip(bins, hours):
-        f, disks, kills = events[b]
+        f, disks, target = events[b]
         if f:
             node = touched[f].popleft()
         else:
             node, untouched = untouched, untouched + 1
-        if not kills:
-            touched[f + 1].append(node)
+        touched[target].append(node)
         lines.append(_EVENT_LINE % (h, node + 1, _KINDS[not disks]))
     return _TRIAL_LINE % (trial, h, _CAUSES[not disks], ", ".join(lines))

@@ -386,6 +386,33 @@ def test_unwritable_output_is_validation_error(flag, target, tmp_path, capsys):
     assert sorted(tmp_path.rglob("*")) == before  # no temp file left behind
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        # the first four once ran with exit 0, ignoring the name; an empty
+        # --out once wrote a temp file in the working directory and exited 2
+        # only when renaming it to '.' failed
+        (["simulate", "--n", "3", "--m", "3", "--trials", "5", "--trace", ""], "--trace"),
+        (["simulate", "--n", "3", "--m", "3", "--trials", "5", "--config", ""], "--config"),
+        (["layout", "--n", "2", "--m", "2", "--verify", ""], "--verify"),
+        (["codec-demo", "--dir", ""], "--dir"),
+        (["simulate", "--n", "3", "--m", "3", "--trials", "5", "--out", ""], "--out"),
+        (["simulate", "--n", "3", "--m", "3", "--trials", "5", "--config", "run.json"], "--out"),
+    ],
+    ids=["trace", "config", "verify", "dir", "out", "config-output-path"],
+)
+def test_empty_file_name_is_refused(argv, flag, tmp_path, monkeypatch, capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("hraidlab.simulator._simulate_chunk", no_trials)
+    monkeypatch.chdir(tmp_path)
+    Path("run.json").write_text(json.dumps({"output_path": ""}))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"validation error: {flag} is an empty name\n"
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
 def test_bad_trial_count_with_trace_writes_nothing(tmp_path, capsys):
     trace = tmp_path / "f"
     argv = ["simulate", "--n", "3", "--m", "3", "--trials", "-5", "--trace", str(trace)]

@@ -33,23 +33,23 @@ def test_valid_config_properties():
 @pytest.mark.parametrize(
     "m, ell, rows",
     [
-        (12, 0, [(0, 12, True), (0, 0, True)]),
-        (12, 1, [(0, 12, False), (1, 11, True), (0, 0, True), (1, 0, True)]),
-        (12, 2, [(0, 12, False), (1, 11, False), (2, 10, True),
-                 (0, 0, True), (1, 0, True), (2, 0, True)]),
-        (12, 3, [(0, 12, False), (1, 11, False), (2, 10, False), (3, 9, True),
-                 (0, 0, True), (1, 0, True), (2, 0, True), (3, 0, True)]),
-        (1, 0, [(0, 1, True), (0, 0, True)]),
-        (2, 1, [(0, 2, False), (1, 1, True), (0, 0, True), (1, 0, True)]),
-        (3, 2, [(0, 3, False), (1, 2, False), (2, 1, True),
-                (0, 0, True), (1, 0, True), (2, 0, True)]),
-        (4, 3, [(0, 4, False), (1, 3, False), (2, 2, False), (3, 1, True),
-                (0, 0, True), (1, 0, True), (2, 0, True), (3, 0, True)]),
+        (12, 0, [(0, 12, 1), (0, 0, 1)]),
+        (12, 1, [(0, 12, 1), (1, 11, 2), (0, 0, 2), (1, 0, 2)]),
+        (12, 2, [(0, 12, 1), (1, 11, 2), (2, 10, 3),
+                 (0, 0, 3), (1, 0, 3), (2, 0, 3)]),
+        (12, 3, [(0, 12, 1), (1, 11, 2), (2, 10, 3), (3, 9, 4),
+                 (0, 0, 4), (1, 0, 4), (2, 0, 4), (3, 0, 4)]),
+        (1, 0, [(0, 1, 1), (0, 0, 1)]),
+        (2, 1, [(0, 2, 1), (1, 1, 2), (0, 0, 2), (1, 0, 2)]),
+        (3, 2, [(0, 3, 1), (1, 2, 2), (2, 1, 3),
+                (0, 0, 3), (1, 0, 3), (2, 0, 3)]),
+        (4, 3, [(0, 4, 1), (1, 3, 2), (2, 2, 3), (3, 1, 4),
+                (0, 0, 4), (1, 0, 4), (2, 0, 4), (3, 0, 4)]),
     ],
 )
 def test_class_events_rows(m, ell, rows):
-    # (class, disk multiplicity, kills): disk events of classes 0..l, then
-    # controller events of classes 0..l
+    # (class, disk multiplicity, target class, l + 1 for death): disk events
+    # of classes 0..l, then controller events of classes 0..l
     assert class_events(m, ell) == tuple(rows)
 
 

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from itertools import combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from math import comb
 
 import numpy as np
@@ -16,6 +16,7 @@ from hraidlab import (
     markov_mttdl,
 )
 from hraidlab import oracle
+from hraidlab.config import class_events
 from hraidlab.oracle import MAX_CHAIN_STATES, MAX_CHAIN_WAVES
 
 
@@ -396,7 +397,9 @@ def test_markov_block_edges(monkeypatch, block, max_n):
 @pytest.mark.parametrize("block", [8192, 7])
 def test_chain_tables_match_brute_force(monkeypatch, block):
     # every state (T_1..T_l), 0 <= T_1 <= ... <= T_l <= N, ranked by colex
-    # rank and sorted by failed-disk total D falling, rank rising
+    # rank and sorted by failed-disk total D falling, rank rising; each
+    # (a, b) pair's target is the state whose class counts have one node
+    # moved from class a to class b (b = l + 1 is death)
     monkeypatch.setattr(oracle, "_BLOCK", block)
     for ell, n in product(range(4), range(1, 13)):
         states = list(combinations_with_replacement(range(n + 1), ell))
@@ -410,24 +413,28 @@ def test_chain_tables_match_brute_force(monkeypatch, block):
         assert [rank[t] for t in columns] == list(range(len(states))), (ell, n)
         d = np.array([failed(t) for t in columns])
         want = t_ranked[:, np.lexsort((np.arange(len(states)), -d))]
-        waved, kill, move, bounds = oracle._chain_tables(n, ell)
+        # every pair of the event table, and the jumps of more than one
+        # class that a burst row would add
+        rows = {(f, to) for f, _, to in class_events(12, ell)}
+        jumps = {(a, b) for a, b in ((0, 2), (1, 3), (0, 3)) if a <= ell and b <= ell + 1}
+        moves = sorted(rows | jumps)
+        waved, target, bounds = oracle._chain_tables(n, ell, moves)
         assert np.array_equal(waved, want), (ell, n)
         sizes = [int((d == v).sum()) for v in range(ell * n, -1, -1)]
         assert bounds.tolist() == [0, *np.cumsum(sizes).tolist()], (ell, n)
+        # only a class-0 death leaves T as it is, and it gets no table
+        assert sorted(target) == [pair for pair in moves if pair != (0, ell + 1)], (ell, n)
         at = {tuple(col): p for p, col in enumerate(waved.T.tolist())}
         for p, t in enumerate(waved.T.tolist()):
             c = [n - t[-1] if ell else n, *(b - a for a, b in zip((0, *t), t))]
-            for f in range(1, ell + 1):
-                if c[f]:  # a kill in class f lowers T_f..T_l
-                    target = (*t[: f - 1], *(v - 1 for v in t[f - 1 :]))
-                    assert kill[f - 1, p] == at[target], (ell, n, t, f)
-            for f in range(ell):
-                if c[f]:  # out of class 0 every T_j rises; out of f >= 1 T_f falls
-                    if f == 0:
-                        target = tuple(v + 1 for v in t)
-                    else:
-                        target = (*t[: f - 1], t[f - 1] - 1, *t[f:])
-                    assert move[f, p] == at[target], (ell, n, t, f)
+            for a, b in moves:
+                if c[a]:
+                    after = c.copy()
+                    after[a] -= 1
+                    if b <= ell:
+                        after[b] += 1
+                    got = target[a, b][p] if (a, b) in target else p
+                    assert got == at[tuple(accumulate(after[1:]))], (ell, n, t, a, b)
 
 
 def test_markov_memory_bound():

@@ -609,12 +609,11 @@ def test_bin_tables_follow_the_event_table(m, ell, rho):
     weights, step, tally_step, ctrl = simulator_module._bin_tables(m, ell, rho)
     nb = ell + 1
     rows = class_events(m, ell)[: 2 * nb if rho else nb]  # no controller bins at rho = 0
-    unit = np.eye(nb + 1)
+    unit = np.eye(nb + 1)  # row l + 1, death, is no class of the step
     assert step.shape == (nb, len(rows)) and tally_step.shape == ctrl.shape == (len(rows),)
-    for b, (f, disks, kills) in enumerate(rows):
-        moved = unit[f + 1] if not kills else 0.0
-        assert step[:, b].tolist() == (moved - unit[f])[:nb].tolist()
-        assert tally_step[b] == int(kills) << 60 | int(disks > 0)
+    for b, (f, disks, target) in enumerate(rows):
+        assert step[:, b].tolist() == (unit[target] - unit[f])[:nb].tolist()
+        assert tally_step[b] == int(target > ell) << 60 | int(disks > 0)
         assert ctrl[b] == (disks == 0)
     # cumulative disk weights of the disk bins, cumulative node counts of the
     # controller bins
