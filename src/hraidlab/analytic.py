@@ -45,12 +45,13 @@ def _rounded(x: Fraction) -> float:
         return inf if x > 0 else -inf
 
 
-def check_eps(eps: float) -> None:
-    """Raise ValidationError unless the disk unreliability eps is a real
-    number in (0, 1)."""
-    check_real("disk unreliability", eps)
+def check_eps(eps: float) -> float:
+    """The disk unreliability eps as a Python float; raise ValidationError
+    unless it is a real number in (0, 1)."""
+    eps = check_real("disk unreliability", eps)
     if not 0.0 < eps < 1.0:
         raise ValidationError(f"disk unreliability must be in (0, 1), got {eps}")
+    return float(eps)
 
 
 def _binomial_sides(n: int, t: int, p: float, q: float) -> tuple[float, float]:
@@ -79,20 +80,22 @@ def _binomial_sides(n: int, t: int, p: float, q: float) -> tuple[float, float]:
     return 1.0 - tail, tail
 
 
-def _check_tolerance(m: int, t: int) -> None:
-    """Raise ValidationError unless m and t are integers with 0 <= t <= m."""
+def _check_tolerance(m: int, t: int) -> tuple[int, int]:
+    """m and t as Python ints; raise ValidationError unless they are integers
+    with 0 <= t <= m."""
     check_integer("disk count m", m)
     check_integer("tolerance t", t)
     if t < 0:
         raise ValidationError(f"tolerance must be >= 0, got {t}")
     if t > m:
         raise ValidationError(f"tolerance must satisfy 0 <= t <= m, got t={t}, m={m}")
+    return int(m), int(t)
 
 
 def _node_sides(m: int, t: int, eps: float) -> tuple[float, float]:
     """(reliability, unreliability) of an m-disk MDS array tolerating t failures."""
-    check_eps(eps)
-    _check_tolerance(m, t)
+    eps = check_eps(eps)
+    m, t = _check_tolerance(m, t)
     _check_count("disk count m", m)
     return _binomial_sides(m, t, eps, 1.0 - eps)
 
@@ -100,7 +103,7 @@ def _node_sides(m: int, t: int, eps: float) -> tuple[float, float]:
 def _array_sides(config: HraidConfig, eps: float) -> tuple[float, float]:
     """(reliability, unreliability) of an HRAID k/l array; the config
     already bounds its tolerances."""
-    check_eps(eps)
+    eps = check_eps(eps)
     _check_count("disk count m", config.m)
     _check_count("n", config.n)
     r, u = _binomial_sides(config.m, config.ell, eps, 1.0 - eps)
@@ -126,9 +129,8 @@ def raid_series_approx(m: int, t: int, eps: float) -> float:
     the exact unreliability to its two lowest powers.  Valid for m*eps << 1;
     the truncation error is O(eps^(t+3)) terms of alternating sign.
     """
-    check_eps(eps)
-    _check_tolerance(m, t)
-    e = Fraction(eps)
+    e = Fraction(check_eps(eps))
+    m, t = _check_tolerance(m, t)
     series = comb(m, t + 1) * e ** (t + 1) - (t + 1) * comb(m, t + 2) * e ** (t + 2)
     return _rounded(series)
 
@@ -160,8 +162,7 @@ class LeadingTerm:
 
     def evaluate(self, eps: float) -> float:
         """coefficient * eps**power, rounded once; inf beyond the float range."""
-        check_eps(eps)
-        return _rounded(self.coefficient * Fraction(eps) ** self.power)
+        return _rounded(self.coefficient * Fraction(check_eps(eps)) ** self.power)
 
 
 def leading_term(config: HraidConfig) -> LeadingTerm:
@@ -209,6 +210,7 @@ def compare_apportionments(n: int, m: int) -> ApportionmentComparison:
     """Compare HRAID1/2 vs HRAID2/1 by their leading unreliability terms,
     which count the minimal fatal sets."""
     one_two, two_one = _apportionment_pair(n, m)
+    n = one_two.n
     c12 = leading_term(one_two).coefficient
     c21 = leading_term(two_one).coefficient
     if c12 < c21:
@@ -233,7 +235,8 @@ def conditional_sixth_failure(n: int, m: int) -> tuple[Fraction, Fraction, int]:
     critical node, hitting one of M-2 disks under 1/2 or M-1 under 2/1.
     Returns (p_12, p_21, D_S) with exact rationals.
     """
-    _apportionment_pair(n, m)
+    one_two = _apportionment_pair(n, m)[0]
+    n, m = one_two.n, one_two.m
     d_s = (n - 2) * m + m - 2
     return Fraction(m - 2, d_s), Fraction(m - 1, d_s), d_s
 

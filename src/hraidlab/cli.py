@@ -24,7 +24,7 @@ import argparse
 import os
 import sys
 import tempfile
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -97,16 +97,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _ending_in_newline(pieces: Iterable[str]) -> Iterator[str]:
+    """The pieces, then a newline unless the last one ends in one."""
+    last = ""
+    for last in pieces:
+        yield last
+    if not last.endswith("\n"):
+        yield "\n"
+
+
 def _write_output(pieces: Iterable[str], out: str | None) -> None:
-    """Print the pieces to stdout, ending in a newline, or stream them into
+    """Write the pieces, ending in a newline, to stdout, or stream them into
     the file ``out`` atomically (temp + rename, parent directories created).
     """
+    pieces = _ending_in_newline(pieces)
     if out is None:
-        last = ""
-        for last in pieces:
-            sys.stdout.write(last)
-        if not last.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(pieces)
         return
     path = Path(out)
     tmp = None

@@ -43,15 +43,18 @@ def check_integer(name: str, value) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
-def check_real(name: str, value) -> None:
-    """Raise ValidationError unless ``value`` is a finite real number; a bool
-    is not.  An integer too large for a float is finite too."""
+def check_real(name: str, value):
+    """Return ``value`` if it is a finite real number, else raise
+    ValidationError; a bool is not one.  An integer or fraction is finite
+    however large, and comes back as it is; a float of any width comes back
+    as a Python float, so comparing it with a Python float casts nothing."""
     if type(value) is int or (type(value) is float and math.isfinite(value)):
-        return
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-        isinstance(value, numbers.Integral) or math.isfinite(value)
+        isinstance(value, numbers.Rational) or math.isfinite(value)
     ):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return value if isinstance(value, numbers.Rational) else float(value)
 
 
 def check_tolerance(name: str, value) -> None:
@@ -144,8 +147,7 @@ class FailureModel:
 
     def __post_init__(self) -> None:
         for name, low in (("disk_rate", MIN_DISK_RATE), ("controller_rate", 0.0)):
-            value = getattr(self, name)
-            check_real(name, value)
+            value = check_real(name, getattr(self, name))
             if not low <= value <= MAX_RATE:
                 raise ValidationError(
                     f"{name} must be in [{low:g}, {MAX_RATE:g}] per hour, got {value}"

@@ -264,7 +264,8 @@ class WorkloadParams:
 
     ``read_fraction`` (f_r) and ``write_fraction`` (f_w) must sum to one;
     ``disk_access_time_ms`` (x_d) is the cost of one disk access, in
-    (0, ``MAX_ACCESS_TIME_MS``].  All three are finite real numbers.
+    (0, ``MAX_ACCESS_TIME_MS``].  All three are finite real numbers, stored
+    as Python floats.
     """
 
     read_fraction: float
@@ -272,26 +273,22 @@ class WorkloadParams:
     disk_access_time_ms: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("read_fraction", "write_fraction", "disk_access_time_ms"):
-            check_real(name, getattr(self, name))
-        if not 0.0 <= self.read_fraction <= 1.0:
+        names = ("read_fraction", "write_fraction", "disk_access_time_ms")
+        read, write, access = (check_real(name, getattr(self, name)) for name in names)
+        if not 0.0 <= read <= 1.0:
+            raise ValidationError(f"read_fraction must be in [0, 1], got {read}")
+        if not 0.0 <= write <= 1.0:
+            raise ValidationError(f"write_fraction must be in [0, 1], got {write}")
+        if abs(read + write - 1.0) > 1e-12:
             raise ValidationError(
-                f"read_fraction must be in [0, 1], got {self.read_fraction}"
+                f"read_fraction + write_fraction must equal 1, got {read} + {write}"
             )
-        if not 0.0 <= self.write_fraction <= 1.0:
+        if not 0 < access <= MAX_ACCESS_TIME_MS:
             raise ValidationError(
-                f"write_fraction must be in [0, 1], got {self.write_fraction}"
+                f"disk_access_time_ms must be in (0, {MAX_ACCESS_TIME_MS:g}], got {access}"
             )
-        if abs(self.read_fraction + self.write_fraction - 1.0) > 1e-12:
-            raise ValidationError(
-                f"read_fraction + write_fraction must equal 1, got "
-                f"{self.read_fraction} + {self.write_fraction}"
-            )
-        if not 0 < self.disk_access_time_ms <= MAX_ACCESS_TIME_MS:
-            raise ValidationError(
-                f"disk_access_time_ms must be in (0, {MAX_ACCESS_TIME_MS:g}], got "
-                f"{self.disk_access_time_ms}"
-            )
+        for name, value in zip(names, (read, write, access)):
+            object.__setattr__(self, name, float(value))
 
 
 def small_write_cost(workload: WorkloadParams, config: HraidConfig) -> float:

@@ -25,9 +25,10 @@ level below.  The chain's states and waves are bounded by
 ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``.  The states, event targets
 and wave bounds are built once, for the top level, and every level reads
 them: the wave order is one stable sort of the failed-disk totals, and
-the targets are built over blocks of ranks; the states take the smallest
-unsigned dtype that holds N.  Besides them a level keeps only one block's
-terms and two levels' values: at l = 3 the chain holds 43 bytes a state.
+the states, their ranks and the targets' rank changes come from one table
+of Pascal rows; the states take the smallest unsigned dtype that holds N.
+Besides them a level keeps only one block's terms and two levels' values:
+at l = 3 the chain holds 43 bytes a state.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class UnreliabilityPolynomial:
         q <= 1, so the sum stays below 2^NM: for eps <= 1/2,
         (1-eps)^NM sum_d counts[d] q^d with q = eps/(1-eps), otherwise
         eps^NM sum_d counts[d] q^(NM-d) with q = (1-eps)/eps."""
-        check_eps(eps)
+        eps = check_eps(eps)
         r = 1.0 - eps
         acc = 0.0
         if eps <= 0.5:
@@ -153,40 +154,36 @@ def exact_reliability_enum(config: HraidConfig) -> UnreliabilityPolynomial:
     return UnreliabilityPolynomial(config=config, fatal_counts=counts)
 
 
-def _binom(x: np.ndarray, r: int) -> np.ndarray:
-    """C(x, r) elementwise for int64 x >= 0 (any x when r = 0), exact:
-    C(x, i) (x - i) / (i + 1) is an integer at every step."""
-    out = np.ones_like(x)
-    for i in range(r):
-        out = out * (x - i) // (i + 1)
-    return out
-
-
 def _blocks(lo: int, hi: int) -> list[slice]:
     """[lo, hi) in ``_BLOCK``-sized slices."""
     return [slice(b, min(b + _BLOCK, hi)) for b in range(lo, hi, _BLOCK)]
 
 
-def _colex_states(n: int, ell: int) -> np.ndarray:
+def _colex_states(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
     """Every (T_1..T_l) with 0 <= T_1 <= ... <= T_l <= n as the columns of an
     (l, C(n+l, l)) array of the smallest unsigned dtype that holds n, in rank
-    order; whoever combines its entries casts them first.
+    order; whoever combines its entries casts them first.  Beside it, the
+    chain's only binomials: the int64 Pascal rows ``pascal[j, v]`` =
+    C(v+j-1, j), j = 0..l, v = 0..n+1 (no columns at l = 0); row 0 is all
+    ones, and row j is 0, then the running sum of row j-1 from v = 1.
 
     Rank j coordinates at a time, in place: the states with T_j = v follow
-    those with T_j < v, from column C(v+j-1, j) on, and are the first
+    those with T_j < v, from column ``pascal[j, v]`` on, and are the first
     C(v+j-1, j-1) states of j-1 coordinates (those with T_{j-1} <= v), each
     extended by T_j = v.  Blocks are filled from the last down, so a block
     reads only columns not yet overwritten.
     """
     t = np.zeros((ell, comb(n + ell, ell)), dtype=np.min_scalar_type(n))
-    for j in range(1, ell + 1):
-        first = _binom(np.arange(n + 2, dtype=np.int64) + j - 1, j)  # column of T_j = v
+    pascal = np.zeros((ell + 1, n + 2 if ell else 0), dtype=np.int64)
+    pascal[0] = 1
+    for j, first in enumerate(pascal[1:], 1):  # T_j = v from column first[v]
+        np.cumsum(pascal[j - 1, 1:], out=first[1:])
         for cols in reversed(_blocks(0, comb(n + j, j))):
             col = np.arange(cols.start, cols.stop)
             v = np.searchsorted(first, col, side="right") - 1
             t[: j - 1, cols] = t[: j - 1, col - first[v]]
             t[j - 1, cols] = v
-    return t
+    return t, pascal
 
 
 def _chain_tables(n: int, ell: int, pairs: list[tuple[int, int]]) -> tuple:
@@ -200,13 +197,14 @@ def _chain_tables(n: int, ell: int, pairs: list[tuple[int, int]]) -> tuple:
     the int32 positions of its targets, in this level for a move and in
     the level below for a death; and the wave bounds, D = lN down to 0.
     One rule gives every target: T_j rises by one for j >= b and falls by
-    one for j >= a >= 1, and stays where both apply; the colex rank, one
-    term per T_j, changes by each changed term's difference.  A class-0
-    death changes no T_j and gets no table: its target is the state's own
-    position.  An empty class's target is any real state, whose value is
-    read and multiplied by zero.  Targets are built over blocks of ranks.
+    one for j >= a >= 1, and stays where both apply; the colex rank
+    sum_j pascal[j, T_j] (``_colex_states``) gains pascal[j-1, T_j + 1] per
+    rise and loses pascal[j-1, T_j] per fall.  A class-0 death changes no
+    T_j and gets no table: its target is the state's own position.  An
+    empty class's target, rank -1 or past the last, reads the last state,
+    whose value is multiplied by zero.  Targets are built by blocks of ranks.
     """
-    t = _colex_states(n, ell)
+    t, pascal = _colex_states(n, ell)
     s = t.shape[1]
     d = np.empty(s, dtype=np.int32)
     for r in _blocks(0, s):
@@ -216,12 +214,6 @@ def _chain_tables(n: int, ell: int, pairs: list[tuple[int, int]]) -> tuple:
     pos[np.argsort(-d, kind="stable")] = np.arange(s, dtype=np.int32)
     bounds = np.concatenate(([0], np.cumsum(np.bincount(d, minlength=ell * n + 1)[::-1])))
     del d
-
-    def at(rank: np.ndarray) -> np.ndarray:
-        """Each rank's position.  The target of an empty class can be rank
-        -1 or past the last; both index the last state instead."""
-        return pos[np.minimum(rank, s - 1)]
-
     # each pair's change to T_1..T_l: 1 rises, -1 falls, 0 keeps
     signs = {(a, b): [(b <= j) - (0 < a <= j) for j in range(1, ell + 1)] for a, b in pairs}
     target = {pair: np.empty(s, dtype=np.int32) for pair, sign in signs.items() if any(sign)}
@@ -230,14 +222,12 @@ def _chain_tables(n: int, ell: int, pairs: list[tuple[int, int]]) -> tuple:
         p = pos[r]
         waved[:, p] = t[:, r]
         rank = np.arange(r.start, r.stop)
-        tr = t[:, r].astype(np.int64)
-        # the term's change when T_j rises by one, C(T_j + j - 1, j - 1), or
-        # falls by one, -C(T_j + j - 2, j - 1), for j = 1..l
-        up = [_binom(tr[j - 1] + (j - 1), j - 1) for j in range(1, ell + 1)]
-        down = [-_binom(tr[j - 1] + (j - 2), j - 1) for j in range(1, ell + 1)]
+        # T_{j+1} = v gains pascal[j, v + 1] as it rises and loses pascal[j, v] as it falls
+        up = [pascal[j, 1:][t[j, r]] for j in range(ell)]
+        down = [-pascal[j][t[j, r]] for j in range(ell)]
         for pair, table in target.items():
-            shift = [(up if v > 0 else down)[j] for j, v in enumerate(signs[pair]) if v]
-            table[p] = at(rank + sum(shift))
+            shift = sum((up if v > 0 else down)[j] for j, v in enumerate(signs[pair]) if v)
+            table[p] = pos[np.minimum(rank + shift, s - 1)]
     return waved, target, bounds
 
 

@@ -491,7 +491,44 @@ def test_sweep_json_matches_library(tmp_path):
     )
     assert rc == 0
     expected = sweep(3, 3, RATES, trials=30, seed=2)
-    assert out.read_text() == expected.to_json()
+    assert out.read_text() == expected.to_json() + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "4", "--m", "4", "--trials", "10"],
+        ["simulate", "--n", "4", "--m", "4", "--trials", "10", "--format", "json"],
+        ["simulate", "--n", "4", "--m", "4", "--trials", "10", "--format", "csv"],
+        ["sweep", "--n", "3", "--m", "3", "--trials", "5"],
+        ["sweep", "--n", "3", "--m", "3", "--trials", "5", "--format", "json"],
+        ["sweep", "--n", "3", "--m", "3", "--trials", "5", "--format", "csv"],
+        ["analytic", "report", "--n", "4", "--m", "4", "--k", "1", "--l", "1", "--eps", "0.01"],
+        ["analytic", "compare", "--n", "12", "--m", "12"],
+        ["oracle", "enum", "--n", "2", "--m", "2", "--eps", "0.1"],
+        ["oracle", "markov", "--n", "12", "--m", "12", "--k", "1", "--l", "1"],
+        ["layout", "--n", "4", "--m", "4", "--k", "1", "--l", "1"],
+        ["layout", "--n", "4", "--m", "4", "--k", "1", "--l", "1", "--format", "json"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if not a[0].isdigit() and a[0] != "-"),
+)
+def test_out_file_holds_the_bytes_stdout_prints(tmp_path, capsys, argv):
+    # a table or JSON --out file once lacked the newline that ends it on stdout
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.encode()
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed
+
+
+def test_layout_verify_out_file_holds_the_bytes_stdout_prints(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(generate_layout(HraidConfig(4, 4, 1, 1)).to_json())
+    out = tmp_path / "out.txt"
+    argv = ["layout", "--verify", str(grid)]
+    assert main(argv) == 0 and main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode()
 
 
 def test_sweep_table_never_prints_nonzero_as_zero(capsys):

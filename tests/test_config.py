@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import numbers
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from hraidlab import (
     leading_term,
     random_payloads,
 )
+from hraidlab.analytic import conditional_sixth_failure, raid_series_approx
 from hraidlab.config import check_exact_counts, check_integer, check_real, class_events
-from hraidlab.layout import KEYS
+from hraidlab.layout import KEYS, WorkloadParams, small_write_cost
 
 
 def test_valid_config_properties():
@@ -200,6 +202,69 @@ def test_numpy_integer_geometry_gives_python_int_answers(compute, expected):
     assert compute() == expected
 
 
+def _enum_4x4():
+    return exact_reliability_enum(HraidConfig(4, 4, 1, 1))
+
+
+def _small_write_cost(*fractions):
+    return small_write_cost(WorkloadParams(*fractions), HraidConfig(4, 4, 1, 1))
+
+
+def _kinds(answer):
+    """The types of an answer's parts: a tuple's items, a dataclass's fields,
+    or the answer itself."""
+    if dataclasses.is_dataclass(answer):
+        answer = dataclasses.astuple(answer)
+    return [type(part) for part in answer] if isinstance(answer, tuple) else [type(answer)]
+
+
+# each case once raised, warned (an error under the suite's filterwarnings), or
+# gave a numpy answer where the same values as Python numbers give the right one
+@pytest.mark.parametrize(
+    "compute, args",
+    [
+        pytest.param(
+            lambda eps: leading_term(HraidConfig(12, 12, 1, 1)).evaluate(eps),
+            (np.float32(0.1),),
+            id="leading-term-float32",
+        ),
+        pytest.param(
+            lambda eps: raid_series_approx(12, 1, eps), (np.float32(0.1),), id="series-float32"
+        ),
+        pytest.param(
+            raid_series_approx, (np.int64(12), np.int64(1), 0.1), id="series-int64"
+        ),
+        pytest.param(
+            lambda eps: _enum_4x4().reliability(eps), (np.float16(0.9),), id="enum-reliability"
+        ),
+        pytest.param(
+            lambda eps: _enum_4x4().unreliability(eps),
+            (np.float32(0.1),),
+            id="enum-unreliability",
+        ),
+        pytest.param(
+            conditional_sixth_failure, (np.int64(12), np.int64(12)), id="sixth-failure"
+        ),
+        pytest.param(
+            _small_write_cost,
+            (np.float32(0.7), np.float32(0.3), np.float32(2.0)),
+            id="workload-float32",
+        ),
+        pytest.param(FailureModel, (np.float16(1e-3),), id="rates-float16"),
+    ],
+)
+def test_numpy_numbers_give_python_number_answers(compute, args):
+    got = compute(*args)
+    want = compute(*(x.item() if isinstance(x, np.generic) else x for x in args))
+    assert got == want and _kinds(got) == _kinds(want)
+
+
+def test_fraction_past_the_float_range_is_a_validation_error():
+    # a Fraction rate too large for a float once raised OverflowError
+    with pytest.raises(ValidationError, match=r"^disk_rate must be in \["):
+        FailureModel(disk_rate=Fraction(10**400))
+
+
 def test_numpy_integer_sizes_meet_their_bounds():
     # 2**40 * 2**30 wraps to 0 in int64 and once passed the 2**53 count bound
     with pytest.raises(ValidationError, match=r"^n \* m must be below 2\*\*53"):
@@ -247,13 +312,14 @@ def _is_finite_real(value):
     return (
         not isinstance(value, bool)
         and isinstance(value, numbers.Real)
-        and (isinstance(value, numbers.Integral) or math.isfinite(value))
+        and (isinstance(value, numbers.Rational) or math.isfinite(value))
     )
 
 
 _NUMBERS = st.one_of(
     st.integers(),
     st.just(10**400),
+    st.just(Fraction(10**400)),
     st.booleans(),
     st.booleans().map(np.bool_),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),

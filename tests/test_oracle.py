@@ -408,7 +408,12 @@ def test_chain_tables_match_brute_force(monkeypatch, block):
         def failed(t):
             return sum(f * (b - a) for f, (a, b) in enumerate(zip((0, *t), t), 1))
 
-        t_ranked = oracle._colex_states(n, ell)
+        t_ranked, pascal = oracle._colex_states(n, ell)
+        # pascal[j, v] = C(v + j - 1, j), j = 0..l, v = 0..N+1, with row 0 all
+        # ones (C(-1, 0) = 1); no columns at l = 0
+        rows = [[1] * (n + 2)]
+        rows += [[comb(v + j - 1, j) for v in range(n + 2)] for j in range(1, ell + 1)]
+        assert pascal.dtype == np.int64 and pascal.tolist() == (rows if ell else [[]]), (ell, n)
         columns = [tuple(col) for col in t_ranked.T.tolist()]
         assert [rank[t] for t in columns] == list(range(len(states))), (ell, n)
         d = np.array([failed(t) for t in columns])
@@ -435,6 +440,18 @@ def test_chain_tables_match_brute_force(monkeypatch, block):
                         after[b] += 1
                     got = target[a, b][p] if (a, b) in target else p
                     assert got == at[tuple(accumulate(after[1:]))], (ell, n, t, a, b)
+
+
+@pytest.mark.parametrize("n, ell", [(230, 3), (2046, 2), (131_071, 1)])
+def test_pascal_rows_end_at_the_state_count(n, ell):
+    # each l's largest chain that markov_mttdl admits at k = 0: the last
+    # entry of the Pascal rows is the state count C(N + l, l), within int64
+    states = comb(n + ell, ell)
+    assert states <= MAX_CHAIN_STATES and ell * n + 1 <= MAX_CHAIN_WAVES
+    assert comb(n + 1 + ell, ell) > MAX_CHAIN_STATES or ell * (n + 1) + 1 > MAX_CHAIN_WAVES
+    t, pascal = oracle._colex_states(n, ell)
+    assert pascal.shape == (ell + 1, n + 2) and t.shape == (ell, states)
+    assert int(pascal[-1, -1]) == states
 
 
 def test_markov_memory_bound():
