@@ -21,14 +21,12 @@ equal failed-disk total from the highest down, so each (class, target)
 pair's targets are one index array; a level is evaluated in one pass over
 blocks of positions, each block's terms built and then its pieces of
 waves evaluated, each piece a few gathers from earlier waves and the
-level below.  The chain's states and waves are bounded by
-``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``.  The states, event targets
-and wave bounds are built once, for the top level, and every level reads
-them: the wave order is one stable sort of the failed-disk totals, and
-the states, their ranks and the targets' rank changes come from one table
-of Pascal rows; the states take the smallest unsigned dtype that holds N.
-Besides them a level keeps only one block's terms and two levels' values:
-at l = 3 the chain holds 43 bytes a state.
+level below.  The states, event targets and wave bounds are built once,
+for the top level, and every level reads them: one pass unranks the
+states greedily from a table of Pascal rows and keys their waves by
+lN - D in the narrowest unsigned dtype, and one stable sort of the keys
+orders the waves.  Besides them a level keeps only one block's terms and
+two levels' values: at l = 3 the chain holds 43 bytes a state.
 """
 
 from __future__ import annotations
@@ -159,61 +157,51 @@ def _blocks(lo: int, hi: int) -> list[slice]:
     return [slice(b, min(b + _BLOCK, hi)) for b in range(lo, hi, _BLOCK)]
 
 
-def _colex_states(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every (T_1..T_l) with 0 <= T_1 <= ... <= T_l <= n as the columns of an
-    (l, C(n+l, l)) array of the smallest unsigned dtype that holds n, in rank
-    order; whoever combines its entries casts them first.  Beside it, the
-    chain's only binomials: the int64 Pascal rows ``pascal[j, v]`` =
-    C(v+j-1, j), j = 0..l, v = 0..n+1 (no columns at l = 0); row 0 is all
-    ones, and row j is 0, then the running sum of row j-1 from v = 1.
-
-    Rank j coordinates at a time, in place: the states with T_j = v follow
-    those with T_j < v, from column ``pascal[j, v]`` on, and are the first
-    C(v+j-1, j-1) states of j-1 coordinates (those with T_{j-1} <= v), each
-    extended by T_j = v.  Blocks are filled from the last down, so a block
-    reads only columns not yet overwritten.
-    """
-    t = np.zeros((ell, comb(n + ell, ell)), dtype=np.min_scalar_type(n))
-    pascal = np.zeros((ell + 1, n + 2 if ell else 0), dtype=np.int64)
-    pascal[0] = 1
-    for j, first in enumerate(pascal[1:], 1):  # T_j = v from column first[v]
-        np.cumsum(pascal[j - 1, 1:], out=first[1:])
-        for cols in reversed(_blocks(0, comb(n + j, j))):
-            col = np.arange(cols.start, cols.stop)
-            v = np.searchsorted(first, col, side="right") - 1
-            t[: j - 1, cols] = t[: j - 1, col - first[v]]
-            t[j - 1, cols] = v
-    return t, pascal
-
-
 def _chain_tables(n: int, ell: int, pairs: list[tuple[int, int]]) -> tuple:
     """The top level's tables in wave order, which every level shares,
     since neither ranks nor targets depend on ``alive``.
 
-    A state's position is its place in the waves, by one stable sort of
-    failed-disk total D = sum_f f c_f falling, rank rising within a wave.
-    Returns, by position, the states T (``_colex_states``); by pair (a, b)
-    of ``pairs``, one node out of class a into class b (l + 1 is death),
-    the int32 positions of its targets, in this level for a move and in
-    the level below for a death; and the wave bounds, D = lN down to 0.
-    One rule gives every target: T_j rises by one for j >= b and falls by
-    one for j >= a >= 1, and stays where both apply; the colex rank
-    sum_j pascal[j, T_j] (``_colex_states``) gains pascal[j-1, T_j + 1] per
-    rise and loses pascal[j-1, T_j] per fall.  A class-0 death changes no
-    T_j and gets no table: its target is the state's own position.  An
-    empty class's target, rank -1 or past the last, reads the last state,
-    whose value is multiplied by zero.  Targets are built by blocks of ranks.
+    The chain's only binomials are the int64 Pascal rows ``pascal[j, v]`` =
+    C(v+j-1, j), v = 0..n+1 (none at l = 0): row 0 is all ones, and row j
+    the running sum of row j-1 after a 0.  One pass over blocks of colex
+    ranks unranks each state greedily, T_j = max{v : pascal[j, v] <= rank}
+    and the rank less pascal[j, T_j] for j = l down to 1, and keys its wave
+    by lN - D, D = l T_l - sum_{j<l} T_j its failed-disk total, in the
+    smallest unsigned dtype that holds lN.  One stable sort of the keys
+    gives the positions: D falling, rank rising within a wave.
+
+    Returns, by position, the states T, in the smallest unsigned dtype that
+    holds n; by pair (a, b) of ``pairs``, one node out of class a into class
+    b (l + 1 is death), the int32 positions of its targets, in this level
+    for a move and in the level below for a death; and the wave bounds, D =
+    lN down to 0.  One rule gives every target: T_j rises by one for j >= b
+    and falls by one for j >= a >= 1, and stays where both apply; the rank
+    sum_j pascal[j, T_j] gains pascal[j-1, T_j + 1] per rise and loses
+    pascal[j-1, T_j] per fall.  A class-0 death changes no T_j and gets no
+    table: its target is the state's own position.  An empty class's
+    target, rank -1 or past the last, reads the last state, whose value is
+    multiplied by zero.
     """
-    t, pascal = _colex_states(n, ell)
-    s = t.shape[1]
-    d = np.empty(s, dtype=np.int32)
+    s = comb(n + ell, ell)
+    pascal = np.zeros((ell + 1, n + 2 if ell else 0), dtype=np.int64)
+    pascal[0] = 1
+    for j in range(1, ell + 1):
+        np.cumsum(pascal[j - 1, 1:], out=pascal[j, 1:])
+    t = np.empty((ell, s), dtype=np.min_scalar_type(n))
+    key = np.empty(s, dtype=np.min_scalar_type(ell * n))
     for r in _blocks(0, s):
-        tr = t[:, r].astype(np.int32)
-        d[r] = ell * tr[-1] - tr[:-1].sum(axis=0) if ell else 0
+        rank = np.arange(r.start, r.stop)
+        wave = np.zeros(rank.size, dtype=np.int64)  # l (N - T_l) + sum_{j<l} T_j
+        for j in range(ell, 0, -1):  # row 1 is C(v, 1) = v: T_1 is the rank left
+            v = np.searchsorted(pascal[j], rank, "right") - 1 if j > 1 else rank
+            rank = rank - pascal[j, v]
+            t[j - 1, r] = v
+            wave += ell * (n - v) if j == ell else v
+        key[r] = wave
     pos = np.empty(s, dtype=np.int32)
-    pos[np.argsort(-d, kind="stable")] = np.arange(s, dtype=np.int32)
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(d, minlength=ell * n + 1)[::-1])))
-    del d
+    pos[np.argsort(key, kind="stable")] = np.arange(s, dtype=np.int32)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=ell * n + 1))))
+    del key
     # each pair's change to T_1..T_l: 1 rises, -1 falls, 0 keeps
     signs = {(a, b): [(b <= j) - (0 < a <= j) for j in range(1, ell + 1)] for a, b in pairs}
     target = {pair: np.empty(s, dtype=np.int32) for pair, sign in signs.items() if any(sign)}

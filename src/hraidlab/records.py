@@ -25,6 +25,12 @@ def run_header(n: int, m: int, rates: FailureModel) -> str:
     return f"N={n}, M={m}, delta={rates.disk_rate!r}/h, gamma={rates.controller_rate!r}/h"
 
 
+#: Longest loss time an estimate takes, in hours: the engines' stay below
+#: 4e37 h (2**20 events of at most 36.7 / delta h, delta >= 1e-30), and
+#: below it n t**2 is finite for any n < 2**63, so the spread stays finite.
+MAX_LOSS_HOURS = 1e144
+
+
 @dataclass(frozen=True)
 class MttdlEstimate:
     """Aggregate of per-trial loss times with a normal-theory 95% interval."""
@@ -38,21 +44,25 @@ class MttdlEstimate:
 
     @classmethod
     def from_times(cls, times_hours: np.ndarray, seed: int) -> "MttdlEstimate":
-        """The estimate of a numpy array of finite real loss times."""
+        """The estimate, in float64, of a numpy array of loss times in [0, MAX_LOSS_HOURS]."""
         if not isinstance(times_hours, np.ndarray) or times_hours.dtype.kind not in "iuf":
             got = getattr(times_hours, "dtype", type(times_hours).__name__)
             raise ValidationError(f"loss times must be a numpy array of real numbers, got {got}")
-        trials = times_hours.size
+        times = np.asarray(times_hours, dtype=np.float64)
+        trials = times.size
         if trials < 1:
             raise ValidationError("estimate needs at least one trial")
-        if not np.isfinite(times_hours).all():
-            bad = times_hours[~np.isfinite(times_hours)].flat[0]
+        if not np.isfinite(times).all():
+            bad = times[~np.isfinite(times)].flat[0]
             raise ValidationError(f"loss times must be finite, got {bad}")
-        mean = float(np.mean(times_hours))
+        bad = times[(times < 0.0) | (times > MAX_LOSS_HOURS)]
+        if bad.size:
+            raise ValidationError(f"loss times must lie in [0, {MAX_LOSS_HOURS:g}] hours, got {bad[0]}")
+        mean = float(np.mean(times))
         if trials == 1:
             # dispersion is undefined from one sample; report a degenerate CI
             return cls(1, mean, 0.0, mean, mean, seed)
-        std = float(np.std(times_hours, ddof=1))
+        std = float(np.std(times, ddof=1))
         half = 1.96 * std / math.sqrt(trials)
         return cls(trials, mean, std, mean - half, mean + half, seed)
 

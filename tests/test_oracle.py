@@ -408,16 +408,9 @@ def test_chain_tables_match_brute_force(monkeypatch, block):
         def failed(t):
             return sum(f * (b - a) for f, (a, b) in enumerate(zip((0, *t), t), 1))
 
-        t_ranked, pascal = oracle._colex_states(n, ell)
-        # pascal[j, v] = C(v + j - 1, j), j = 0..l, v = 0..N+1, with row 0 all
-        # ones (C(-1, 0) = 1); no columns at l = 0
-        rows = [[1] * (n + 2)]
-        rows += [[comb(v + j - 1, j) for v in range(n + 2)] for j in range(1, ell + 1)]
-        assert pascal.dtype == np.int64 and pascal.tolist() == (rows if ell else [[]]), (ell, n)
-        columns = [tuple(col) for col in t_ranked.T.tolist()]
-        assert [rank[t] for t in columns] == list(range(len(states))), (ell, n)
-        d = np.array([failed(t) for t in columns])
-        want = t_ranked[:, np.lexsort((np.arange(len(states)), -d))]
+        columns = sorted(states, key=lambda t: (-failed(t), rank[t]))
+        d = np.array([failed(t) for t in states])
+        want = np.array(columns, dtype=np.min_scalar_type(n)).reshape(len(states), ell).T
         # every pair of the event table, and the jumps of more than one
         # class that a burst row would add
         rows = {(f, to) for f, _, to in class_events(12, ell)}
@@ -444,14 +437,41 @@ def test_chain_tables_match_brute_force(monkeypatch, block):
 
 @pytest.mark.parametrize("n, ell", [(230, 3), (2046, 2), (131_071, 1)])
 def test_pascal_rows_end_at_the_state_count(n, ell):
-    # each l's largest chain that markov_mttdl admits at k = 0: the last
-    # entry of the Pascal rows is the state count C(N + l, l), within int64
+    # each l's largest chain that markov_mttdl admits at k = 0: its Pascal
+    # rows end at the state count C(N + l, l), within int64, and unranking
+    # reaches every state, from (0, ..., 0, N) at D = lN to all zeros at D = 0
     states = comb(n + ell, ell)
     assert states <= MAX_CHAIN_STATES and ell * n + 1 <= MAX_CHAIN_WAVES
     assert comb(n + 1 + ell, ell) > MAX_CHAIN_STATES or ell * (n + 1) + 1 > MAX_CHAIN_WAVES
-    t, pascal = oracle._colex_states(n, ell)
-    assert pascal.shape == (ell + 1, n + 2) and t.shape == (ell, states)
-    assert int(pascal[-1, -1]) == states
+    waved, _, bounds = oracle._chain_tables(n, ell, [])
+    assert waved.shape == (ell, states) and int(bounds[-1]) == states
+    assert waved[:, 0].tolist() == [0] * (ell - 1) + [n]
+    assert waved[:, -1].tolist() == [0] * ell
+
+
+@pytest.mark.parametrize(
+    "n, ell, key",
+    [(85, 3, np.uint8), (86, 3, np.uint16), (65_535, 1, np.uint16), (65_536, 1, np.uint32)],
+)
+def test_wave_key_dtype_boundaries(n, ell, key):
+    # the wave key lN - D takes the smallest unsigned dtype that holds lN:
+    # lN = 255, 258, 65535 and 65536 sit on either side of a dtype edge
+    assert np.min_scalar_type(ell * n) == key
+    waved, _, bounds = oracle._chain_tables(n, ell, [])
+    t = waved.astype(np.int64)
+    d = ell * t[-1] - t[:-1].sum(axis=0)
+    rank = np.zeros(t.shape[1], dtype=np.int64)
+    for j, tj in enumerate(t, 1):  # C(T_j + j - 1, j), one exact factor at a time
+        c = np.ones_like(tj)
+        for i in range(j):
+            c = c * (tj + i) // (i + 1)
+        rank += c
+    assert (np.diff(d) <= 0).all()
+    same = np.diff(d) == 0
+    assert (np.diff(rank)[same] > 0).all()
+    assert np.array_equal(np.sort(rank), np.arange(comb(n + ell, ell)))
+    sizes = np.bincount(ell * n - d, minlength=ell * n + 1)
+    assert bounds.tolist() == [0, *np.cumsum(sizes).tolist()]
 
 
 def test_markov_memory_bound():

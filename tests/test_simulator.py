@@ -248,6 +248,29 @@ def test_run_rejects_bad_trials():
         MttdlEstimate.from_times(np.array([np.inf, 1.0]), seed=0)
 
 
+@pytest.mark.parametrize(
+    "times, refused",
+    [
+        (np.array([1.0, 2.0], dtype=np.float32), None),
+        (np.array([1.0, 2.0], dtype=np.float16), None),
+        (np.array([1e300, 0.0]), "1e+300"),  # its spread would overflow
+        (np.array([-1.0, 2.0]), "-1.0"),
+    ],
+    ids=["float32", "float16", "overflow", "negative"],
+)
+def test_estimate_is_float64_of_times_in_range(times, refused):
+    # narrow floats are widened before the mean and spread, and a time below
+    # 0 or past MAX_LOSS_HOURS (1e144 h) is refused
+    if refused is None:
+        est = MttdlEstimate.from_times(times, seed=0)
+        assert est == MttdlEstimate.from_times(times.astype(np.float64), seed=0)
+        assert est.std_dev_hours == 0.7071067811865476
+    else:
+        match = rf"^loss times must lie in \[0, 1e\+144\] hours, got {re.escape(refused)}$"
+        with pytest.raises(ValidationError, match=match):
+            MttdlEstimate.from_times(times, seed=0)
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
 def test_seeds_outside_64_bits_are_rejected(seed):
     cfg = HraidConfig(3, 3, 1, 1)
