@@ -17,15 +17,14 @@ draws from its own counter-based stream keyed by (seed, trial index), so
 results are bit-identical for any execution order, thread count and chunk
 size.
 
-The engine is table-driven over compacted live trials.  It holds the class
-counts as one float64 (l+1, live) array of exact small integers (N M below
-2**53 keeps them exact).  One matmul against a fixed weight matrix gives
-the event thresholds, one bin per event row: l+1 disk bins, plus l+1
-controller bins only when gamma/delta is positive (at 0 no draw reaches
-them).  The bin is the count of thresholds at or below the draw.  Two
-per-bin tables apply it: the class-count change, and the change to one
-int64 tally that packs the dead-node count above the disk-event count.
-Absorbed trials are written out and dropped after each step.
+The engine is table-driven, with one bin per event row: l+1 disk bins,
+plus l+1 controller bins only when gamma/delta is positive (at 0 no draw
+reaches them).  A trial's state is ``weights @ c`` of its class counts c
+in float64 (N M below 2**53 keeps them exact integers): the disk bins'
+thresholds and the cumulative node counts that give the controller bins'.
+The bin is the count of thresholds at or below the draw.  Two per-bin
+tables apply it, ``weights @ step`` and the change to one int64 tally
+(dead nodes above disk events); absorbed trials restart as sink trials.
 ``trace_trials`` runs the same engine with a recorder of each step's bins
 and times, and labels them with node ids afterwards, so a trace is the
 very trial the estimate holds; each trial is one JSON text, formatted
@@ -66,7 +65,7 @@ MAX_TRIAL_EVENTS = 2**20
 
 #: Most trials one run takes.  The raw per-trial arrays and the estimate's
 #: temporaries cost about 24 B a trial.  At the bound ``simulate --n 12 --m 12``
-#: took 3.1 s and 432 MB peak RSS at HRAID 0/0, and 31 s and 438 MB at 3/3, on
+#: took 1.8 s and 432 MB peak RSS at HRAID 0/0, and 15 s and 434 MB at 3/3, on
 #: one thread of 2 shared cores with Python 3.11.7 and numpy 2.4.6.
 MAX_TRIALS = 2**24
 
@@ -175,58 +174,59 @@ def _simulate_chunk(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized engine: unit-time losses, disk-event counts, causes.
 
-    Every per-trial array holds only the live trials; absorbed trials are
-    written out and dropped after each step.  A ``record`` list gets one
-    (chunk trial indices, bins, unit times) entry per step, live trials only.
+    An absorbed trial is written out and restarts from N nodes in class 0 as
+    a sink trial with index ``count`` (a spare output slot); its draws are
+    keyed by (key, counter), so it changes no other trial's bits.  Sink trials
+    are dropped once they are a quarter of the per-trial arrays; the loop ends
+    once every real trial is written.  A ``record`` list gets one (chunk trial
+    indices, bins, unit times) entry per step, real trials only.
     """
-    n, k, ell = config.n, config.k, config.ell
-    nb = ell + 1
-    weights, step, tally_step, ctrl_bin = _bin_tables(config.m, ell, rho)
-    keys = trial_keys(seed, start, count)
-    trial = np.arange(count)
-    c = np.zeros((nb, count))  # c_f per live trial; exact small integers
-    c[0] = n
-    tally = np.zeros(count, dtype=np.int64)  # dead << _DEAD_SHIFT | disk events
-    t_unit = np.zeros(count)
-    out_t = np.empty(count)
-    out_disk = np.empty(count, dtype=np.int64)
-    out_cause = np.empty(count, dtype=np.uint8)
-    it = 0
-    while trial.size:
+    n, k, nb = config.n, config.k, config.ell + 1
+    weights, step, tally_step, ctrl_bin = _bin_tables(config.m, config.ell, rho)
+    lead = weights.shape[0] - nb  # cumulative node counts: nb rows at rho > 0
+    weights = np.roll(weights, lead, axis=0)  # those rows first, then the disk bins'
+    wstep, origin = weights @ step, n * weights[:, 0]
+    keys, trial = trial_keys(seed, start, count), np.arange(count)
+    # weights @ c, then the controller thresholds: the thresholds are the rows from lead on
+    state = np.empty((lead + weights.shape[0], count))
+    state[: lead + nb] = origin[:, None]
+    t_unit, tally = np.zeros(count), np.zeros(count, dtype=np.int64)  # see _DEAD_SHIFT
+    out_t, out_tally = np.empty(count + 1), np.empty(count + 1, dtype=np.int64)
+    out_bin = np.empty(count + 1, dtype=np.int8)  # the bin of a trial's last event
+    it, sinks, left = 0, 0, count  # left: the real trials not yet written
+    while left:
         it += 1
-        u1 = uniforms_at(keys, 2 * it - 1)
-        u2 = uniforms_at(keys, 2 * it)
-        # integer partial sums below 2**53, so the matmul is exact
-        thr = weights @ c
-        ctrl = thr[nb:]  # no rows at rho = 0
-        ctrl *= rho
-        ctrl += thr[ell]  # wtot + rho * cum_c, the float order of total
-        total = thr[-1]
-        t_unit -= np.log1p(-u1) / total
-        # Some bin always holds x = u2 * total: u2 <= 1 - 2**-53, so under
-        # round-to-nearest x < total, and the last threshold is total itself.
-        # The thresholds never decrease, so counting those <= x finds the bin.
+        u1, u2 = uniforms_at(keys, 2 * it - 1), uniforms_at(keys, 2 * it)
+        if lead:  # wtot + rho * cum_c, the float order of total
+            ctrl = np.multiply(state[:nb], rho, out=state[2 * nb :])
+            ctrl += state[2 * nb - 1]
+        total = state[-1]
+        np.log1p(np.negative(u1, out=u1), out=u1)  # in place: a fresh array is cold
+        t_unit -= np.divide(u1, total, out=u1)
+        # u2 <= 1 - 2**-53, so x = u2 * total < total, the last threshold, under round-to-
+        # nearest; the thresholds never decrease, so counting the others <= x finds x's bin.
         u2 *= total
-        b = np.add.reduce(u2 >= thr, axis=0, dtype=np.int8)
+        b = np.add.reduce((u2 >= state[lead:-1]).view(np.int8), axis=0, dtype=np.int8)
         if record is not None:
-            record.append((trial, b, t_unit.copy()))
-        c += step.take(b, axis=1)
+            record.append((trial[real := trial < count], b[real], t_unit[real]))
+        state[: lead + nb] += wstep.take(b, axis=1)
         tally += tally_step.take(b)
-
-        absorbed = tally >= (k + 1) << _DEAD_SHIFT
-        if not absorbed.any():
+        done = np.flatnonzero(tally >= (k + 1) << _DEAD_SHIFT)  # absorbed
+        if not done.size:
             continue
-        done = np.flatnonzero(absorbed)
         out = trial.take(done)
-        out_t[out] = t_unit.take(done)
-        out_disk[out] = tally.take(done) & ((1 << _DEAD_SHIFT) - 1)
-        out_cause[out] = ctrl_bin.take(b.take(done))
-        # take keeps c C-contiguous: a boolean column index would return an
-        # F-ordered array, which makes the next matmul far slower
-        live = np.flatnonzero(~absorbed)
-        trial, keys, c = trial.take(live), keys.take(live), c.take(live, axis=1)
-        tally, t_unit = tally.take(live), t_unit.take(live)
-    return out_t, out_disk, out_cause
+        out_t[out], out_tally[out], out_bin[out] = t_unit.take(done), tally.take(done), b.take(done)
+        written = np.count_nonzero(out < count)  # real trials; a sink stays one
+        left, sinks = left - written, sinks + written
+        trial[done], tally[done], t_unit[done] = count, 0, 0.0
+        for row, value in zip(state, origin):
+            row[done] = value
+        if 4 * sinks >= trial.size:
+            live = np.flatnonzero(trial < count)
+            trial, keys, state = trial.take(live), keys.take(live), state.take(live, axis=1)
+            tally, t_unit, sinks = tally.take(live), t_unit.take(live), 0
+    out_disk = out_tally[:count] & ((1 << _DEAD_SHIFT) - 1)
+    return out_t[:count], out_disk, ctrl_bin.take(out_bin[:count]).view(np.uint8)
 
 
 def _check_run(trials: int, seed: int) -> None:

@@ -49,6 +49,14 @@ WITH_CONTROLLERS = FailureModel(disk_rate=1e-6, controller_rate=2e-7)
         # gamma > 0 whose gamma/delta underflows to 0.0, and one left subnormal
         (HraidConfig(4, 4, 1, 1), FailureModel(disk_rate=1e30, controller_rate=1e-300)),
         (HraidConfig(4, 4, 1, 1), FailureModel(disk_rate=1e10, controller_rate=1e-300)),
+        # N = k + 1 with l >= 1: every node is dead when a trial is absorbed
+        (HraidConfig(4, 8, 3, 3), DISK_ONLY),
+        (HraidConfig(4, 8, 3, 3), WITH_CONTROLLERS),
+        (HraidConfig(2, 3, 1, 1), WITH_CONTROLLERS),
+        # gamma/delta = 1e60, the top of the rate domain: every trial loses
+        # k + 1 controllers, so all trials are absorbed on the same step
+        (HraidConfig(4, 4, 1, 1), FailureModel(disk_rate=1e-30, controller_rate=1e30)),
+        (HraidConfig(3, 5, 2, 1), FailureModel(disk_rate=1e-30, controller_rate=1e30)),
     ],
 )
 def test_scalar_and_batch_engines_are_bit_identical(cfg, rates):
@@ -60,6 +68,25 @@ def test_scalar_and_batch_engines_are_bit_identical(cfg, rates):
         assert event.disk_failures == batch.disk_failures[i], i
         expected_cause = 1 if event.cause == "controller" else 0
         assert batch.causes[i] == expected_cause, i
+
+
+@pytest.mark.parametrize(
+    "cfg,rates",
+    [
+        (HraidConfig(2, 2, 0, 0), DISK_ONLY),
+        (HraidConfig(9, 6, 2, 2), WITH_CONTROLLERS),
+        (HraidConfig(4, 8, 3, 3), WITH_CONTROLLERS),
+        (HraidConfig(4, 4, 1, 1), FailureModel(disk_rate=1e-30, controller_rate=1e30)),
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 2024])
+def test_a_single_trial_run_is_bit_identical_to_the_scalar_engine(cfg, rates, seed):
+    # the run ends on the one trial's absorption
+    batch = run_trials(cfg, rates, 1, seed)
+    event = simulate_trial(cfg, rates, TrialStream(seed, 0))
+    assert batch.times_hours.tobytes() == np.float64(event.time_hours).tobytes()
+    assert batch.disk_failures.tolist() == [event.disk_failures]
+    assert batch.causes.tolist() == [1 if event.cause == "controller" else 0]
 
 
 #: sha256 of the times_hours, disk_failures and causes bytes of 2,000
@@ -89,6 +116,28 @@ def test_results_do_not_depend_on_thread_count():
         assert np.array_equal(base.times_hours, other.times_hours)
         assert np.array_equal(base.disk_failures, other.disk_failures)
         assert np.array_equal(base.causes, other.causes)
+
+
+@pytest.mark.parametrize(
+    "cfg,rates",
+    [
+        (HraidConfig(4, 4, 1, 1), DISK_ONLY),
+        (HraidConfig(9, 6, 2, 2), WITH_CONTROLLERS),
+        (HraidConfig(5, 4, 2, 0), DISK_ONLY),
+        (HraidConfig(5, 4, 2, 0), WITH_CONTROLLERS),
+        # N = k + 1 with l >= 1: every node is dead when a trial is absorbed
+        (HraidConfig(4, 8, 3, 3), DISK_ONLY),
+        (HraidConfig(4, 8, 3, 3), WITH_CONTROLLERS),
+    ],
+)
+def test_results_do_not_depend_on_chunk_size(monkeypatch, cfg, rates):
+    trials, seed = 1200, 13
+    base = run_trials(cfg, rates, trials, seed)
+    for size in (1, 3, 64, 1000):
+        monkeypatch.setattr(simulator_module, "CHUNK_TRIALS", size)
+        other = run_trials(cfg, rates, trials, seed)
+        for name in ("times_hours", "disk_failures", "causes"):
+            assert getattr(other, name).tobytes() == getattr(base, name).tobytes(), (size, name)
 
 
 def test_repeat_runs_are_identical():
