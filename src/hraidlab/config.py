@@ -104,14 +104,15 @@ class HraidConfig:
         return self.n * self.m
 
 
-def class_events(m: int, ell: int) -> tuple[tuple[int, int, int], ...]:
+def class_events(m: int, ell: int, controller_rate: float) -> tuple[tuple[int, int, int], ...]:
     """The lumped failure process's events as rows (f, disks, target), in the
     engines' bin order: the disk failure of an alive node with f = 0..l failed
-    disks, at rate (M - f) delta, then its controller failure, with disks 0,
-    at rate gamma.  The event moves the node to class target, l + 1 being
-    death.  The simulator and the exact chain both read this table."""
-    classes = range(ell + 1)
-    return tuple((f, m - f, f + 1) for f in classes) + tuple((f, 0, ell + 1) for f in classes)
+    disks, at rate (M - f) delta, then, only if ``controller_rate`` (gamma or
+    gamma/delta) is positive, its controller failure, with disks 0, at rate
+    gamma.  The event moves the node to class target, l + 1 being death.  Both
+    engines take this table as it is, so no row they read has rate 0."""
+    ctrl = range(ell + 1 if controller_rate > 0 else 0)
+    return tuple((f, m - f, f + 1) for f in range(ell + 1)) + tuple((f, 0, ell + 1) for f in ctrl)
 
 
 #: Size bound of the counting engines (the simulator and the exact chain):

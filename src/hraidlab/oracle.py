@@ -21,12 +21,12 @@ equal failed-disk total from the highest down, so each (class, target)
 pair's targets are one index array; a level is evaluated in one pass over
 blocks of positions, each block's terms built and then its pieces of
 waves evaluated, each piece a few gathers from earlier waves and the
-level below.  The states, event targets and wave bounds are built once,
-for the top level, and every level reads them: one pass unranks the
-states greedily from a table of Pascal rows and keys their waves by
-lN - D in the narrowest unsigned dtype, and one stable sort of the keys
-orders the waves.  Besides them a level keeps only one block's terms and
-two levels' values: at l = 3 the chain holds 43 bytes a state.
+level below.  The states, event targets and wave bounds are built once, for
+the top level, and every level reads them: one pass unranks the states
+greedily from a table of Pascal rows and keys their waves by lN - D in the
+narrowest unsigned dtype, and one stable sort of the keys orders the waves.
+Besides them a level keeps only one block's terms and two levels' values:
+at l = 3 the chain holds 43 bytes a state at gamma > 0 and 35 at gamma = 0.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ def _level(tables: tuple, alive: int, total: list, events: list, below: np.ndarr
             share, to = count[a] * rate * inv, target.get((a, b))
             if b <= ell:
                 moves.append((share, to))
-            elif share.any():
+            else:
                 head += share * below[p if to is None else to[p]]
         # the block's pieces of waves, each one wave's states in it
         inside = bounds[np.searchsorted(bounds, p.start, "right") : np.searchsorted(bounds, p.stop)]
@@ -265,13 +265,13 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
     """Exact expected hours to data loss under instantaneous restriping.
 
     The lumped state holds (c_0..c_l, dead): c_f alive nodes with f failed
-    disks and the dead-node count.  From a state, each row (f, disks,
-    target) of ``config.class_events`` moves one node of class f to class
-    target, l + 1 being death, at rate c_f disks delta, or c_f gamma for a
-    controller row (disks 0).  Data is lost when dead = k+1.  Failures only
-    accumulate, so the chain is acyclic and expected absorption times evaluate
-    bottom-up, one dead-node level at a time, from dead = k down to 0:
-    E = 1/total + sum over events of (rate/total) E(target).
+    disks and the dead-node count.  From a state, each row (f, disks, target)
+    of ``config.class_events`` moves one node of class f to class target,
+    l + 1 being death, at rate c_f disks delta, or c_f gamma for a controller
+    row (disks 0, listed only at gamma > 0).  Data is lost when dead = k+1.
+    Failures only accumulate, so the chain is acyclic and expected absorption
+    times evaluate bottom-up, one dead-node level at a time, from dead = k
+    down to 0: E = 1/total + sum over events of (rate/total) E(target).
 
     A level's state is stored as its partial sums T_j = c_1 + ... + c_j,
     0 <= T_1 <= ... <= T_l <= alive, and ranked by the colex rank
@@ -286,13 +286,14 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
     blocks of positions (``_level``), so it keeps one block's terms.
 
     The work is (k+1) C(N+l, l) states in (k+1)(lN+1) waves, bounded by
-    ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``; past either, or when N M
-    is not below 2**53, this raises ValidationError.  The largest admitted
-    chain of each (k, l) answered in at most 1.6 s and 115 MB peak RSS
-    (0/3 at N = 230 is the largest: 0.6-1.1 s, 115 MB; 3/3 at N = 144:
-    0.35-0.6 s, 55 MB; l = 1 at the wave bound, one state per wave, is the
-    slowest: 0.6-1.5 s), each in a fresh process on 2 shared cores with
-    Python 3.11.7 and numpy 2.4.6.
+    ``MAX_CHAIN_STATES`` and ``MAX_CHAIN_WAVES``; past either, or when N M is
+    not below 2**53, this raises ValidationError.  At l = 3 a state costs 43
+    bytes at gamma > 0 and 35 at gamma = 0.  The largest chain of each (k, l)
+    answered in at most 0.6 s and 104 MB peak RSS (0/3 at N = 230, the largest:
+    0.40-0.47 s and 104 MB at gamma = 1e-7, 0.34-0.37 s and 88 MB at gamma = 0;
+    3/3 at N = 144: 0.20-0.22 s and 54 MB, 0.17-0.19 s and 50 MB; l = 1 at the
+    wave bound, one state per wave, is the slowest: 0.46-0.57 s), each in a
+    fresh process on 2 shared cores, Python 3.11.7, numpy 2.4.6.
     """
     check_exact_counts(config)
     n, m, k, ell = config.n, config.m, config.k, config.ell
@@ -307,7 +308,7 @@ def markov_mttdl(config: HraidConfig, rates: FailureModel) -> float:
     # each class's and each (class, target) pair's rate, summed from 0.0 in
     # row order; the terms' float order: moves by rising target, deaths by falling class
     total, rate = [0.0] * (ell + 1), {}
-    for f, disks, to in class_events(m, ell):
+    for f, disks, to in class_events(m, ell, rates.controller_rate):
         r = disks * rates.disk_rate if disks else rates.controller_rate
         total[f] += r
         rate[f, to] = rate.get((f, to), 0.0) + r

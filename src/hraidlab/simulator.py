@@ -17,18 +17,17 @@ draws from its own counter-based stream keyed by (seed, trial index), so
 results are bit-identical for any execution order, thread count and chunk
 size.
 
-The engine is table-driven, with one bin per event row: l+1 disk bins,
-plus l+1 controller bins only when gamma/delta is positive (at 0 no draw
-reaches them).  A trial's state is ``weights @ c`` of its class counts c
-in float64 (N M below 2**53 keeps them exact integers): the disk bins'
-thresholds and the cumulative node counts that give the controller bins'.
-The bin is the count of thresholds at or below the draw.  Two per-bin
-tables apply it, ``weights @ step`` and the change to one int64 tally
-(dead nodes above disk events); absorbed trials restart as sink trials.
-``trace_trials`` runs the same engine with a recorder of each step's bins
-and times, and labels them with node ids afterwards, so a trace is the
-very trial the estimate holds; each trial is one JSON text, formatted
-from fixed templates.
+The engine is table-driven, with one bin per row of the run's table,
+``class_events`` at rho = gamma/delta.  A trial's state is ``weights @ c``
+of its class counts c in float64 (N M below 2**53 keeps them exact
+integers): the disk bins' thresholds and the cumulative node counts that
+give the controller bins'.  The bin is the count of thresholds at or below
+the draw.  Two per-bin tables apply it, ``weights @ step`` and the change
+to one int64 tally (dead nodes above disk events); absorbed trials restart
+as sink trials.  ``trace_trials`` runs the same engine with a recorder of
+each step's bins and times, and labels them with node ids afterwards, so
+a trace is the very trial the estimate holds; each trial is one JSON
+text, formatted from fixed templates.
 
 This module holds only the engine and the runs built on it.  The records
 it returns (``MttdlEstimate``, ``SweepResult``) and their table, CSV and
@@ -146,14 +145,13 @@ def _unit_rho(config: HraidConfig, rates: FailureModel) -> float:
 
 
 def _bin_tables(m: int, ell: int, rho: float) -> tuple[np.ndarray, ...]:
-    """Per-bin tables for ``_simulate_chunk``, one bin per ``class_events`` row
-    bar the controller rows at rho = 0, which no draw reaches.  ``weights @ c``
-    gives the disk bins' cumulative disk weights, then the controller bins'
-    cumulative node counts; by bin, ``step[:, b]`` is the class-count change,
-    ``tally_step[b]`` the tally's and ``ctrl[b]`` the cause.
+    """Per-bin tables for ``_simulate_chunk``, one bin per row of the run's
+    table, ``class_events(m, ell, rho)``.  ``weights @ c`` gives the disk bins'
+    cumulative disk weights, then the controller bins' cumulative node counts;
+    by bin, ``step[:, b]`` is the class-count change, ``tally_step[b]`` the
+    tally's and ``ctrl[b]`` the cause.
     """
-    events = [event for event in class_events(m, ell) if rho or event[1]]
-    cls, disks, target = map(np.array, zip(*events))
+    cls, disks, target = map(np.array, zip(*class_events(m, ell, rho)))
     bins, ctrl, dies = np.arange(cls.size), disks == 0, target > ell
     own = np.where(ctrl, 1.0, disks)[:, None] * (cls[:, None] == np.arange(ell + 1))
     weights = np.vstack((own[~ctrl].cumsum(axis=0), own[ctrl].cumsum(axis=0)))
@@ -344,7 +342,7 @@ def trace_trials(
     _check_run(trials, seed)
     rho = _unit_rho(config, rates)
     per_chunk = max(1, min(CHUNK_TRIALS, TRACE_CHUNK_EVENTS // _trial_events(config)))
-    events = class_events(config.m, config.ell)
+    events = class_events(config.m, config.ell, rho)
 
     def traced(start: int) -> Iterator[str]:
         count = min(per_chunk, trials - start)
@@ -372,7 +370,7 @@ def _label_trial(trial: int, events: tuple, bins: list[int], hours: list[float])
     and pops, in rising order: a queue's front is its lowest-index node.
     ``hours`` must be Python floats, which ``%s`` prints as ``json.dumps`` does."""
     untouched = 0  # the nodes from this index on are in class 0
-    touched: list[deque[int]] = [deque() for _ in events]  # queues by class, 1..l + 1 used
+    touched: list[deque[int]] = [deque() for _ in range(max(t for *_, t in events) + 1)]  # by class
     lines = []
     for b, h in zip(bins, hours):
         f, disks, target = events[b]

@@ -13,7 +13,8 @@ to reproduce.  Its (k=0, l=2) entry once read 118.9; it is now the exact
 
 import time
 from fractions import Fraction
-from math import comb, sqrt
+from itertools import product
+from math import comb, expm1, sqrt
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,7 @@ from hraidlab import (
     exact_reliability_enum,
     generate_layout,
     hraid_reliability,
+    hraid_unreliability,
     markov_mttdl,
     node_cells,
     random_payloads,
@@ -154,6 +156,39 @@ def test_std_dev_of_exponential_loss_time():
     se = sigma * sqrt(2.0 / TRIALS)
     z = (est.std_dev_hours - sigma) / se
     assert abs(z) < 5.0, f"std {est.std_dev_hours:.1f} h vs exact {sigma:.1f} h, z = {z:.2f}"
+
+
+def _loss_time_cdf(cfg: HraidConfig, hours: np.ndarray) -> np.ndarray:
+    """P(loss by t) at gamma = 0: every disk has failed by t with probability
+    eps = 1 - exp(-delta t), independently, so it is the array unreliability
+    at eps, here the binomial tails in numpy: a node past l failed disks with
+    probability u, and more than k such nodes."""
+    n, m, k, ell = cfg.n, cfg.m, cfg.k, cfg.ell
+    eps = -np.expm1(-RATES.disk_rate * hours)
+    u = sum(comb(m, f) * eps**f * (1 - eps) ** (m - f) for f in range(ell + 1, m + 1))
+    return sum(comb(n, j) * u**j * (1 - u) ** (n - j) for j in range(k + 1, n + 1))
+
+
+def test_loss_times_follow_the_exact_distribution():
+    # Kolmogorov-Smirnov over the 16 cells of 12x12 at gamma = 0: a shape
+    # error that keeps the mean fails it.  2.01 is the Kolmogorov critical
+    # value for a family-wise alpha = 0.01 over 16 cells, 2 exp(-2 x^2) =
+    # 0.01 / 16, fixed before the test's first run; the seeds are the sweep's
+    trials, worst = 32_768, 0.0
+    for k, ell in product(range(4), range(4)):
+        cfg = HraidConfig(12, 12, k, ell)
+        run = run_trials(cfg, RATES, trials, cell_seed(PINNED_SEED, k, ell), threads=1)
+        times = np.sort(run.times_hours)
+        cdf = _loss_time_cdf(cfg, times)
+        for i in (0, trials // 4, trials // 2, 3 * trials // 4, trials - 1):
+            want = hraid_unreliability(cfg, -expm1(-RATES.disk_rate * times[i]))
+            assert cdf[i] == pytest.approx(want, rel=1e-9, abs=1e-12), (k, ell, times[i])
+        # the empirical CDF steps from (i - 1)/T to i/T at the i-th time
+        ranks = np.arange(trials + 1) / trials
+        distance = sqrt(trials) * max((ranks[1:] - cdf).max(), (cdf - ranks[:-1]).max())
+        assert distance < 2.01, (k, ell, distance)
+        worst = max(worst, distance)
+    print(f"loss-time CDF PASS: worst sqrt(T) sup|F - U| = {worst:.2f} over 16 cells")
 
 
 def test_criterion_2a_intervals_contain_exact_chain(table_sweep):

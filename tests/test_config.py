@@ -33,26 +33,40 @@ def test_valid_config_properties():
 
 
 @pytest.mark.parametrize(
-    "m, ell, rows",
+    "m, ell, rate, rows",
+    # a positive controller rate keeps each case's id from before the rate was an input
     [
-        (12, 0, [(0, 12, 1), (0, 0, 1)]),
-        (12, 1, [(0, 12, 1), (1, 11, 2), (0, 0, 2), (1, 0, 2)]),
-        (12, 2, [(0, 12, 1), (1, 11, 2), (2, 10, 3),
-                 (0, 0, 3), (1, 0, 3), (2, 0, 3)]),
-        (12, 3, [(0, 12, 1), (1, 11, 2), (2, 10, 3), (3, 9, 4),
-                 (0, 0, 4), (1, 0, 4), (2, 0, 4), (3, 0, 4)]),
-        (1, 0, [(0, 1, 1), (0, 0, 1)]),
-        (2, 1, [(0, 2, 1), (1, 1, 2), (0, 0, 2), (1, 0, 2)]),
-        (3, 2, [(0, 3, 1), (1, 2, 2), (2, 1, 3),
-                (0, 0, 3), (1, 0, 3), (2, 0, 3)]),
-        (4, 3, [(0, 4, 1), (1, 3, 2), (2, 2, 3), (3, 1, 4),
-                (0, 0, 4), (1, 0, 4), (2, 0, 4), (3, 0, 4)]),
+        pytest.param(12, 0, 1e-7, [(0, 12, 1), (0, 0, 1)], id="12-0-rows0"),
+        pytest.param(12, 1, 1e-7, [(0, 12, 1), (1, 11, 2), (0, 0, 2), (1, 0, 2)], id="12-1-rows1"),
+        pytest.param(12, 2, 1e-7, [(0, 12, 1), (1, 11, 2), (2, 10, 3),
+                                   (0, 0, 3), (1, 0, 3), (2, 0, 3)], id="12-2-rows2"),
+        pytest.param(12, 3, 1e-7, [(0, 12, 1), (1, 11, 2), (2, 10, 3), (3, 9, 4),
+                                   (0, 0, 4), (1, 0, 4), (2, 0, 4), (3, 0, 4)], id="12-3-rows3"),
+        pytest.param(1, 0, 1e-7, [(0, 1, 1), (0, 0, 1)], id="1-0-rows4"),
+        pytest.param(2, 1, 1e-7, [(0, 2, 1), (1, 1, 2), (0, 0, 2), (1, 0, 2)], id="2-1-rows5"),
+        pytest.param(3, 2, 1e-7, [(0, 3, 1), (1, 2, 2), (2, 1, 3),
+                                  (0, 0, 3), (1, 0, 3), (2, 0, 3)], id="3-2-rows6"),
+        pytest.param(4, 3, 1e-7, [(0, 4, 1), (1, 3, 2), (2, 2, 3), (3, 1, 4),
+                                  (0, 0, 4), (1, 0, 4), (2, 0, 4), (3, 0, 4)], id="4-3-rows7"),
+        # the smallest positive rate lists them all
+        (12, 3, 5e-324, [(0, 12, 1), (1, 11, 2), (2, 10, 3), (3, 9, 4),
+                         (0, 0, 4), (1, 0, 4), (2, 0, 4), (3, 0, 4)]),
+        # at rate 0 no controller row: every row of the table is an event with a rate
+        (12, 0, 0.0, [(0, 12, 1)]),
+        (12, 1, 0.0, [(0, 12, 1), (1, 11, 2)]),
+        (12, 2, 0.0, [(0, 12, 1), (1, 11, 2), (2, 10, 3)]),
+        (12, 3, 0.0, [(0, 12, 1), (1, 11, 2), (2, 10, 3), (3, 9, 4)]),
+        (1, 0, 0.0, [(0, 1, 1)]),
+        (2, 1, 0.0, [(0, 2, 1), (1, 1, 2)]),
+        (3, 2, 0.0, [(0, 3, 1), (1, 2, 2), (2, 1, 3)]),
+        (4, 3, 0.0, [(0, 4, 1), (1, 3, 2), (2, 2, 3), (3, 1, 4)]),
     ],
 )
-def test_class_events_rows(m, ell, rows):
+def test_class_events_rows(m, ell, rate, rows):
     # (class, disk multiplicity, target class, l + 1 for death): disk events
-    # of classes 0..l, then controller events of classes 0..l
-    assert class_events(m, ell) == tuple(rows)
+    # of classes 0..l, then, at a positive controller rate, controller events
+    # of classes 0..l
+    assert class_events(m, ell, rate) == tuple(rows)
 
 
 def test_defaults_are_no_redundancy():

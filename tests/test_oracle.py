@@ -359,6 +359,12 @@ def test_markov_pinned_bit_for_bit():
     }
     for (n, ell), want in pinned.items():
         assert markov_mttdl(HraidConfig(n, 12, 3, ell), rates) == want, (n, ell)
+    # at gamma = 0, where the table has no controller rows, read before the
+    # chain stopped building their targets
+    pinned = {12: 267828.3729432654, 24: 197793.197725972, 48: 152305.91423705444,
+              96: 120122.31000810512}
+    for n, want in pinned.items():
+        assert markov_mttdl(HraidConfig(n, 12, 3, 3), FailureModel(1e-6, 0.0)) == want, n
 
 
 @pytest.mark.parametrize("block, max_n", [(1, 24), (7, 48)])
@@ -411,9 +417,9 @@ def test_chain_tables_match_brute_force(monkeypatch, block):
         columns = sorted(states, key=lambda t: (-failed(t), rank[t]))
         d = np.array([failed(t) for t in states])
         want = np.array(columns, dtype=np.min_scalar_type(n)).reshape(len(states), ell).T
-        # every pair of the event table, and the jumps of more than one
+        # every pair of the event table at gamma > 0, and the jumps of more than one
         # class that a burst row would add
-        rows = {(f, to) for f, _, to in class_events(12, ell)}
+        rows = {(f, to) for f, _, to in class_events(12, ell, 1e-7)}
         jumps = {(a, b) for a, b in ((0, 2), (1, 3), (0, 3)) if a <= ell and b <= ell + 1}
         moves = sorted(rows | jumps)
         waved, target, bounds = oracle._chain_tables(n, ell, moves)
@@ -475,25 +481,29 @@ def test_wave_key_dtype_boundaries(n, ell, key):
 
 
 def test_markov_memory_bound():
-    # at l = 3 the chain holds 43 B a state: its tables (3 B of uint8 states
-    # and 24 B of int32 targets) and two levels' values (16 B), 6.4 MiB for
-    # 96x12 3/3's 156,849 states and 15.0 MiB for 128x12 3/3's 366,145 (the
-    # benchmark's probe); each bound leaves room for blocks of states but not
-    # for a whole level's terms (32 B a state).  At l = 1 it holds 28 B a
-    # state (4 B uint32 states, 8 B targets, 16 B values), 3.5 MiB for 0/1 at
-    # N = 131,071, where the table build sets the peak
-    for cfg, mib in (
-        (HraidConfig(96, 12, 3, 3), 10),
-        (HraidConfig(128, 12, 3, 3), 21),
-        (HraidConfig(131_071, 12, 0, 1), 7),
+    # at l = 3 and gamma > 0 the chain holds 43 B a state: its tables (3 B of
+    # uint8 states and 24 B of int32 targets) and two levels' values (16 B),
+    # 6.4 MiB for 96x12 3/3's 156,849 states and 15.0 MiB for 128x12 3/3's
+    # 366,145 (the benchmark's probe); each bound leaves room for blocks of
+    # states but not for a whole level's terms (32 B a state).  At gamma = 0
+    # the table has no controller rows, and the chain builds no targets for
+    # them: 35 B a state (16 B of targets), 5.2 MiB for 96x12 3/3, whose 7 MiB
+    # bound the 43 B layout (a 7.7 MiB peak) exceeds.  At l = 1 it holds 28 B
+    # a state (4 B uint32 states, 8 B targets, 16 B values), 3.5 MiB for 0/1
+    # at N = 131,071, where the table build sets the peak
+    for cfg, gamma, mib in (
+        (HraidConfig(96, 12, 3, 3), 1e-7, 10),
+        (HraidConfig(128, 12, 3, 3), 1e-7, 21),
+        (HraidConfig(131_071, 12, 0, 1), 1e-7, 7),
+        (HraidConfig(96, 12, 3, 3), 0.0, 7),
     ):
         tracemalloc.start()
         try:
-            markov_mttdl(cfg, FailureModel(1e-6, 1e-7))
+            markov_mttdl(cfg, FailureModel(1e-6, gamma))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < mib * 2**20, (cfg, peak)
+        assert peak < mib * 2**20, (cfg, gamma, peak)
 
 
 def test_enum_slot_width_holds_every_count():

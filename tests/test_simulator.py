@@ -680,7 +680,7 @@ def test_run_record_prints_numpy_scalars_as_python_values(geometry, rates, seed)
 def test_bin_tables_follow_the_event_table(m, ell, rho):
     weights, step, tally_step, ctrl = simulator_module._bin_tables(m, ell, rho)
     nb = ell + 1
-    rows = class_events(m, ell)[: 2 * nb if rho else nb]  # no controller bins at rho = 0
+    rows = class_events(m, ell, rho)  # no controller rows at rho = 0
     unit = np.eye(nb + 1)  # row l + 1, death, is no class of the step
     assert step.shape == (nb, len(rows)) and tally_step.shape == ctrl.shape == (len(rows),)
     for b, (f, disks, target) in enumerate(rows):
