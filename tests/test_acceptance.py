@@ -175,6 +175,8 @@ def test_loss_times_follow_the_exact_distribution():
     # value for a family-wise alpha = 0.01 over 16 cells, 2 exp(-2 x^2) =
     # 0.01 / 16, fixed before the test's first run; the seeds are the sweep's
     trials, worst = 32_768, 0.0
+    # the empirical CDF steps from (i - 1)/T to i/T at the i-th time
+    ranks = np.arange(trials + 1) / trials
     for k, ell in product(range(4), range(4)):
         cfg = HraidConfig(12, 12, k, ell)
         run = run_trials(cfg, RATES, trials, cell_seed(PINNED_SEED, k, ell), threads=1)
@@ -183,8 +185,6 @@ def test_loss_times_follow_the_exact_distribution():
         for i in (0, trials // 4, trials // 2, 3 * trials // 4, trials - 1):
             want = hraid_unreliability(cfg, -expm1(-RATES.disk_rate * times[i]))
             assert cdf[i] == pytest.approx(want, rel=1e-9, abs=1e-12), (k, ell, times[i])
-        # the empirical CDF steps from (i - 1)/T to i/T at the i-th time
-        ranks = np.arange(trials + 1) / trials
         distance = sqrt(trials) * max((ranks[1:] - cdf).max(), (cdf - ranks[:-1]).max())
         assert distance < 2.01, (k, ell, distance)
         worst = max(worst, distance)
