@@ -24,7 +24,8 @@ waves evaluated, each piece a few gathers from earlier waves and the
 level below.  The states, event targets and wave bounds are built once, for
 the top level, and every level reads them: one pass unranks the states
 greedily from a table of Pascal rows and keys their waves by lN - D in the
-narrowest unsigned dtype, and one stable sort of the keys orders the waves.
+narrowest unsigned dtype, one stable sort of the keys orders the waves, and
+each target is the position of its target state's colex rank.
 Besides them a level keeps only one block's terms and two levels' values:
 at l = 3 the chain holds 43 bytes a state at gamma > 0 and 35 at gamma = 0.
 """
@@ -174,13 +175,14 @@ def _chain_tables(n: int, ell: int, pairs: list[tuple[int, int]]) -> tuple:
     holds n; by pair (a, b) of ``pairs``, one node out of class a into class
     b (l + 1 is death), the int32 positions of its targets, in this level
     for a move and in the level below for a death; and the wave bounds, D =
-    lN down to 0.  One rule gives every target: T_j rises by one for j >= b
-    and falls by one for j >= a >= 1, and stays where both apply; the rank
-    sum_j pascal[j, T_j] gains pascal[j-1, T_j + 1] per rise and loses
-    pascal[j-1, T_j] per fall.  A class-0 death changes no T_j and gets no
-    table: its target is the state's own position.  An empty class's
-    target, rank -1 or past the last, reads the last state, whose value is
-    multiplied by zero.
+    lN down to 0.  One pass places the states by position, and a second,
+    over blocks of positions, gives every target by one rule: the pair
+    changes T_j by v_j, +1 for j >= b and -1 for j >= a >= 1 (0 where both
+    or neither apply), and the target is the position of the colex rank
+    sum_j pascal[j, T_j + v_j], the rank that orders the states.  A class-0
+    death changes no T_j and gets no table: its target is the state's own
+    position.  An entry whose class a is empty reads some state in range
+    (its rank is clamped to s - 1), whose value its zero share multiplies.
     """
     s = comb(n + ell, ell)
     pascal = np.zeros((ell + 1, n + 2 if ell else 0), dtype=np.int64)
@@ -202,20 +204,17 @@ def _chain_tables(n: int, ell: int, pairs: list[tuple[int, int]]) -> tuple:
     pos[np.argsort(key, kind="stable")] = np.arange(s, dtype=np.int32)
     bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=ell * n + 1))))
     del key
+    waved = np.empty_like(t)  # t is kept: freed here, it raised a long-lived process's peak RSS
+    for r in _blocks(0, s):
+        waved[:, pos[r]] = t[:, r]
     # each pair's change to T_1..T_l: 1 rises, -1 falls, 0 keeps
     signs = {(a, b): [(b <= j) - (0 < a <= j) for j in range(1, ell + 1)] for a, b in pairs}
     target = {pair: np.empty(s, dtype=np.int32) for pair, sign in signs.items() if any(sign)}
-    waved = np.empty_like(t)
-    for r in _blocks(0, s):
-        p = pos[r]
-        waved[:, p] = t[:, r]
-        rank = np.arange(r.start, r.stop)
-        # T_{j+1} = v gains pascal[j, v + 1] as it rises and loses pascal[j, v] as it falls
-        up = [pascal[j, 1:][t[j, r]] for j in range(ell)]
-        down = [-pascal[j][t[j, r]] for j in range(ell)]
+    for p in _blocks(0, s):
+        tp = waved[:, p].astype(np.intp)  # so that T_j + 1 cannot wrap
         for pair, table in target.items():
-            shift = sum((up if v > 0 else down)[j] for j, v in enumerate(signs[pair]) if v)
-            table[p] = pos[np.minimum(rank + shift, s - 1)]
+            rank = sum(pascal[j + 1][tp[j] + v] for j, v in enumerate(signs[pair]))
+            table[p] = pos[np.minimum(rank, s - 1)]
     return waved, target, bounds
 
 

@@ -158,33 +158,55 @@ def test_std_dev_of_exponential_loss_time():
     assert abs(z) < 5.0, f"std {est.std_dev_hours:.1f} h vs exact {sigma:.1f} h, z = {z:.2f}"
 
 
-def _loss_time_cdf(cfg: HraidConfig, hours: np.ndarray) -> np.ndarray:
-    """P(loss by t) at gamma = 0: every disk has failed by t with probability
-    eps = 1 - exp(-delta t), independently, so it is the array unreliability
-    at eps, here the binomial tails in numpy: a node past l failed disks with
-    probability u, and more than k such nodes."""
+def _loss_time_cdf(cfg: HraidConfig, rates: FailureModel, hours: np.ndarray) -> np.ndarray:
+    """P(loss by t) from node independence, in numpy: every disk has failed
+    by t with probability eps = 1 - exp(-delta t), independently, so a node
+    is past l failed disks with probability u, the binomial tail; it is dead
+    by t with probability q = 1 - exp(-gamma t) + exp(-gamma t) u, which is
+    u itself at gamma = 0, and data is lost when more than k nodes are dead.
+    At gamma = 0 it is the array unreliability at eps."""
     n, m, k, ell = cfg.n, cfg.m, cfg.k, cfg.ell
-    eps = -np.expm1(-RATES.disk_rate * hours)
+    eps = -np.expm1(-rates.disk_rate * hours)
     u = sum(comb(m, f) * eps**f * (1 - eps) ** (m - f) for f in range(ell + 1, m + 1))
-    return sum(comb(n, j) * u**j * (1 - u) ** (n - j) for j in range(k + 1, n + 1))
+    q = -np.expm1(-rates.controller_rate * hours) + np.exp(-rates.controller_rate * hours) * u
+    return sum(comb(n, j) * q**j * (1 - q) ** (n - j) for j in range(k + 1, n + 1))
 
 
-def test_loss_times_follow_the_exact_distribution():
-    # Kolmogorov-Smirnov over the 16 cells of 12x12 at gamma = 0: a shape
+def _mean_of_cdf(cfg: HraidConfig, rates: FailureModel) -> float:
+    """The integral of 1 - U(t) over t from 1e-6 to 1e9 h, by 20-point
+    Gauss-Legendre panels of width 0.25 in ln t."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    edges = np.arange(np.log(1e-6), np.log(1e9) + 0.25, 0.25)
+    hours = np.exp((edges[1:, None] + edges[:-1, None]) / 2 + 0.125 * x)  # a panel a row
+    # dt = t d(ln t), and each panel's half-width 0.125 scales its weights
+    return float(0.125 * np.sum(w * hours * (1 - _loss_time_cdf(cfg, rates, hours))))
+
+
+@pytest.mark.parametrize(
+    "n, gamma", [(12, 0.0), (12, 3e-6), (48, 1e-7)], ids=["12x12-g0", "12x12-g3e-6", "48x12-g1e-7"]
+)
+def test_loss_times_follow_the_exact_distribution(n, gamma):
+    # Kolmogorov-Smirnov over the 16 cells of Nx12 at one gamma: a shape
     # error that keeps the mean fails it.  2.01 is the Kolmogorov critical
-    # value for a family-wise alpha = 0.01 over 16 cells, 2 exp(-2 x^2) =
-    # 0.01 / 16, fixed before the test's first run; the seeds are the sweep's
+    # value for a family-wise alpha = 0.01 over a family's 16 cells,
+    # 2 exp(-2 x^2) = 0.01 / 16, fixed before each family's first run; the
+    # seeds are the sweep's
+    rates = FailureModel(disk_rate=RATES.disk_rate, controller_rate=gamma)
     trials, worst = 32_768, 0.0
     # the empirical CDF steps from (i - 1)/T to i/T at the i-th time
     ranks = np.arange(trials + 1) / trials
     for k, ell in product(range(4), range(4)):
-        cfg = HraidConfig(12, 12, k, ell)
-        run = run_trials(cfg, RATES, trials, cell_seed(PINNED_SEED, k, ell), threads=1)
+        cfg = HraidConfig(n, 12, k, ell)
+        run = run_trials(cfg, rates, trials, cell_seed(PINNED_SEED, k, ell), threads=1)
         times = np.sort(run.times_hours)
-        cdf = _loss_time_cdf(cfg, times)
-        for i in (0, trials // 4, trials // 2, 3 * trials // 4, trials - 1):
-            want = hraid_unreliability(cfg, -expm1(-RATES.disk_rate * times[i]))
-            assert cdf[i] == pytest.approx(want, rel=1e-9, abs=1e-12), (k, ell, times[i])
+        cdf = _loss_time_cdf(cfg, rates, times)
+        if gamma == 0.0:
+            for i in (0, trials // 4, trials // 2, 3 * trials // 4, trials - 1):
+                want = hraid_unreliability(cfg, -expm1(-RATES.disk_rate * times[i]))
+                assert cdf[i] == pytest.approx(want, rel=1e-9, abs=1e-12), (k, ell, times[i])
+        else:
+            want = markov_mttdl(cfg, rates)
+            assert _mean_of_cdf(cfg, rates) == pytest.approx(want, rel=1e-8), (k, ell)
         distance = sqrt(trials) * max((ranks[1:] - cdf).max(), (cdf - ranks[:-1]).max())
         assert distance < 2.01, (k, ell, distance)
         worst = max(worst, distance)

@@ -365,6 +365,17 @@ def test_markov_pinned_bit_for_bit():
               96: 120122.31000810512}
     for n, want in pinned.items():
         assert markov_mttdl(HraidConfig(n, 12, 3, 3), FailureModel(1e-6, 0.0)) == want, n
+    # the largest 3/3 chain, and l = 2 and 1 on either side of the uint8
+    # state dtype's edge (N = 255 and 256), read before each target was
+    # ranked by the rank that orders the states
+    pinned = {
+        (144, 3, 3, 1e-7): 91466.40825486586, (144, 3, 3, 0.0): 105343.5772466282,
+        (255, 0, 2, 1e-7): 17964.49056034669, (256, 0, 2, 1e-7): 17925.31347667984,
+        (255, 1, 1, 0.0): 10718.973842914169, (256, 1, 1, 0.0): 10697.06296569818,
+    }
+    for (n, k, ell, gamma), want in pinned.items():
+        got = markov_mttdl(HraidConfig(n, 12, k, ell), FailureModel(1e-6, gamma))
+        assert got == want, (n, k, ell, gamma)
 
 
 @pytest.mark.parametrize("block, max_n", [(1, 24), (7, 48)])
@@ -405,9 +416,11 @@ def test_chain_tables_match_brute_force(monkeypatch, block):
     # every state (T_1..T_l), 0 <= T_1 <= ... <= T_l <= N, ranked by colex
     # rank and sorted by failed-disk total D falling, rank rising; each
     # (a, b) pair's target is the state whose class counts have one node
-    # moved from class a to class b (b = l + 1 is death)
+    # moved from class a to class b (b = l + 1 is death); at N = 255 and 256
+    # a rise of T_j crosses the uint8 state dtype's edge
     monkeypatch.setattr(oracle, "_BLOCK", block)
-    for ell, n in product(range(4), range(1, 13)):
+    edges = [(1, 255), (1, 256), (2, 255), (2, 256)]
+    for ell, n in [*product(range(4), range(1, 13)), *edges]:
         states = list(combinations_with_replacement(range(n + 1), ell))
         rank = {t: sum(comb(v + j, j + 1) for j, v in enumerate(t)) for t in states}
 
@@ -490,7 +503,9 @@ def test_markov_memory_bound():
     # them: 35 B a state (16 B of targets), 5.2 MiB for 96x12 3/3, whose 7 MiB
     # bound the 43 B layout (a 7.7 MiB peak) exceeds.  At l = 1 it holds 28 B
     # a state (4 B uint32 states, 8 B targets, 16 B values), 3.5 MiB for 0/1
-    # at N = 131,071, where the table build sets the peak
+    # at N = 131,071, where the table build sets the peak: besides its states,
+    # positions and targets it holds 2 MiB of int64 Pascal rows, the int64
+    # wave bounds (one per state at l = 1) and the states in rank order
     for cfg, gamma, mib in (
         (HraidConfig(96, 12, 3, 3), 1e-7, 10),
         (HraidConfig(128, 12, 3, 3), 1e-7, 21),
